@@ -1,6 +1,8 @@
 """Compare the compiled kernels against the pure-Python reference.
 
 Times each workload once per backend and prints a table with speedups.
+The stopping rows time the reach sweeps' counters at the sizes the
+benchmark's `sweep` and `frontier` workloads use (near 8.5e6 and 2**68).
 Sizes are chosen so the pure backend finishes in a few seconds; pass
 --scale N to multiply every workload size by N.
 
@@ -30,9 +32,22 @@ def bench_covering(mod, n):
         mod.covering_chain(k, 100_000)
 
 
+def bench_apt_stopping(mod, base, n):
+    for k in range(base, base + n):
+        mod.apt_stopping(k, 100_000)
+
+
+def bench_emapt_stopping(mod, n):
+    for k in range(8_500_000, 8_500_000 + n):
+        mod.emapt_stopping(6 * k + 2, 100_000)
+
+
 WORKLOADS = [
     ("scalar sweep (ruler+p+apt)", bench_scalar_sweep, 200_000),
     ("covering_chain", bench_covering, 20_000),
+    ("apt_stopping from 8.5e6", lambda m, n: bench_apt_stopping(m, 8_500_000, n), 50_000),
+    ("apt_stopping from 2**68", lambda m, n: bench_apt_stopping(m, 2**68, n), 20_000),
+    ("emapt_stopping of 6n+2 from 8.5e6", bench_emapt_stopping, 50_000),
     ("scan_index_reps", lambda m, n: m.scan_index_reps(0, n), 1_000_000),
     ("scan_ruler_identities", lambda m, n: m.scan_ruler_identities(0, n), 1_000_000),
     ("scan_p3n", lambda m, n: m.scan_p3n(0, n), 1_000_000),
@@ -42,6 +57,7 @@ WORKLOADS = [
 
 
 def run_one(fn, mod, n):
+    fn(mod, 1)   # lazy set-up, such as the stopping tables, stays untimed
     t0 = time.perf_counter()
     fn(mod, n)
     return time.perf_counter() - t0

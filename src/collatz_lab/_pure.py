@@ -133,26 +133,119 @@ def covering_chain(n, budget):
     return len(c), len(t), len(a), ok
 
 
+# --- stopping counts by 2^k block jumps --------------------------------------
+#
+# Terras (1976): T^k(2^k a + b) = 3^c(b) a + T^k(b) for every integer a, where
+# c(b) counts the odd values among b, T(b), ..., T^(k-1)(b), and those k
+# values have the parities of the first k values of the orbit of 2^k a + b.
+# So one lookup on the low k bits advances the half-step orbit k steps and
+# says where its parity runs start.  T at most halves, so while n >= 2^k none
+# of the k values jumped over is 1 and every run counted lies before 1.
+
+_K = 12
+_BLOCK = 1 << _K
+_MASK = _BLOCK - 1
+
+#: (block table, small runs, small odd runs); built on the first stopping call.
+_STOP_TABLES = None
+
+
+def _block_table():
+    """Per k-bit residue b: (3^c(b), T^k(b), parity changes and odd-run starts
+    among the k parities after the first, the last of the k parities)."""
+    powers = [3**c for c in range(_K + 1)]
+    table = []
+    for b in range(_BLOCK):
+        x = b
+        odd = changes = odd_starts = 0
+        last = b & 1
+        for _ in range(_K):
+            p = x & 1
+            changes += p != last
+            odd_starts += p > last
+            odd += p
+            last = p
+            x = (3 * x + 1) >> 1 if p else x >> 1
+        table.append((powers[odd], x, changes, odd_starts, last))
+    return table
+
+
+def _small_tables():
+    """Per start m < 2^k: parity runs and odd runs of its T-orbit before 1.
+
+    Built smallest-first: walk m down to its first smaller value x and splice
+    in x's counts, less the run that continues across the splice.
+    """
+    runs_of = [None, 0]
+    odd_runs_of = [None, 0]
+    for m in range(2, _BLOCK):
+        x = m
+        runs = odd_runs = 0
+        last = ~m & 1   # so that m opens a run
+        while x >= m:
+            p = x & 1
+            if p != last:
+                runs += 1
+                odd_runs += p
+            last = p
+            x = (3 * x + 1) >> 1 if p else x >> 1
+        same = (x & 1) == last
+        runs_of.append(runs + runs_of[x] - same)
+        odd_runs_of.append(odd_runs + odd_runs_of[x] - (same & last))
+    return runs_of, odd_runs_of
+
+
+def _stop_tables():
+    global _STOP_TABLES
+    if _STOP_TABLES is None:
+        _STOP_TABLES = (_block_table(), *_small_tables())
+    return _STOP_TABLES
+
+
 def apt_stopping(n, budget):
-    """Steps for the accelerated map to reach 1, or -1 if the budget runs out."""
-    steps = 0
-    while n != 1:
-        if steps >= budget:
+    """Steps for the accelerated map to reach 1, or -1 if the budget runs out.
+
+    An accelerated step is one maximal parity run of the half-step map, so
+    this counts the parity runs of the half-step orbit before 1, jumping
+    k = 12 half-steps per table lookup.  n = 1 gives 0 whatever the budget.
+    """
+    blocks, runs_of, _ = _STOP_TABLES or _stop_tables()
+    runs = 0
+    last = ~n & 1   # so that n opens a run
+    while n >= _BLOCK:
+        b = n & _MASK
+        mult, tail, changes, _, end = blocks[b]
+        runs += changes + ((b ^ last) & 1)
+        if runs > budget:
             return -1
-        n = apt_step(n)
-        steps += 1
-    return steps
+        last = end
+        n = mult * (n >> _K) + tail
+    runs += runs_of[n] - ((n & 1) == last)
+    return runs if runs <= budget or not runs else -1
 
 
 def emapt_stopping(u, budget):
-    """Steps for the even-only map to reach 2, or -1 if the budget runs out."""
-    steps = 0
-    while u != 2:
-        if steps >= budget:
+    """Steps for the even-only map to reach 2, or -1 if the budget runs out.
+
+    For even u != 2 one even-only step covers an even run and the odd run
+    after it, so the count is the odd runs of the half-step orbit before 1,
+    plus the final step from a power of two to 2.  u = 2 gives 0.
+    """
+    if u == 2:
+        return 0
+    blocks, _, odd_runs_of = _STOP_TABLES or _stop_tables()
+    steps = 1
+    last = 0
+    while u >= _BLOCK:
+        b = u & _MASK
+        mult, tail, _, odd_starts, end = blocks[b]
+        steps += odd_starts + ((b & 1) > last)
+        if steps > budget:
             return -1
-        u = emapt_step_pq(u)
-        steps += 1
-    return steps
+        last = end
+        u = mult * (u >> _K) + tail
+    steps += odd_runs_of[u] - (u & last)
+    return steps if steps <= budget else -1
 
 
 # --- range scans; each returns the list of violating inputs -----------------

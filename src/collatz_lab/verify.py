@@ -245,6 +245,10 @@ CHECKERS: dict[str, CheckerSpec] = {
 }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def run_check(
     theorem_id: str,
     lo: int,
@@ -257,16 +261,16 @@ def run_check(
     spec = CHECKERS.get(theorem_id)
     if spec is None:
         raise ConfigurationError(f"unknown theorem {theorem_id!r}")
-    if not isinstance(lo, int) or not isinstance(hi, int):
+    if not (_is_int(lo) and _is_int(hi)):
         raise DomainError("range bounds must be integers")
     if lo < spec.min_lo:
         raise DomainError(f"{theorem_id} requires lo >= {spec.min_lo}, got {lo}")
     if hi < lo:
         raise DomainError(f"empty range [{lo}, {hi}]")
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
-    if cap < 1:
-        raise ConfigurationError(f"violation cap must be >= 1, got {cap}")
+    if not _is_int(budget) or budget < 1:
+        raise DomainError(f"budget must be an integer >= 1, got {budget!r}")
+    if not _is_int(cap) or cap < 1:
+        raise ConfigurationError(f"violation cap must be an integer >= 1, got {cap!r}")
     from collatz_lab.parallel import run_chunked
 
     t0 = time.perf_counter()

@@ -114,6 +114,31 @@ def apt_step_by_iteration(n: int) -> int:
     return n
 
 
+def apt_stopping_by_iteration(n: int, budget: int) -> int:
+    """Accelerated steps from n to 1, one literal parity run at a time;
+    -1 when more than budget steps are needed."""
+    steps = 0
+    while n != 1:
+        if steps >= budget:
+            return -1
+        n = apt_step_by_iteration(n)
+        steps += 1
+    return steps
+
+
+def emapt_stopping_by_iteration(u: int, budget: int) -> int:
+    """Even-only steps from even u to 2; one step is the halving run to the
+    odd part followed by the odd run back to an even value.  -1 when more
+    than budget steps are needed."""
+    steps = 0
+    while u != 2:
+        if steps >= budget:
+            return -1
+        u = apt_step_by_iteration(apt_step_by_iteration(u))
+        steps += 1
+    return steps
+
+
 def gapt_step_by_iteration(n: int, a: int, b: int) -> tuple[int, int]:
     """(landing value, run length) for one parity run of the generalized map."""
     runs = 0

@@ -6,8 +6,6 @@ boundary; the random sweep crosses it on purpose.
 """
 
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,17 +94,6 @@ def test_selected_backend_matches_oracles(n):
 def test_fast_handles_arbitrary_magnitude(n):
     assert _fast.apt_step(n) == _pure.apt_step(n)
     assert _fast.odd_part(n) == _pure.odd_part(n)
-
-
-def test_env_var_forces_pure_backend():
-    code = "from collatz_lab import kernels; print(kernels.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "", "COLLATZ_LAB_PURE": "1"},
-    )
-    assert out.stdout.strip() == "pure-python"
 
 
 def test_default_backend_is_compiled_when_built():

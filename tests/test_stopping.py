@@ -1,0 +1,123 @@
+"""Stopping counters and backend selection; none of this needs a compiled build.
+
+The pure stopping counters jump 12 half-steps per table lookup, so every
+count is compared with the literal loops in `oracles`, which walk one parity
+run at a time.  The inputs cover the table edges (2^12 +- 1 and the orbits
+that cross it mid-run), long runs spanning many blocks, the 2**63 / 2**64
+edges where the compiled backend falls back, and budgets at r - 1, r, r + 1.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, strategies as st
+
+import oracles
+from collatz_lab import _pure, kernels
+
+# Always the pure reference; the selected backend too when it is compiled.
+IMPLS = [_pure] + ([kernels] if kernels.ACCELERATED else [])
+IMPL_IDS = ["pure"] + (["selected"] if kernels.ACCELERATED else [])
+
+BIG_BUDGET = 10**6
+
+EDGES = sorted(
+    {
+        base + d
+        for k in (12, 13, 24, 36, 63, 64, 68, 120)
+        for base in (2**k, 3 * 2**k)
+        for d in (-2, -1, 0, 1, 2)
+    }
+    | {2**k for k in range(200)}          # one even run over many blocks
+    | {2**k - 1 for k in range(1, 200)}   # one odd run over many blocks
+)
+
+
+def _budget_edges(r):
+    return (0, 1, r - 1, r, r + 1)
+
+
+def _assert_apt(impl, n):
+    r = oracles.apt_stopping_by_iteration(n, BIG_BUDGET)
+    assert r >= 0
+    for budget in _budget_edges(r):
+        assert impl.apt_stopping(n, budget) == oracles.apt_stopping_by_iteration(
+            n, budget
+        ), f"apt_stopping({n}, {budget})"
+
+
+def _assert_emapt(impl, u):
+    r = oracles.emapt_stopping_by_iteration(u, BIG_BUDGET)
+    assert r >= 0
+    for budget in _budget_edges(r):
+        assert impl.emapt_stopping(u, budget) == oracles.emapt_stopping_by_iteration(
+            u, budget
+        ), f"emapt_stopping({u}, {budget})"
+
+
+@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
+def test_apt_stopping_matches_literal_loop(impl):
+    for n in range(1, 20_001):
+        _assert_apt(impl, n)
+    for n in EDGES:
+        _assert_apt(impl, n)
+
+
+@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
+def test_emapt_stopping_matches_literal_loop(impl):
+    for u in range(2, 20_001, 2):
+        _assert_emapt(impl, u)
+    for u in EDGES:
+        if u % 2 == 0:
+            _assert_emapt(impl, u)
+
+
+@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
+def test_stopping_targets_cost_nothing(impl):
+    # Already at the target: zero steps, even when the budget is not positive.
+    for budget in (-1, 0, 1):
+        assert impl.apt_stopping(1, budget) == 0
+        assert impl.emapt_stopping(2, budget) == 0
+
+
+@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
+@given(st.integers(min_value=1, max_value=2**300))
+def test_apt_stopping_matches_literal_loop_on_bigints(impl, n):
+    _assert_apt(impl, n)
+
+
+@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
+@given(st.integers(min_value=1, max_value=2**299).map(lambda k: 2 * k))
+def test_emapt_stopping_matches_literal_loop_on_bigints(impl, u):
+    _assert_emapt(impl, u)
+
+
+def _run_python(code, **env):
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env},
+    )
+
+
+def test_stopping_tables_are_not_built_at_import():
+    code = (
+        "import collatz_lab.cli\n"
+        "from collatz_lab import _pure\n"
+        "print(_pure._STOP_TABLES is None)"
+    )
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_env_var_forces_pure_backend():
+    out = _run_python(
+        "from collatz_lab import kernels; print(kernels.BACKEND)",
+        COLLATZ_LAB_PURE="1",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "pure-python"

@@ -91,6 +91,25 @@ def test_run_check_validation():
         verify.run_check("covering", 1, 10, cap=0)
 
 
+@pytest.mark.parametrize(
+    "override,error",
+    [
+        ({"lo": True}, DomainError),
+        ({"lo": 1.0}, DomainError),
+        ({"hi": True}, DomainError),
+        ({"hi": 10.0}, DomainError),
+        ({"budget": True}, DomainError),
+        ({"budget": 100.0}, DomainError),
+        ({"cap": True}, ConfigurationError),
+        ({"cap": 5.0}, ConfigurationError),
+    ],
+)
+def test_run_check_rejects_bool_and_non_int_arguments(override, error):
+    args = {"lo": 1, "hi": 10, **override}
+    with pytest.raises(error):
+        verify.run_check("covering", **args)
+
+
 def _always_bad_span(lo, hi, budget):
     return hi - lo + 1, [(n, "synthetic") for n in range(lo, hi + 1)], []
 
