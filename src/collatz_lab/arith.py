@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from collatz_lab import kernels
-from collatz_lab.errors import DomainError, InnerSplitUndefined
+from collatz_lab.errors import InnerSplitUndefined, require_int
 
 
 class IndexTuple(NamedTuple):
@@ -46,40 +46,33 @@ class ThreeTuple(NamedTuple):
     l: int
 
 
-def _require_count(n: int, name: str = "n", minimum: int = 0) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"{name} must be an int, got {type(n).__name__}")
-    if n < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {n}")
-
-
 def ruler(n: int) -> int:
     """Largest e such that 2**e divides 2n.  Defined for n >= 1."""
-    _require_count(n, minimum=1)
+    require_int(n, "n", 1)
     return kernels.ruler(n)
 
 
 def interleave_p(n: int) -> int:
     """p(0) = 0, p(2n) = n, p(2n+1) = p(n)."""
-    _require_count(n)
+    require_int(n, "n", 0)
     return kernels.interleave_p(n)
 
 
 def shifted_ruler_q(n: int) -> int:
     """q(n) = ruler(n + 1); equivalently q(0) = 1, q(2n) = 1, q(2n+1) = q(n)+1."""
-    _require_count(n)
+    require_int(n, "n", 0)
     return kernels.shifted_ruler_q(n)
 
 
 def index_pair(n: int) -> IndexTuple:
     """Both index values at once."""
-    _require_count(n)
+    require_int(n, "n", 0)
     return IndexTuple(kernels.interleave_p(n), kernels.shifted_ruler_q(n))
 
 
 def even_from_index(n: int) -> int:
     """(2 p(n) + 1) * 2**q(n); always equals 2(n + 1)."""
-    _require_count(n)
+    require_int(n, "n", 0)
     return (2 * kernels.interleave_p(n) + 1) << kernels.shifted_ruler_q(n)
 
 
@@ -90,7 +83,7 @@ def odd_from_index(n: int) -> int:
 
 def odd_shift_split(m: int) -> OddShiftRep:
     """Split m >= 1 as (2i + 1) * 2**j - 1 with j maximal (j = ruler(m+1) - 1)."""
-    _require_count(m, "m", minimum=1)
+    require_int(m, "m", 1)
     s = m + 1
     j = (s & -s).bit_length() - 1
     return OddShiftRep(((s >> j) - 1) >> 1, j)

@@ -1,12 +1,13 @@
 """Command-line harness.
 
 Commands: trace, verify, tree, stats, oeis-check.  Results go to stdout or
---output in the requested --format; progress and timing go to stderr only,
-so identical runs write identical bytes regardless of worker count.  The
-COLLATZ_LAB_WORKERS environment variable overrides any --workers flag.
+--output in the requested --format; stderr carries only errors and, for
+verify and oeis-check, a one-line summary of the report, so identical runs
+write identical bytes regardless of worker count.  The COLLATZ_LAB_WORKERS
+environment variable overrides any --workers flag.
 
 Exit status: 0 on success, 1 when a verification found violations, 2 on
-usage, configuration or domain errors.
+usage, configuration or domain errors, including a worker count below one.
 """
 
 from __future__ import annotations
@@ -14,42 +15,66 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from collatz_lab import emit as emit_mod
 from collatz_lab import oeis, reverse_tree, sequences, verify
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
 
-_VALID_FORMATS = {
-    "trace": ("text", "json", "csv"),
-    "verify": ("text", "json", "csv"),
-    "tree": ("text", "json", "dot"),
-    "stats": ("text", "json", "csv"),
-    "oeis-check": ("text", "json", "csv"),
-}
+
+def _workers(text: str) -> int:
+    """A worker count from the --workers flag or COLLATZ_LAB_WORKERS: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str
-    output: str | None
-    kind: str | None = None
-    start: int | None = None
-    budget: int = verify.DEFAULT_BUDGET
-    target: int | None = None
-    param_a: int | None = None
-    param_b: int | None = None
-    theorem: str | None = None
-    lo: int | None = None
-    hi: int | None = None
-    workers: int = 1
-    cap: int = verify.DEFAULT_VIOLATION_CAP
-    candidates: int | None = None
-    depth: int | None = None
-    bfile: str | None = None
-    generator: str | None = None
-    count: int | None = None
+def _trace(ns: argparse.Namespace):
+    params = None
+    if ns.kind in ("G", "H"):
+        if ns.param_a is None or ns.param_b is None:
+            raise ConfigurationError(f"kind {ns.kind} requires --param-a and --param-b")
+        params = sequences.GParams(ns.param_a, ns.param_b)
+    return sequences.trace(ns.kind, ns.start, ns.budget, ns.target, params), 0
+
+
+def _summarized(report: verify.TheoremReport):
+    """Print the report's one-line summary to stderr; pair it with its exit status."""
+    print(
+        f"{report.theorem_id}: checked {report.checked}, "
+        f"violations {report.violation_count}, "
+        f"budget-exhausted {len(report.budget_exhausted)} "
+        f"[{report.elapsed:.3f}s]",
+        file=sys.stderr,
+    )
+    return report, 1 if report.violation_count > 0 and not report.observational else 0
+
+
+def _verify(ns: argparse.Namespace):
+    report = verify.run_check(
+        ns.theorem, ns.lo, ns.hi, ns.budget, ns.workers, ns.max_violations
+    )
+    return _summarized(report)
+
+
+def _tree(ns: argparse.Namespace):
+    return reverse_tree.build_tree(ns.candidates, ns.depth), 0
+
+
+def _stats(ns: argparse.Namespace):
+    return sequences.stopping_stats(ns.lo, ns.hi, ns.budget, ns.workers), 0
+
+
+def _oeis(ns: argparse.Namespace):
+    try:
+        with open(ns.bfile, encoding="utf-8") as handle:
+            content = handle.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {ns.bfile}: {exc}") from exc
+    return _summarized(oeis.check_oeis(content, ns.generator, ns.count))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,11 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact sequence engines, reverse-tree enumeration and "
         "range checks for the Collatz map family.",
     )
+    # commands without --workers still carry one for COLLATZ_LAB_WORKERS
+    parser.set_defaults(workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", default="text", choices=emit_mod.FORMATS)
+    def add_io(p: argparse.ArgumentParser, result_type: type, handler) -> None:
+        p.add_argument("--format", default="text", choices=emit_mod.formats(result_type))
         p.add_argument("--output", default=None, help="write to this path instead of stdout")
+        p.set_defaults(handler=handler)
 
     p_trace = sub.add_parser("trace", help="iterate one map from a start value")
     p_trace.add_argument("--kind", required=True, choices=sequences.TRACE_KINDS)
@@ -74,154 +102,73 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="odd multiplier for kinds G and H")
     p_trace.add_argument("--param-b", type=int, default=None,
                          help="odd offset for kinds G and H")
-    add_io(p_trace)
+    add_io(p_trace, sequences.Trace, _trace)
 
     p_verify = sub.add_parser("verify", help="run a range checker")
     p_verify.add_argument("--theorem", required=True, choices=sorted(verify.CHECKERS))
     p_verify.add_argument("--lo", required=True, type=int)
     p_verify.add_argument("--hi", required=True, type=int)
     p_verify.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_workers, default=1)
     p_verify.add_argument("--max-violations", type=int,
                           default=verify.DEFAULT_VIOLATION_CAP,
                           help="cap on listed counterexamples")
-    add_io(p_verify)
+    add_io(p_verify, verify.TheoremReport, _verify)
 
     p_tree = sub.add_parser("tree", help="build the reverse candidate tree")
     p_tree.add_argument("--candidates", type=int, default=100,
                         help="how many candidates to enumerate")
     p_tree.add_argument("--depth", type=int, default=16,
                         help="breadth-first depth bound")
-    add_io(p_tree)
+    add_io(p_tree, reverse_tree.WZTree, _tree)
 
     p_stats = sub.add_parser("stats", help="orbit-length table over a range")
     p_stats.add_argument("--lo", required=True, type=int)
     p_stats.add_argument("--hi", required=True, type=int)
     p_stats.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
-    p_stats.add_argument("--workers", type=int, default=1)
-    add_io(p_stats)
+    p_stats.add_argument("--workers", type=_workers, default=1)
+    add_io(p_stats, sequences.StatsTable, _stats)
 
     p_oeis = sub.add_parser("oeis-check", help="compare a generator to a b-file")
     p_oeis.add_argument("--bfile", required=True, help="path to the b-file")
     p_oeis.add_argument("--generator", required=True, choices=sorted(oeis.GENERATORS))
     p_oeis.add_argument("--count", type=int, default=10_000)
-    add_io(p_oeis)
+    add_io(p_oeis, verify.TheoremReport, _oeis)
 
     return parser
 
 
-def parse_cli(argv: list[str]) -> RunConfig:
-    """Parse and validate arguments; argparse exits with status 2 on misuse."""
+def parse_cli(argv: list[str]) -> argparse.Namespace:
+    """Parse and validate arguments; argparse exits with status 2 on misuse.
+
+    The namespace's ``handler`` runs its command and returns the result with
+    the exit status.  COLLATZ_LAB_WORKERS, when set, replaces ``workers``.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-
-    if ns.format not in _VALID_FORMATS[ns.command]:
-        parser.error(f"format {ns.format!r} is not valid for {ns.command}")
-
-    workers = getattr(ns, "workers", 1)
     env_workers = os.environ.get("COLLATZ_LAB_WORKERS")
     if env_workers is not None:
         try:
-            workers = int(env_workers)
-        except ValueError:
-            parser.error(f"COLLATZ_LAB_WORKERS must be an integer, got {env_workers!r}")
-        if workers < 1:
-            parser.error("COLLATZ_LAB_WORKERS must be >= 1")
-
-    return RunConfig(
-        command=ns.command,
-        fmt=ns.format,
-        output=ns.output,
-        kind=getattr(ns, "kind", None),
-        start=getattr(ns, "start", None),
-        budget=getattr(ns, "budget", verify.DEFAULT_BUDGET),
-        target=getattr(ns, "target", None),
-        param_a=getattr(ns, "param_a", None),
-        param_b=getattr(ns, "param_b", None),
-        theorem=getattr(ns, "theorem", None),
-        lo=getattr(ns, "lo", None),
-        hi=getattr(ns, "hi", None),
-        workers=workers,
-        cap=getattr(ns, "max_violations", verify.DEFAULT_VIOLATION_CAP),
-        candidates=getattr(ns, "candidates", None),
-        depth=getattr(ns, "depth", None),
-        bfile=getattr(ns, "bfile", None),
-        generator=getattr(ns, "generator", None),
-        count=getattr(ns, "count", None),
-    )
+            ns.workers = _workers(env_workers)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"COLLATZ_LAB_WORKERS {exc}")
+    return ns
 
 
-def _compute(config: RunConfig):
-    """Produce (result, exit_code) for a validated config."""
-    if config.command == "trace":
-        params = None
-        if config.kind in ("G", "H"):
-            if config.param_a is None or config.param_b is None:
-                raise ConfigurationError(
-                    f"kind {config.kind} requires --param-a and --param-b"
-                )
-            params = sequences.GParams(config.param_a, config.param_b)
-        result = sequences.trace(
-            config.kind, config.start, config.budget, config.target, params
-        )
-        return result, 0
-
-    if config.command == "verify":
-        report = verify.run_check(
-            config.theorem,
-            config.lo,
-            config.hi,
-            budget=config.budget,
-            workers=config.workers,
-            cap=config.cap,
-        )
-        failed = report.violation_count > 0 and not report.observational
-        return report, 1 if failed else 0
-
-    if config.command == "tree":
-        return reverse_tree.build_tree(config.candidates, config.depth), 0
-
-    if config.command == "stats":
-        table = sequences.stopping_stats(
-            config.lo, config.hi, config.budget, workers=config.workers
-        )
-        return table, 0
-
-    if config.command == "oeis-check":
-        try:
-            with open(config.bfile, encoding="utf-8") as handle:
-                content = handle.read()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read {config.bfile}: {exc}") from exc
-        report = oeis.check_oeis(content, config.generator, config.count)
-        return report, 1 if report.violation_count > 0 else 0
-
-    raise ConfigurationError(f"unknown command {config.command!r}")
-
-
-def run(config: RunConfig) -> int:
-    """Execute a parsed configuration and write its result to the sink."""
+def run(ns: argparse.Namespace) -> int:
+    """Execute a parsed command and write its result to the sink."""
     try:
-        result, status = _compute(config)
+        result, status = ns.handler(ns)
     except (DomainError, ConfigurationError, BFileParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if isinstance(result, verify.TheoremReport):
-        print(
-            f"{result.theorem_id}: checked {result.checked}, "
-            f"violations {result.violation_count}, "
-            f"budget-exhausted {len(result.budget_exhausted)} "
-            f"[{result.elapsed:.3f}s]",
-            file=sys.stderr,
-        )
-
     try:
-        if config.output is None:
-            emit_mod.emit(result, config.fmt, sys.stdout)
+        if ns.output is None:
+            emit_mod.emit(result, ns.format, sys.stdout)
         else:
-            with open(config.output, "w", encoding="utf-8", newline="") as sink:
-                emit_mod.emit(result, config.fmt, sink)
+            with open(ns.output, "w", encoding="utf-8", newline="") as sink:
+                emit_mod.emit(result, ns.format, sink)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -233,11 +180,11 @@ def run(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_cli(sys.argv[1:] if argv is None else argv)
+        ns = parse_cli(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
-    return run(config)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import Callable
 
 from collatz_lab.errors import ConfigurationError
 from collatz_lab.reverse_tree import WZTree
@@ -24,117 +25,19 @@ def _s(value) -> str | None:
     return None if value is None else str(value)
 
 
-def to_jsonable(result) -> dict:
-    """Fixed-field-order dict form of a result, integers as decimal strings."""
-    if isinstance(result, Trace):
-        return {
-            "kind": result.kind,
-            "start": _s(result.start),
-            "elements": [str(x) for x in result.elements],
-            "outcome": result.outcome.value,
-            "stopping_time": _s(result.stopping_time),
-        }
-    if isinstance(result, TheoremReport):
-        return {
-            "theorem_id": result.theorem_id,
-            "lo": _s(result.lo),
-            "hi": _s(result.hi),
-            "checked": _s(result.checked),
-            "violation_count": _s(result.violation_count),
-            "violations": [
-                {"input": _s(v.input), "detail": v.detail}
-                for v in result.violations
-            ],
-            "budget_exhausted": [str(n) for n in result.budget_exhausted],
-            "observational": result.observational,
-        }
-    if isinstance(result, StatsTable):
-        return {
-            "lo": _s(result.lo),
-            "hi": _s(result.hi),
-            "budget": _s(result.budget),
-            "rows": [
-                {
-                    "n": _s(r.n),
-                    "c_len": _s(r.c_len),
-                    "t_len": _s(r.t_len),
-                    "a_len": _s(r.a_len),
-                    "exhausted": r.exhausted,
-                }
-                for r in result.rows
-            ],
-        }
-    if isinstance(result, WZTree):
-        return {
-            "root": {"w": _s(result.root.w), "z": _s(result.root.z)},
-            "candidate_bound": _s(result.candidate_bound),
-            "depth_bound": _s(result.depth_bound),
-            "nodes": [
-                {
-                    "w": _s(node.w),
-                    "z": _s(node.z),
-                    "depth": _s(result.depths[node.w]),
-                    "children": [
-                        str(c) for c in result.children.get(node.w, ())
-                    ],
-                }
-                for node in result.nodes
-            ],
-            "orphans": [
-                {"w": _s(o.w), "parent": _s(o.parent)} for o in result.orphans
-            ],
-        }
-    raise ConfigurationError(f"cannot serialize {type(result).__name__}")
+def _trace_json(result: Trace) -> dict:
+    return {
+        "kind": result.kind,
+        "start": _s(result.start),
+        "elements": [str(x) for x in result.elements],
+        "outcome": result.outcome.value,
+        "stopping_time": _s(result.stopping_time),
+    }
 
 
-def _emit_csv(result, sink) -> None:
-    writer = csv.writer(sink, lineterminator="\n")
-    if isinstance(result, Trace):
-        writer.writerow(["step", "value"])
-        for step, value in enumerate(result.elements):
-            writer.writerow([step, value])
-    elif isinstance(result, TheoremReport):
-        writer.writerow(["input", "detail"])
-        for v in result.violations:
-            writer.writerow([v.input, v.detail])
-    elif isinstance(result, StatsTable):
-        writer.writerow(["n", "c_len", "t_len", "a_len", "exhausted"])
-        for r in result.rows:
-            writer.writerow(
-                [
-                    r.n,
-                    "" if r.c_len is None else r.c_len,
-                    "" if r.t_len is None else r.t_len,
-                    "" if r.a_len is None else r.a_len,
-                    "true" if r.exhausted else "false",
-                ]
-            )
-    else:
-        raise ConfigurationError(
-            f"csv format not valid for {type(result).__name__}"
-        )
-
-
-def _emit_dot(result, sink) -> None:
-    if not isinstance(result, WZTree):
-        raise ConfigurationError("dot format is only valid for trees")
-    lines = ["digraph reverse_tree {"]
-    for node in result.nodes:
-        lines.append(f'  {node.w} [label="{node.w} ({node.z})"];')
-    for node in result.nodes:
-        parent = result.parents[node.w]
-        if parent == node.w:
-            # the root's trivial self-loop, drawn but visually set apart
-            lines.append(f"  {node.w} -> {parent} [style=dashed, color=gray];")
-        else:
-            lines.append(f"  {node.w} -> {parent};")
-    for orphan in result.orphans:
-        lines.append(
-            f'  {orphan.w} [label="{orphan.w}", style=dotted, '
-            f'comment="parent {orphan.parent} outside tree"];'
-        )
-    lines.append("}")
-    sink.write("\n".join(lines) + "\n")
+def _trace_csv(result: Trace):
+    yield ("step", "value")
+    yield from enumerate(result.elements)
 
 
 def _trace_text(result: Trace) -> list[str]:
@@ -145,6 +48,27 @@ def _trace_text(result: Trace) -> list[str]:
     if result.stopping_time is not None:
         lines.append(f"stopping time: {result.stopping_time}")
     return lines
+
+
+def _report_json(result: TheoremReport) -> dict:
+    return {
+        "theorem_id": result.theorem_id,
+        "lo": _s(result.lo),
+        "hi": _s(result.hi),
+        "checked": _s(result.checked),
+        "violation_count": _s(result.violation_count),
+        "violations": [
+            {"input": _s(v.input), "detail": v.detail}
+            for v in result.violations
+        ],
+        "budget_exhausted": [str(n) for n in result.budget_exhausted],
+        "observational": result.observational,
+    }
+
+
+def _report_csv(result: TheoremReport):
+    yield ("input", "detail")
+    yield from result.violations
 
 
 def _report_text(result: TheoremReport) -> list[str]:
@@ -165,11 +89,83 @@ def _report_text(result: TheoremReport) -> list[str]:
     return lines
 
 
+def _stats_json(result: StatsTable) -> dict:
+    return {
+        "lo": _s(result.lo),
+        "hi": _s(result.hi),
+        "budget": _s(result.budget),
+        "rows": [
+            {
+                "n": _s(r.n),
+                "c_len": _s(r.c_len),
+                "t_len": _s(r.t_len),
+                "a_len": _s(r.a_len),
+                "exhausted": r.exhausted,
+            }
+            for r in result.rows
+        ],
+    }
+
+
+def _stats_csv(result: StatsTable):
+    yield ("n", "c_len", "t_len", "a_len", "exhausted")
+    for r in result.rows:
+        yield (
+            r.n,
+            "" if r.c_len is None else r.c_len,
+            "" if r.t_len is None else r.t_len,
+            "" if r.a_len is None else r.a_len,
+            "true" if r.exhausted else "false",
+        )
+
+
 def _stats_text(result: StatsTable) -> list[str]:
     lines = [f"orbit lengths over [{result.lo}, {result.hi}], budget {result.budget}"]
     for r in result.rows:
         flag = " (budget exhausted)" if r.exhausted else ""
         lines.append(f"  {r.n}: {r.c_len} {r.t_len} {r.a_len}{flag}")
+    return lines
+
+
+def _tree_json(result: WZTree) -> dict:
+    return {
+        "root": {"w": _s(result.root.w), "z": _s(result.root.z)},
+        "candidate_bound": _s(result.candidate_bound),
+        "depth_bound": _s(result.depth_bound),
+        "nodes": [
+            {
+                "w": _s(node.w),
+                "z": _s(node.z),
+                "depth": _s(result.depths[node.w]),
+                "children": [
+                    str(c) for c in result.children.get(node.w, ())
+                ],
+            }
+            for node in result.nodes
+        ],
+        "orphans": [
+            {"w": _s(o.w), "parent": _s(o.parent)} for o in result.orphans
+        ],
+    }
+
+
+def _tree_dot(result: WZTree) -> list[str]:
+    lines = ["digraph reverse_tree {"]
+    for node in result.nodes:
+        lines.append(f'  {node.w} [label="{node.w} ({node.z})"];')
+    for node in result.nodes:
+        parent = result.parents[node.w]
+        if parent == node.w:
+            # the root's trivial self-loop, drawn but visually set apart
+            lines.append(f"  {node.w} -> {parent} [style=dashed, color=gray];")
+        else:
+            lines.append(f"  {node.w} -> {parent};")
+    for orphan in result.orphans:
+        lines.append(
+            f'  {orphan.w} [label="{orphan.w}", style=dotted, '
+            f'comment="parent {orphan.parent} outside tree"];'
+        )
+    lines.append("}")
     return lines
 
 
@@ -191,30 +187,47 @@ def _tree_text(result: WZTree) -> list[str]:
     return lines
 
 
-def _emit_text(result, sink) -> None:
-    if isinstance(result, Trace):
-        lines = _trace_text(result)
-    elif isinstance(result, TheoremReport):
-        lines = _report_text(result)
-    elif isinstance(result, StatsTable):
-        lines = _stats_text(result)
-    elif isinstance(result, WZTree):
-        lines = _tree_text(result)
-    else:
+#: Per result type, the formats it can be written in, "text" first: json
+#: builds a dict, csv yields the header row and then the data rows, text and
+#: dot return lines.  DOT exists only for trees and CSV for all but trees.
+_WRITERS: dict[type, dict[str, Callable]] = {
+    Trace: {"text": _trace_text, "json": _trace_json, "csv": _trace_csv},
+    TheoremReport: {"text": _report_text, "json": _report_json, "csv": _report_csv},
+    StatsTable: {"text": _stats_text, "json": _stats_json, "csv": _stats_csv},
+    WZTree: {"text": _tree_text, "json": _tree_json, "dot": _tree_dot},
+}
+
+
+def formats(result_type: type) -> tuple[str, ...]:
+    """The formats a result type can be written in, "text" first."""
+    return tuple(_WRITERS[result_type])
+
+
+def _writer(result, fmt: str) -> Callable:
+    by_format = _WRITERS.get(type(result))
+    if by_format is None:
         raise ConfigurationError(f"cannot serialize {type(result).__name__}")
-    sink.write("\n".join(lines) + "\n")
+    if fmt not in by_format:
+        raise ConfigurationError(
+            f"{fmt} format not valid for {type(result).__name__}"
+        )
+    return by_format[fmt]
+
+
+def to_jsonable(result) -> dict:
+    """Fixed-field-order dict form of a result, integers as decimal strings."""
+    return _writer(result, "json")(result)
 
 
 def emit(result, fmt: str, sink) -> None:
     """Write result to sink in the requested format."""
+    if fmt not in FORMATS:
+        raise ConfigurationError(f"unknown format {fmt!r}")
+    out = _writer(result, fmt)(result)
     if fmt == "json":
-        json.dump(to_jsonable(result), sink, indent=2)
+        json.dump(out, sink, indent=2)
         sink.write("\n")
     elif fmt == "csv":
-        _emit_csv(result, sink)
-    elif fmt == "dot":
-        _emit_dot(result, sink)
-    elif fmt == "text":
-        _emit_text(result, sink)
+        csv.writer(sink, lineterminator="\n").writerows(out)
     else:
-        raise ConfigurationError(f"unknown format {fmt!r}")
+        sink.write("\n".join(out) + "\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from collatz_lab import arith, reverse_tree
-from collatz_lab.errors import BFileParseError, ConfigurationError
+from collatz_lab.errors import BFileParseError, ConfigurationError, require_int
 from collatz_lab.verify import DEFAULT_VIOLATION_CAP, TheoremReport, Violation
 
 
@@ -73,8 +73,8 @@ def check_oeis(
         raise ConfigurationError(
             f"unknown generator {generator_id!r} (known: {known})"
         )
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
+    require_int(count, "count", 1, ConfigurationError)
+    require_int(cap, "cap", 1, ConfigurationError)
     t0 = time.perf_counter()
     pairs = parse_bfile(bfile_content)
     if len(pairs) < count:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from collatz_lab import kernels
-from collatz_lab.errors import DomainError
+from collatz_lab.errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,8 @@ class AffineStep:
     beta: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, int) or self.alpha < 1:
-            raise DomainError(f"alpha must be an int >= 1, got {self.alpha}")
-        if not isinstance(self.beta, int) or self.beta < 1:
-            raise DomainError(f"beta must be an int >= 1, got {self.beta}")
+        require_int(self.alpha, "alpha", 1)
+        require_int(self.beta, "beta", 1)
 
     @property
     def slope(self) -> Fraction:
@@ -115,14 +113,12 @@ class MultiplicityResult(NamedTuple):
 
 def w_candidate(m: int) -> int:
     """m-th odd natural not divisible by three: (6m + (-1)**m - 3) / 2 for m >= 1."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"m must be an int >= 1, got {m}")
+    require_int(m, "m", 1)
     return (6 * m + (-1) ** m - 3) >> 1
 
 
 def _require_candidate(w: int, name: str = "w") -> None:
-    if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-        raise DomainError(f"{name} must be an int >= 1, got {w}")
+    require_int(w, name, 1)
     if w % 2 == 0 or w % 3 == 0:
         raise DomainError(f"{name} must be odd and not divisible by 3, got {w}")
 
@@ -137,8 +133,7 @@ def z_from_w(w: int) -> int:
 
 def w_from_z(z: int) -> int:
     """Parent candidate of z: 2z / 2**ruler(z), the odd part of z."""
-    if not isinstance(z, int) or isinstance(z, bool) or z < 1:
-        raise DomainError(f"z must be an int >= 1, got {z}")
+    require_int(z, "z", 1)
     return kernels.odd_part(z)
 
 
@@ -171,8 +166,8 @@ def steiner_search(alpha_max: int, beta_max: int) -> list[tuple[int, int, int]]:
     Returns every (alpha, beta, z0) with 1 <= alpha <= alpha_max,
     1 <= beta <= beta_max whose fixed point z0 is a positive integer.
     """
-    if alpha_max < 1 or beta_max < 1:
-        raise DomainError("grid bounds must be >= 1")
+    require_int(alpha_max, "alpha_max", 1)
+    require_int(beta_max, "beta_max", 1)
     hits = []
     for alpha in range(1, alpha_max + 1):
         pow3 = 3**alpha
@@ -196,10 +191,8 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
     chain leaves the enumerated set (or lies beyond depth_bound) end up in
     the orphan pool with their computed parent attached.
     """
-    if candidate_bound < 1:
-        raise DomainError("candidate_bound must be >= 1")
-    if depth_bound < 0:
-        raise DomainError("depth_bound must be >= 0")
+    require_int(candidate_bound, "candidate_bound", 1)
+    require_int(depth_bound, "depth_bound", 0)
     cands = [w_candidate(m) for m in range(1, candidate_bound + 1)]
     parent_of = {w: w_forward(w) for w in cands}
     bucket: dict[int, list[int]] = {}
@@ -252,10 +245,8 @@ def cycle_scan(candidate_bound: int, step_budget: int) -> CycleScanReport:
     from the same orbit (a cycle, canonicalized to start at its smallest
     element), or on running out of budget.
     """
-    if candidate_bound < 1:
-        raise DomainError("candidate_bound must be >= 1")
-    if step_budget < 1:
-        raise DomainError("step_budget must be >= 1")
+    require_int(candidate_bound, "candidate_bound", 1)
+    require_int(step_budget, "step_budget", 1)
     cycles: list[tuple[int, ...]] = []
     seen_cycles = set()
     reached = 0
@@ -297,8 +288,7 @@ def cycle_scan(candidate_bound: int, step_budget: int) -> CycleScanReport:
 def multiplicity(target: int, candidate_bound: int) -> MultiplicityResult:
     """Count candidates among the first candidate_bound mapping onto target."""
     _require_candidate(target, "target")
-    if candidate_bound < 1:
-        raise DomainError("candidate_bound must be >= 1")
+    require_int(candidate_bound, "candidate_bound", 1)
     pre = tuple(
         w
         for w in (w_candidate(m) for m in range(1, candidate_bound + 1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from collatz_lab import kernels
-from collatz_lab.errors import ConfigurationError, DomainError
+from collatz_lab.errors import ConfigurationError, DomainError, require_int
 
 DEFAULT_MAGNITUDE_CEILING = 2**4096
 
@@ -56,12 +56,10 @@ class GParams:
     b: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ConfigurationError("a and b must be integers")
-        if self.a < 3 or self.a % 2 == 0:
-            raise ConfigurationError(f"a must be odd and >= 3, got {self.a}")
-        if self.b < 1 or self.b % 2 == 0:
-            raise ConfigurationError(f"b must be odd and >= 1, got {self.b}")
+        require_int(self.a, "a", 3, ConfigurationError)
+        require_int(self.b, "b", 1, ConfigurationError)
+        if self.a % 2 == 0 or self.b % 2 == 0:
+            raise ConfigurationError(f"a and b must be odd, got {self.a}, {self.b}")
         if self.b % (self.a - 2) != 0:
             raise ConfigurationError(
                 f"a - 2 = {self.a - 2} must divide b = {self.b}"
@@ -115,28 +113,21 @@ class StatsTable:
     rows: tuple[StatsRow, ...]
 
 
-def _require_positive(n: int, name: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"{name} must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise DomainError(f"{name} must be >= 1, got {n}")
-
-
 def collatz_step(n: int) -> int:
     """n/2 for even n, 3n+1 for odd n."""
-    _require_positive(n)
+    require_int(n, "n", 1)
     return n >> 1 if n & 1 == 0 else 3 * n + 1
 
 
 def terras_step(n: int) -> int:
     """n/2 for even n, (3n+1)/2 for odd n."""
-    _require_positive(n)
+    require_int(n, "n", 1)
     return n >> 1 if n & 1 == 0 else (3 * n + 1) >> 1
 
 
 def g_step(n: int, params: GParams) -> int:
     """n/2 for even n, (an+b)/2 for odd n."""
-    _require_positive(n)
+    require_int(n, "n", 1)
     return n >> 1 if n & 1 == 0 else (params.a * n + params.b) >> 1
 
 
@@ -148,7 +139,7 @@ def parity_flip(g0: int, params: GParams) -> ParityFlip:
     and lands on a**nu * (g0 + c) / 2**nu - c; nu is exactly the 2-adic
     valuation of g0 + c, so the division is exact.
     """
-    _require_positive(g0, "g0")
+    require_int(g0, "g0", 1)
     if g0 & 1 == 0:
         mu = (g0 & -g0).bit_length() - 1
         return ParityFlip(g0, g0 >> mu, mu)
@@ -164,7 +155,7 @@ def gapt_step(n: int, params: GParams) -> int:
 
 def apt_step(n: int) -> int:
     """gapt_step with (a, b) = (3, 1); the workhorse accelerated map."""
-    _require_positive(n)
+    require_int(n, "n", 1)
     return kernels.apt_step(n)
 
 
@@ -174,7 +165,7 @@ def mapt_even_step(i: int) -> tuple[int, int]:
     Returns ((2 p(i) + 1) * 2**q(i), 2 p(i) + 1); the value is 2(i + 1) and
     the successor is its odd part.
     """
-    _require_index(i, "i")
+    require_int(i, "i", 0)
     odd = 2 * kernels.interleave_p(i) + 1
     return odd << kernels.shifted_ruler_q(i), odd
 
@@ -185,31 +176,22 @@ def mapt_odd_step(j: int) -> tuple[int, int]:
     Returns ((2 p(j) + 1) * 2**q(j) - 1, (2 p(j) + 1) * 3**q(j) - 1); the
     value is 2j + 1 and the successor swaps the power base from 2 to 3.
     """
-    _require_index(j, "j")
+    require_int(j, "j", 0)
     odd = 2 * kernels.interleave_p(j) + 1
     q = kernels.shifted_ruler_q(j)
     return (odd << q) - 1, odd * 3**q - 1
 
 
-def _require_index(n: int, name: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"{name} must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise DomainError(f"{name} must be >= 0, got {n}")
-
-
 def _require_even(u: int, name: str = "u") -> None:
-    if not isinstance(u, int) or isinstance(u, bool):
-        raise DomainError(f"{name} must be an int, got {type(u).__name__}")
-    if u < 2 or u & 1:
-        raise DomainError(f"{name} must be even and >= 2, got {u}")
+    require_int(u, name, 2)
+    if u & 1:
+        raise DomainError(f"{name} must be even, got {u}")
 
 
 def _require_odd(v: int, name: str = "v") -> None:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise DomainError(f"{name} must be an int, got {type(v).__name__}")
-    if v < 1 or v & 1 == 0:
-        raise DomainError(f"{name} must be odd and >= 1, got {v}")
+    require_int(v, name, 1)
+    if v & 1 == 0:
+        raise DomainError(f"{name} must be odd, got {v}")
 
 
 def emapt_step_pq(u: int) -> int:
@@ -238,7 +220,7 @@ def u_to_v(u: int) -> int:
 
 def x_step(x: int) -> int:
     """Index image of the even-to-even step: 6 x_step(x) + 2 = emapt(6x + 2)."""
-    _require_index(x, "x")
+    require_int(x, "x", 0)
     return kernels.x_step(x)
 
 
@@ -247,13 +229,13 @@ def x_step(x: int) -> int:
 
 def _validate_start(kind: str, start: int) -> None:
     if kind == "X":
-        _require_index(start, "start")
+        require_int(start, "start", 0)
     elif kind == "U":
         _require_even(start, "start")
     elif kind == "V":
         _require_odd(start, "start")
     else:
-        _require_positive(start, "start")
+        require_int(start, "start", 1)
 
 
 def trace(
@@ -274,8 +256,7 @@ def trace(
     """
     if kind not in DEFAULT_TARGETS:
         raise ConfigurationError(f"unknown trace kind {kind!r}")
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    require_int(budget, "budget", 1)
     _validate_start(kind, start)
 
     if kind in ("G", "H"):
@@ -322,12 +303,10 @@ def trace(
 def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTable:
     """Orbit-length table for n in [lo, hi] under the plain, half-step and
     accelerated maps; rows where any orbit exhausted the budget are flagged."""
-    _require_positive(lo, "lo")
-    _require_positive(hi, "hi")
-    if hi < lo:
-        raise DomainError(f"empty range [{lo}, {hi}]")
-    if budget < 1:
-        raise DomainError(f"budget must be >= 1, got {budget}")
+    require_int(lo, "lo", 1)
+    require_int(hi, "hi", lo)
+    require_int(budget, "budget", 1)
+    require_int(workers, "workers", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
     parts = run_chunked(_stats_span, lo, hi, workers, args=(budget,))

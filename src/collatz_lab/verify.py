@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from collatz_lab import kernels
-from collatz_lab.errors import ConfigurationError, DomainError
+from collatz_lab.errors import ConfigurationError, require_int
 from collatz_lab.reverse_tree import reverse_affine_step
 from collatz_lab.sequences import mapt_even_step, mapt_odd_step
 
@@ -56,6 +56,8 @@ ScanPart = tuple[int, list, list]   # (checked, violations, exhausted)
 
 
 def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
+    """Accelerated orbit embeds in half-step orbit embeds in plain orbit,
+    with the matching length chain, for every n in range that finishes."""
     violations = []
     exhausted = []
     for n in range(lo, hi + 1):
@@ -72,6 +74,7 @@ def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_parity_runs(lo: int, hi: int, budget: int) -> ScanPart:
+    """Observed parity-run lengths match the closed-form exponents."""
     violations = []
     for n in range(lo, hi + 1):
         if n & 1 == 0:
@@ -98,9 +101,10 @@ def _span_parity_runs(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
-    # Every image is 2 mod 6.  The mod-18 refinement needs an input that is
-    # already 2 mod 6, so it starts at the second image: seeds divisible by
-    # 6 have first images like 18 -> 14 that sit outside {2, 8} mod 18.
+    """Even-engine images are 2 mod 6, and 2 or 8 mod 18 past the first image."""
+    # The mod-18 refinement needs an input that is already 2 mod 6, so it
+    # starts at the second image: seeds divisible by 6 have first images
+    # like 18 -> 14 that sit outside {2, 8} mod 18.
     violations = []
     exhausted = []
     start = max(lo, 2)
@@ -130,6 +134,7 @@ def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
+    """Observational: odd seeds show the same mod-18 pattern past the first image."""
     # Odd seeds: the ruler-form step applies once, then the even engine.
     # Only elements beyond that first image are claimed to be 2 or 8 mod 18.
     violations = []
@@ -156,16 +161,20 @@ def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_x_residues(lo: int, hi: int, budget: int) -> ScanPart:
+    """Index-map images avoid residue 2 mod 3."""
     bad = kernels.scan_x_residues(lo, hi)
     return hi - lo + 1, [(x, "image is 2 mod 3") for x in bad], []
 
 
 def _span_p3n(lo: int, hi: int, budget: int) -> ScanPart:
+    """p(3n) avoids residue 1 mod 3."""
     bad = kernels.scan_p3n(lo, hi)
     return hi - lo + 1, [(n, "p(3n) is 1 mod 3") for n in bad], []
 
 
 def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
+    """The two even-engine formulations agree, and both index maps agree
+    with the accelerated step."""
     violations = [
         (u, "pq and ruler forms disagree")
         for u in kernels.scan_emapt_forms(lo, hi)
@@ -184,6 +193,8 @@ def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
+    """Exact linear and fixed-point identities for consecutive even pairs,
+    plus round-trip through the inverse affine step."""
     violations = []
     start = max(lo, 2)
     checked = 0
@@ -209,6 +220,8 @@ def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_conjecture_apt(lo: int, hi: int, budget: int) -> ScanPart:
+    """Reach sweep: does the accelerated orbit of n reach 1 within budget.
+    Non-reaching starts are reported as budget-exhausted, not violations."""
     exhausted = [
         n for n in range(lo, hi + 1) if kernels.apt_stopping(n, budget) < 0
     ]
@@ -216,6 +229,8 @@ def _span_conjecture_apt(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_conjecture_emapt(lo: int, hi: int, budget: int) -> ScanPart:
+    """Reach sweep: does the even engine reach 2 from 6n + 2 within budget.
+    Non-reaching starts are reported as budget-exhausted, not violations."""
     exhausted = [
         n
         for n in range(lo, hi + 1)
@@ -245,10 +260,6 @@ CHECKERS: dict[str, CheckerSpec] = {
 }
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def run_check(
     theorem_id: str,
     lo: int,
@@ -261,16 +272,11 @@ def run_check(
     spec = CHECKERS.get(theorem_id)
     if spec is None:
         raise ConfigurationError(f"unknown theorem {theorem_id!r}")
-    if not (_is_int(lo) and _is_int(hi)):
-        raise DomainError("range bounds must be integers")
-    if lo < spec.min_lo:
-        raise DomainError(f"{theorem_id} requires lo >= {spec.min_lo}, got {lo}")
-    if hi < lo:
-        raise DomainError(f"empty range [{lo}, {hi}]")
-    if not _is_int(budget) or budget < 1:
-        raise DomainError(f"budget must be an integer >= 1, got {budget!r}")
-    if not _is_int(cap) or cap < 1:
-        raise ConfigurationError(f"violation cap must be an integer >= 1, got {cap!r}")
+    require_int(lo, f"lo for {theorem_id}", spec.min_lo)
+    require_int(hi, "hi", lo)
+    require_int(budget, "budget", 1)
+    require_int(workers, "workers", 1, ConfigurationError)
+    require_int(cap, "violation cap", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
     t0 = time.perf_counter()
@@ -296,74 +302,3 @@ def run_check(
         observational=spec.observational,
     )
 
-
-# --- the public checker surface ----------------------------------------------
-
-
-def check_covering(
-    lo: int, hi: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> TheoremReport:
-    """Accelerated orbit embeds in half-step orbit embeds in plain orbit,
-    with the matching length chain, for every n in range that finishes."""
-    return run_check("covering", lo, hi, budget, workers)
-
-
-def check_parity_runs(lo: int, hi: int, workers: int = 1) -> TheoremReport:
-    """Observed parity-run lengths match the closed-form exponents."""
-    return run_check("parity-runs", lo, hi, workers=workers)
-
-
-def check_u_residues(
-    lo: int, hi: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> TheoremReport:
-    """Even-engine images are 2 mod 6, and 2 or 8 mod 18 past the first image."""
-    return run_check("u-residues", lo, hi, budget, workers)
-
-
-def check_u_residues_odd_starts(
-    lo: int, hi: int, budget: int = DEFAULT_BUDGET, workers: int = 1
-) -> TheoremReport:
-    """Observational: odd seeds show the same mod-18 pattern past the first image."""
-    return run_check("u-residues-odd-starts", lo, hi, budget, workers)
-
-
-def check_x_residues(lo: int, hi: int, workers: int = 1) -> TheoremReport:
-    """Index-map images avoid residue 2 mod 3."""
-    return run_check("x-residues", lo, hi, workers=workers)
-
-
-def check_p3n(lo: int, hi: int, workers: int = 1) -> TheoremReport:
-    """p(3n) avoids residue 1 mod 3."""
-    return run_check("p3n", lo, hi, workers=workers)
-
-
-def check_dual_forms(lo: int, hi: int, workers: int = 1) -> TheoremReport:
-    """The two even-engine formulations agree, and both index maps agree
-    with the accelerated step."""
-    return run_check("dual-forms", lo, hi, workers=workers)
-
-
-def check_linear_and_fixed_point(lo: int, hi: int, workers: int = 1) -> TheoremReport:
-    """Exact linear and fixed-point identities for consecutive even pairs,
-    plus round-trip through the inverse affine step."""
-    return run_check("linear-fixed-point", lo, hi, workers=workers)
-
-
-def check_conjectures(
-    lo: int,
-    hi: int,
-    budget: int = DEFAULT_BUDGET,
-    family: str = "apt",
-    workers: int = 1,
-) -> TheoremReport:
-    """Sweep reach/no-reach per start; never asserts beyond the range.
-
-    family "apt": does the accelerated orbit of n reach 1 within budget.
-    family "emapt": does the even engine reach 2 from 6n + 2 within budget.
-    Non-reaching starts are reported as budget-exhausted, not violations.
-    """
-    if family == "apt":
-        return run_check("conjecture-apt", lo, hi, budget, workers)
-    if family == "emapt":
-        return run_check("conjecture-emapt", lo, hi, budget, workers)
-    raise ConfigurationError(f"unknown conjecture family {family!r}")

@@ -87,28 +87,28 @@ def test_criterion_04_parity_run_closed_forms(announce):
 
 
 def test_criterion_05_orbit_covering(announce):
-    report = verify.check_covering(1, 10**5, budget=10**5, workers=WORKERS)
+    report = verify.run_check("covering", 1, 10**5, budget=10**5, workers=WORKERS)
     ok = report.violation_count == 0 and report.budget_exhausted == ()
     ok = ok and kernels.covering_chain(7, 10**5) == (17, 12, 7, 1)
     announce(5, "orbit covering chain to 1e5", ok)
 
 
 def test_criterion_06_dual_forms(announce):
-    report = verify.check_dual_forms(0, 2 * 10**5, workers=WORKERS)
+    report = verify.run_check("dual-forms", 0, 2 * 10**5, workers=WORKERS)
     ok = report.violation_count == 0
     announce(6, "dual step formulations agree to 2e5", ok)
 
 
 def test_criterion_07_u_residues(announce):
-    report = verify.check_u_residues(2, 2 * 10**5, workers=WORKERS)
+    report = verify.run_check("u-residues", 2, 2 * 10**5, workers=WORKERS)
     ok = report.violation_count == 0 and report.budget_exhausted == ()
     announce(7, "mod-6 and mod-18 residues to 2e5", ok)
 
 
 def test_criterion_08_index_residue_exclusions(announce):
     t0 = time.perf_counter()
-    x_report = verify.check_x_residues(0, 10**6, workers=WORKERS)
-    p_report = verify.check_p3n(0, 10**7, workers=WORKERS)
+    x_report = verify.run_check("x-residues", 0, 10**6, workers=WORKERS)
+    p_report = verify.run_check("p3n", 0, 10**7, workers=WORKERS)
     ok = x_report.violation_count == 0 and p_report.violation_count == 0
     ok = ok and time.perf_counter() - t0 < 30.0
     announce(8, "mod-3 exclusions (x to 1e6, p(3n) to 1e7)", ok)
@@ -132,7 +132,7 @@ def test_criterion_10_one_step_cycle_grid(announce):
 
 
 def test_criterion_11_exact_linear_system(announce):
-    report = verify.check_linear_and_fixed_point(2, 10**5, workers=WORKERS)
+    report = verify.run_check("linear-fixed-point", 2, 10**5, workers=WORKERS)
     ok = report.violation_count == 0
     rng = random.Random(7)
     for _ in range(100):
@@ -157,11 +157,11 @@ def test_criterion_12_cycles_and_multiplicity(announce):
 
 
 def test_criterion_13_conjecture_sweeps(announce):
-    apt = verify.check_conjectures(
-        1, 10**5, budget=10**5, family="apt", workers=WORKERS
+    apt = verify.run_check(
+        "conjecture-apt", 1, 10**5, budget=10**5, workers=WORKERS
     )
-    emapt = verify.check_conjectures(
-        0, 10**4, budget=10**5, family="emapt", workers=WORKERS
+    emapt = verify.run_check(
+        "conjecture-emapt", 0, 10**4, budget=10**5, workers=WORKERS
     )
     ok = all(
         r.violation_count == 0 and r.budget_exhausted == ()

@@ -1,5 +1,6 @@
 """CLI parsing, dispatch, output formats, exit codes, and doc examples."""
 
+import io
 import json
 import pathlib
 import shlex
@@ -8,7 +9,8 @@ import subprocess
 
 import pytest
 
-from collatz_lab import cli, verify
+from collatz_lab import cli, emit, oeis, parallel, reverse_tree, sequences, verify
+from collatz_lab.errors import ConfigurationError
 from collatz_lab.cli import main, parse_cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -36,7 +38,7 @@ def test_parse_trace_defaults():
     assert config.kind == "A"
     assert config.start == 7
     assert config.budget == verify.DEFAULT_BUDGET
-    assert config.fmt == "text"
+    assert config.format == "text"
     assert config.output is None
     assert config.workers == 1
 
@@ -45,7 +47,7 @@ def test_parse_verify_defaults():
     config = parse_cli(["verify", "--theorem", "p3n", "--lo", "0", "--hi", "9"])
     assert config.theorem == "p3n"
     assert (config.lo, config.hi) == (0, 9)
-    assert config.cap == verify.DEFAULT_VIOLATION_CAP
+    assert config.max_violations == verify.DEFAULT_VIOLATION_CAP
     assert config.workers == 1
 
 
@@ -63,6 +65,7 @@ def test_parse_tree_and_oeis_defaults():
         ["tree", "--format", "csv"],
         ["stats", "--lo", "1", "--hi", "5", "--format", "dot"],
         ["verify", "--theorem", "p3n", "--lo", "0", "--hi", "9", "--format", "dot"],
+        ["oeis-check", "--bfile", "x", "--generator", "ruler", "--format", "dot"],
     ],
 )
 def test_format_rejected_per_command(argv):
@@ -79,12 +82,21 @@ def test_workers_env_override(monkeypatch):
     assert config.workers == 6
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "-3", "1.5"])
 def test_workers_env_invalid(monkeypatch, value):
     monkeypatch.setenv("COLLATZ_LAB_WORKERS", value)
     with pytest.raises(SystemExit) as exc:
         parse_cli(["verify", "--theorem", "p3n", "--lo", "0", "--hi", "9"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "-3", "1.5"])
+def test_workers_flag_invalid(command, value):
+    argv = [command, "--lo", "1", "--hi", "9", f"--workers={value}"]
+    if command == "verify":
+        argv += ["--theorem", "p3n"]
+    assert main(argv) == 2
 
 
 def test_main_usage_errors_exit_two():
@@ -137,7 +149,7 @@ def test_verify_clean_range(capsys):
     assert main(["verify", "--theorem", "p3n", "--lo", "0", "--hi", "2000"]) == 0
     captured = capsys.readouterr()
     assert "p3n over [0, 2000]: OK" in captured.out
-    assert "checked 2001" in captured.err   # progress goes to stderr
+    assert "checked 2001" in captured.err   # the report summary goes to stderr
 
 
 def test_verify_u_residues_accepts_multiples_of_six(capsys):
@@ -271,6 +283,22 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert out_file.read_text() == stdout_bytes
 
 
+@pytest.mark.parametrize(
+    "result,fmt",
+    [
+        (object(), "json"),
+        (object(), "text"),
+        (sequences.trace("A", 7, 100), "dot"),
+        (reverse_tree.build_tree(5, 3), "csv"),
+        (sequences.trace("A", 7, 100), "xml"),
+    ],
+    ids=["object-json", "object-text", "trace-dot", "tree-csv", "trace-xml"],
+)
+def test_emit_rejects_unknown_types_and_formats(result, fmt):
+    with pytest.raises(ConfigurationError):
+        emit.emit(result, fmt, io.StringIO())
+
+
 def test_unwritable_sink_exits_two(tmp_path, capsys):
     assert main(["trace", "--kind", "A", "--start", "7",
                  "--output", str(tmp_path)]) == 2
@@ -298,6 +326,52 @@ def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch):
                      "--output", str(path)]) == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# --- benchmark hooks ------------------------------------------------------------
+
+# The traced benchmark (perfbench/traced_cli.py) wraps these module attributes
+# after importing the CLI, so the CLI must look each one up at call time.
+HOOKS = [
+    (verify, "run_check"),
+    (sequences, "stopping_stats"),
+    (sequences, "trace"),
+    (reverse_tree, "build_tree"),
+    (oeis, "check_oeis"),
+    (emit, "emit"),
+    (parallel, "run_chunked"),
+]
+
+HOOKED_COMMANDS = {
+    "trace": (["trace", "--kind", "A", "--start", "7"], {"sequences.trace"}),
+    "verify": (["verify", "--theorem", "p3n", "--lo", "0", "--hi", "9"],
+               {"verify.run_check", "parallel.run_chunked"}),
+    "tree": (["tree", "--candidates", "5"], {"reverse_tree.build_tree"}),
+    "stats": (["stats", "--lo", "1", "--hi", "5"],
+              {"sequences.stopping_stats", "parallel.run_chunked"}),
+    "oeis-check": (["oeis-check", "--generator", "ruler", "--count", "10"],
+                   {"oeis.check_oeis"}),
+}
+
+
+@pytest.mark.parametrize("command", HOOKED_COMMANDS)
+def test_cli_reaches_benchmark_hooks(command, monkeypatch, data_dir):
+    calls = []
+
+    def spy(label, real):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, attr in HOOKS:
+        label = f"{module.__name__.removeprefix('collatz_lab.')}.{attr}"
+        monkeypatch.setattr(module, attr, spy(label, getattr(module, attr)))
+    argv, expected = HOOKED_COMMANDS[command]
+    if command == "oeis-check":
+        argv = argv + ["--bfile", str(data_dir / "b001511.txt")]
+    assert main(argv) == 0
+    assert set(calls) == expected | {"emit.emit"}
 
 
 # --- documentation examples -----------------------------------------------------

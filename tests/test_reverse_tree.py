@@ -221,6 +221,26 @@ def test_multiplicity_preimage_z_values_scale_by_powers_of_two():
         assert ratio & (ratio - 1) == 0
 
 
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (rt.AffineStep, (True, 1)),
+        (rt.AffineStep, (1, 1.0)),
+        (rt.steiner_search, (2.5, 3)),
+        (rt.build_tree, (10, 2.5)),
+        (rt.build_tree, (2.5, 3)),
+        (rt.build_tree, (True, 3)),
+        (rt.cycle_scan, (10, 2.5)),
+        (rt.cycle_scan, (2.5, 10)),
+        (rt.multiplicity, (5, 2.5)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_rejects_bool_and_non_int_arguments(fn, args):
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
 def test_multiplicity_validation():
     with pytest.raises(DomainError):
         rt.multiplicity(3, 10)   # divisible by three

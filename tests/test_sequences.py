@@ -35,7 +35,7 @@ def test_gparams_translation_constant():
 
 @pytest.mark.parametrize(
     "a,b",
-    [(4, 1), (3, 2), (1, 1), (2, 2), (5, 1), (7, 3), (3, -1), (3, 0)],
+    [(4, 1), (3, 2), (1, 1), (2, 2), (5, 1), (7, 3), (3, -1), (3, 0), (3, True)],
 )
 def test_gparams_rejects_bad_pairs(a, b):
     with pytest.raises(ConfigurationError):
@@ -271,3 +271,21 @@ def test_stats_validation():
         seq.stopping_stats(0, 4, 100)
     with pytest.raises(DomainError):
         seq.stopping_stats(1, 4, 0)
+
+
+@pytest.mark.parametrize(
+    "override,error",
+    [
+        ({"lo": 1.0}, DomainError),
+        ({"hi": True}, DomainError),
+        ({"budget": True}, DomainError),
+        ({"budget": 2.5}, DomainError),
+        ({"workers": True}, ConfigurationError),
+        ({"workers": 1.5}, ConfigurationError),
+        ({"workers": 0}, ConfigurationError),
+    ],
+)
+def test_stats_rejects_bool_and_non_int_arguments(override, error):
+    args = {"lo": 1, "hi": 5, "budget": 100, **override}
+    with pytest.raises(error):
+        seq.stopping_stats(**args)

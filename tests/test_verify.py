@@ -35,14 +35,14 @@ def test_checkers_clean_on_small_ranges(theorem, lo, hi):
 def test_u_residues_allows_off_pattern_first_image():
     # 18 maps to 14, which is 2 mod 6 but not 2 or 8 mod 18; the mod-18
     # pattern is only claimed from the second image onward
-    report = verify.check_u_residues(18, 18)
+    report = verify.run_check("u-residues", 18, 18)
     assert report.checked == 1
     assert report.violation_count == 0
 
 
 def test_u_residues_rejects_odd_floor():
     with pytest.raises(DomainError):
-        verify.check_u_residues(1, 100)
+        verify.run_check("u-residues", 1, 100)
 
 
 def test_observational_flag():
@@ -51,12 +51,12 @@ def test_observational_flag():
 
 
 def test_conjecture_families():
-    apt = verify.check_conjectures(1, 50, family="apt")
+    apt = verify.run_check("conjecture-apt", 1, 50)
     assert apt.theorem_id == "conjecture-apt"
-    emapt = verify.check_conjectures(0, 50, family="emapt")
+    emapt = verify.run_check("conjecture-emapt", 0, 50)
     assert emapt.theorem_id == "conjecture-emapt"
     with pytest.raises(ConfigurationError):
-        verify.check_conjectures(1, 50, family="terras")
+        verify.run_check("conjecture-terras", 1, 50)
 
 
 def test_budget_exhaustion_is_recorded_not_raised():
@@ -102,6 +102,10 @@ def test_run_check_validation():
         ({"budget": 100.0}, DomainError),
         ({"cap": True}, ConfigurationError),
         ({"cap": 5.0}, ConfigurationError),
+        ({"workers": True}, ConfigurationError),
+        ({"workers": 1.5}, ConfigurationError),
+        ({"workers": 0}, ConfigurationError),
+        ({"workers": -3}, ConfigurationError),
     ],
 )
 def test_run_check_rejects_bool_and_non_int_arguments(override, error):
@@ -188,3 +192,13 @@ def test_check_oeis_configuration_errors():
         check_oeis("1 1", "ruler", count=5)       # too few terms
     with pytest.raises(ConfigurationError):
         check_oeis("0 0\n1 1", "ruler", count=2)  # offset mismatch
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"count": True}, {"count": 1.5}, {"cap": 0}, {"cap": True}, {"cap": 2.0}],
+)
+def test_check_oeis_rejects_bool_and_non_int_arguments(override):
+    args = {"count": 2, **override}
+    with pytest.raises(ConfigurationError):
+        check_oeis("1 1\n2 2", "ruler", **args)
