@@ -82,11 +82,9 @@ def odd_from_index(n: int) -> int:
 
 
 def odd_shift_split(m: int) -> OddShiftRep:
-    """Split m >= 1 as (2i + 1) * 2**j - 1 with j maximal (j = ruler(m+1) - 1)."""
+    """Split m >= 1 as (2i + 1) * 2**j - 1 with j maximal: i = p(m), j = q(m) - 1."""
     require_int(m, "m", 1)
-    s = m + 1
-    j = (s & -s).bit_length() - 1
-    return OddShiftRep(((s >> j) - 1) >> 1, j)
+    return OddShiftRep(kernels.interleave_p(m), kernels.shifted_ruler_q(m) - 1)
 
 
 def three_tuple(m: int) -> ThreeTuple:
@@ -101,7 +99,4 @@ def three_tuple(m: int) -> ThreeTuple:
         raise InnerSplitUndefined(
             f"inner split undefined for m = {m} = 2**{j} - 1"
         )
-    s = i + 1
-    l = (s & -s).bit_length() - 1
-    k = ((s >> l) - 1) >> 1
-    return ThreeTuple(j, k, l)
+    return ThreeTuple(j, kernels.interleave_p(i), kernels.shifted_ruler_q(i) - 1)

@@ -7,7 +7,8 @@ write identical bytes regardless of worker count.  The COLLATZ_LAB_WORKERS
 environment variable overrides any --workers flag.
 
 Exit status: 0 on success, 1 when a verification found violations, 2 on
-usage, configuration or domain errors, including a worker count below one.
+usage, configuration or domain errors, including a worker count below one,
+and 3 on an internal error such as a crashed worker process.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from collatz_lab import emit as emit_mod
 from collatz_lab import oeis, reverse_tree, sequences, verify
@@ -41,23 +43,26 @@ def _trace(ns: argparse.Namespace):
     return sequences.trace(ns.kind, ns.start, ns.budget, ns.target, params), 0
 
 
-def _summarized(report: verify.TheoremReport):
-    """Print the report's one-line summary to stderr; pair it with its exit status."""
+def _summarized(check, *args):
+    """Run check(*args), print the report's one-line summary with the call's
+    wall time to stderr, and pair the report with its exit status."""
+    t0 = time.perf_counter()
+    report = check(*args)
     print(
         f"{report.theorem_id}: checked {report.checked}, "
         f"violations {report.violation_count}, "
         f"budget-exhausted {len(report.budget_exhausted)} "
-        f"[{report.elapsed:.3f}s]",
+        f"[{time.perf_counter() - t0:.3f}s]",
         file=sys.stderr,
     )
     return report, 1 if report.violation_count > 0 and not report.observational else 0
 
 
 def _verify(ns: argparse.Namespace):
-    report = verify.run_check(
-        ns.theorem, ns.lo, ns.hi, ns.budget, ns.workers, ns.max_violations
+    return _summarized(
+        verify.run_check,
+        ns.theorem, ns.lo, ns.hi, ns.budget, ns.workers, ns.max_violations,
     )
-    return _summarized(report)
 
 
 def _tree(ns: argparse.Namespace):
@@ -74,7 +79,7 @@ def _oeis(ns: argparse.Namespace):
             content = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read {ns.bfile}: {exc}") from exc
-    return _summarized(oeis.check_oeis(content, ns.generator, ns.count))
+    return _summarized(oeis.check_oeis, content, ns.generator, ns.count)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,7 +189,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 2
-    return run(ns)
+    try:
+        return run(ns)
+    except Exception as exc:   # a crashed span or worker must not read as "violations"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

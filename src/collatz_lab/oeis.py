@@ -9,13 +9,12 @@ nothing is fetched.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 from collatz_lab import arith, reverse_tree
 from collatz_lab.errors import BFileParseError, ConfigurationError, require_int
-from collatz_lab.verify import DEFAULT_VIOLATION_CAP, TheoremReport, Violation
+from collatz_lab.verify import DEFAULT_VIOLATION_CAP, TheoremReport, build_report
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ def check_oeis(
         )
     require_int(count, "count", 1, ConfigurationError)
     require_int(cap, "cap", 1, ConfigurationError)
-    t0 = time.perf_counter()
     pairs = parse_bfile(bfile_content)
     if len(pairs) < count:
         raise ConfigurationError(
@@ -90,16 +88,11 @@ def check_oeis(
     for index, value in pairs[:count]:
         expected = spec.generator(index)
         if expected != value:
-            violations.append(
-                Violation(index, f"file has {value}, generator gives {expected}")
-            )
-    return TheoremReport(
-        theorem_id=f"oeis-{spec.oeis_id}-{generator_id}",
-        lo=pairs[0][0],
-        hi=pairs[count - 1][0],
-        checked=count,
-        violations=tuple(violations[:cap]),
-        violation_count=len(violations),
-        budget_exhausted=(),
-        elapsed=time.perf_counter() - t0,
+            violations.append((index, f"file has {value}, generator gives {expected}"))
+    return build_report(
+        f"oeis-{spec.oeis_id}-{generator_id}",
+        pairs[0][0],
+        pairs[count - 1][0],
+        [(count, violations, [])],
+        cap,
     )

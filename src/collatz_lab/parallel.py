@@ -2,11 +2,13 @@
 
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
-or how many processes ran.  workers=1 stays in-process.
+or how many processes ran.  workers=1 stays in-process; a pool never holds
+more processes than there are CPUs or spans.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -32,6 +34,7 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     spans = split_range(lo, hi, chunk)
     if len(spans) == 1:
         return [fn(lo, hi, *args)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, os.cpu_count() or 1, len(spans))
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [pool.submit(fn, a, b, *args) for a, b in spans]
         return [f.result() for f in futures]

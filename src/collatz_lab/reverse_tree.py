@@ -124,11 +124,9 @@ def _require_candidate(w: int, name: str = "w") -> None:
 
 
 def z_from_w(w: int) -> int:
-    """z = (w + 1) * (3/2)**e - 1 with e = ruler((w+1)/2); exact by choice of e."""
+    """z = (w + 1) * (3/2)**e - 1 with e = ruler((w+1)/2): the accelerated step of w."""
     _require_candidate(w)
-    s = w + 1
-    e = (s & -s).bit_length() - 1
-    return 3**e * (s >> e) - 1
+    return kernels.apt_step(w)
 
 
 def w_from_z(z: int) -> int:
@@ -193,11 +191,12 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
     """
     require_int(candidate_bound, "candidate_bound", 1)
     require_int(depth_bound, "depth_bound", 0)
-    cands = [w_candidate(m) for m in range(1, candidate_bound + 1)]
-    parent_of = {w: w_forward(w) for w in cands}
+    cands = map(w_candidate, range(1, candidate_bound + 1))
+    z_of = {w: kernels.apt_step(w) for w in cands}   # insertion order is m order
+    parent_of = {w: kernels.odd_part(z) for w, z in z_of.items()}
     bucket: dict[int, list[int]] = {}
-    for w in cands:
-        bucket.setdefault(parent_of[w], []).append(w)
+    for w, parent in parent_of.items():
+        bucket.setdefault(parent, []).append(w)
 
     depths = {1: 0}
     order = [1]
@@ -223,14 +222,13 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
     }
     parents = {w: parent_of[w] for w in order}
     orphans = tuple(
-        Orphan(w, parent_of[w]) for w in cands if w not in in_tree
+        Orphan(w, parent) for w, parent in parent_of.items() if w not in in_tree
     )
-    nodes = tuple(WZNode(w, z_from_w(w)) for w in order)
     return WZTree(
-        root=WZNode(1, z_from_w(1)),
+        root=WZNode(1, z_of[1]),
         candidate_bound=candidate_bound,
         depth_bound=depth_bound,
-        nodes=nodes,
+        nodes=tuple(WZNode(w, z_of[w]) for w in order),
         depths=depths,
         children=children,
         parents=parents,
@@ -257,7 +255,7 @@ def cycle_scan(candidate_bound: int, step_budget: int) -> CycleScanReport:
         index_of = {w: 0}
         outcome = None
         for _ in range(step_budget):
-            w = w_forward(w)
+            w = kernels.odd_part(kernels.apt_step(w))
             if w in index_of:
                 cyc = tuple(orbit[index_of[w]:])
                 pivot = cyc.index(min(cyc))
@@ -292,6 +290,6 @@ def multiplicity(target: int, candidate_bound: int) -> MultiplicityResult:
     pre = tuple(
         w
         for w in (w_candidate(m) for m in range(1, candidate_bound + 1))
-        if w_forward(w) == target
+        if kernels.odd_part(kernels.apt_step(w)) == target
     )
     return MultiplicityResult(len(pre), pre)

@@ -141,10 +141,10 @@ def parity_flip(g0: int, params: GParams) -> ParityFlip:
     """
     require_int(g0, "g0", 1)
     if g0 & 1 == 0:
-        mu = (g0 & -g0).bit_length() - 1
+        mu = kernels.ruler(g0) - 1
         return ParityFlip(g0, g0 >> mu, mu)
     shifted = g0 + params.c
-    nu = (shifted & -shifted).bit_length() - 1
+    nu = kernels.ruler(shifted) - 1
     return ParityFlip(g0, params.a**nu * (shifted >> nu) - params.c, nu)
 
 

@@ -5,8 +5,7 @@ worker processes, and returns a :class:`TheoremReport`.  Reports are
 deterministic: violation lists are sorted by input and truncated at a
 configurable cap (the full count is retained), budget-exhausted inputs are
 listed separately, and the partitioning of the range cannot influence any
-reported field.  Wall-clock time lives only on the in-memory report, never
-in serialized output.
+reported field.
 
 The `u-residues-odd-starts` checker is observational: the residue pattern
 for odd seeds holds empirically on every range tried but is not a proved
@@ -15,7 +14,6 @@ statement, so its findings are reported without affecting exit status.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -45,11 +43,34 @@ class TheoremReport:
     violations: tuple[Violation, ...]
     violation_count: int
     budget_exhausted: tuple[int, ...]
-    elapsed: float
     observational: bool = False
 
 
 ScanPart = tuple[int, list, list]   # (checked, violations, exhausted)
+
+
+def build_report(
+    theorem_id: str,
+    lo: int,
+    hi: int,
+    parts: list[ScanPart],
+    cap: int,
+    observational: bool = False,
+) -> TheoremReport:
+    """Merge span results into one report: violations and exhausted inputs
+    sorted by input, the first cap violations kept with the total count."""
+    violations = sorted(v for _, part, _ in parts for v in part)
+    exhausted = sorted(n for _, _, part in parts for n in part)
+    return TheoremReport(
+        theorem_id=theorem_id,
+        lo=lo,
+        hi=hi,
+        checked=sum(checked for checked, _, _ in parts),
+        violations=tuple(Violation(n, d) for n, d in violations[:cap]),
+        violation_count=len(violations),
+        budget_exhausted=tuple(exhausted),
+        observational=observational,
+    )
 
 
 # --- span workers (top-level so process pools can pickle them) ---------------
@@ -107,12 +128,8 @@ def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
     # like 18 -> 14 that sit outside {2, 8} mod 18.
     violations = []
     exhausted = []
-    start = max(lo, 2)
-    if start & 1:
-        start += 1
-    checked = 0
-    for u in range(start, hi + 1, 2):
-        checked += 1
+    seeds = range(lo + (lo & 1), hi + 1, 2)
+    for u in seeds:
         x = u
         reached = x == 2
         for step in range(1, budget + 1):
@@ -130,7 +147,7 @@ def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
             reached = x == 2
         if not reached and not (violations and violations[-1][0] == u):
             exhausted.append(u)
-    return checked, violations, exhausted
+    return len(seeds), violations, exhausted
 
 
 def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
@@ -139,12 +156,8 @@ def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
     # Only elements beyond that first image are claimed to be 2 or 8 mod 18.
     violations = []
     exhausted = []
-    start = max(lo, 1)
-    if start & 1 == 0:
-        start += 1
-    checked = 0
-    for seed in range(start, hi + 1, 2):
-        checked += 1
+    seeds = range(lo | 1, hi + 1, 2)
+    for seed in seeds:
         x = kernels.emapt_step_ruler(seed)
         reached = False
         for _ in range(budget):
@@ -157,7 +170,7 @@ def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
                 break
         if not reached and not (violations and violations[-1][0] == seed):
             exhausted.append(seed)
-    return checked, violations, exhausted
+    return len(seeds), violations, exhausted
 
 
 def _span_x_residues(lo: int, hi: int, budget: int) -> ScanPart:
@@ -179,33 +192,27 @@ def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
         (u, "pq and ruler forms disagree")
         for u in kernels.scan_emapt_forms(lo, hi)
     ]
-    first_even = max(lo, 2) + (max(lo, 2) & 1)
-    checked = (hi - first_even) // 2 + 1 if hi >= first_even else 0
-    for n in range(max(lo, 0), hi + 1):
-        checked += 1
+    evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
+    for n in range(lo, hi + 1):
         even, odd_succ = mapt_even_step(n)
         if odd_succ != kernels.apt_step(even):
             violations.append((n, "even index map disagrees with accelerated step"))
         odd, even_succ = mapt_odd_step(n)
         if even_succ != kernels.apt_step(odd):
             violations.append((n, "odd index map disagrees with accelerated step"))
-    return checked, violations, []
+    return len(evens) + hi - lo + 1, violations, []
 
 
 def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
     """Exact linear and fixed-point identities for consecutive even pairs,
     plus round-trip through the inverse affine step."""
     violations = []
-    start = max(lo, 2)
-    checked = 0
-    for u in range(start, hi + 1):
-        if u & 1 or u % 6 != 2:
-            continue
-        checked += 1
+    seeds = range(lo + (2 - lo) % 6, hi + 1, 6)   # u = 2 mod 6
+    for u in seeds:
         succ = kernels.emapt_step_pq(u)
         v = kernels.odd_part(u)
-        alpha = ((v + 1) & -(v + 1)).bit_length() - 1
-        beta = (u & -u).bit_length() - 1
+        alpha = kernels.ruler(v + 1) - 1
+        beta = kernels.ruler(u) - 1
         lhs = (succ << (alpha + beta))
         rhs = 3**alpha * u + (3**alpha - 2**alpha) * 2**beta
         if lhs != rhs:
@@ -216,7 +223,7 @@ def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
             continue
         if reverse_affine_step(succ, alpha, beta) != u:
             violations.append((u, "inverse step does not recover the input"))
-    return checked, violations, []
+    return len(seeds), violations, []
 
 
 def _span_conjecture_apt(lo: int, hi: int, budget: int) -> ScanPart:
@@ -279,26 +286,6 @@ def run_check(
     require_int(cap, "violation cap", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
-    t0 = time.perf_counter()
     parts = run_chunked(spec.span, lo, hi, workers, args=(budget,))
-    checked = 0
-    violations: list[tuple[int, str]] = []
-    exhausted: list[int] = []
-    for part_checked, part_violations, part_exhausted in parts:
-        checked += part_checked
-        violations.extend(part_violations)
-        exhausted.extend(part_exhausted)
-    violations.sort()
-    exhausted.sort()
-    return TheoremReport(
-        theorem_id=theorem_id,
-        lo=lo,
-        hi=hi,
-        checked=checked,
-        violations=tuple(Violation(n, d) for n, d in violations[:cap]),
-        violation_count=len(violations),
-        budget_exhausted=tuple(exhausted),
-        elapsed=time.perf_counter() - t0,
-        observational=spec.observational,
-    )
+    return build_report(theorem_id, lo, hi, parts, cap, spec.observational)
 

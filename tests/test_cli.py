@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import shlex
 import shutil
@@ -178,6 +179,37 @@ def test_observational_violations_keep_exit_zero(monkeypatch, capsys):
     assert main(["verify", "--theorem", "u-residues-odd-starts",
                  "--lo", "1", "--hi", "5"]) == 0
     assert "observational" in capsys.readouterr().out
+
+
+def _crashing_span(lo, hi, budget):
+    raise RuntimeError("synthetic crash")
+
+
+_TEST_PID = os.getpid()
+
+
+def _worker_killing_span(lo, hi, budget):
+    if os.getpid() != _TEST_PID:   # only ever inside a pool worker
+        os._exit(1)
+    return hi - lo + 1, [], []
+
+
+def test_crashed_span_exits_three(monkeypatch, capsys):
+    monkeypatch.setitem(
+        verify.CHECKERS, "covering", verify.CheckerSpec(_crashing_span, 1)
+    )
+    assert main(["verify", "--theorem", "covering", "--lo", "1", "--hi", "5",
+                 "--workers", "1"]) == 3
+    assert "internal error: RuntimeError: synthetic crash" in capsys.readouterr().err
+
+
+def test_dead_pool_worker_exits_three(monkeypatch, capsys):
+    monkeypatch.setitem(
+        verify.CHECKERS, "covering", verify.CheckerSpec(_worker_killing_span, 1)
+    )
+    assert main(["verify", "--theorem", "covering", "--lo", "1", "--hi", "100",
+                 "--workers", "2"]) == 3
+    assert "internal error: BrokenProcessPool" in capsys.readouterr().err
 
 
 def test_verify_bad_range_exits_two(capsys):

@@ -2,7 +2,8 @@
 
 The compiled kernels take uint64 fast paths and fall back per call for
 anything larger, so the values around 2**63 / 2**64 are the interesting
-boundary; the random sweep crosses it on purpose.
+boundary; the random sweep crosses it on purpose.  The ``fast`` fixture
+(tests/conftest.py) builds the compiled module from its committed C source.
 """
 
 import random
@@ -12,10 +13,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
-
-_fast = pytest.importorskip(
-    "collatz_lab._fast", reason="compiled extension not built"
-)
 
 BOUNDARY = [
     1, 2, 3, 63, 64, 65,
@@ -41,8 +38,8 @@ SCALAR_CASES = [
 
 
 @pytest.mark.parametrize("name,valid", SCALAR_CASES, ids=[c[0] for c in SCALAR_CASES])
-def test_scalars_agree(name, valid):
-    fast_fn = getattr(_fast, name)
+def test_scalars_agree(fast, name, valid):
+    fast_fn = getattr(fast, name)
     pure_fn = getattr(_pure, name)
     for n in BOUNDARY + RANDOMS:
         if not valid(n):
@@ -50,22 +47,22 @@ def test_scalars_agree(name, valid):
         assert fast_fn(n) == pure_fn(n), f"{name}({n})"
 
 
-def test_covering_chain_agrees():
+def test_covering_chain_agrees(fast):
     for n in list(range(1, 500)) + [2**63 - 1, 2**64 + 5, 3**45]:
-        assert _fast.covering_chain(n, 100_000) == _pure.covering_chain(n, 100_000)
+        assert fast.covering_chain(n, 100_000) == _pure.covering_chain(n, 100_000)
 
 
-def test_covering_chain_budget_sentinels_agree():
+def test_covering_chain_budget_sentinels_agree(fast):
     for n in (7, 27, 97):
-        assert _fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
+        assert fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
 
 
-def test_stopping_counters_agree():
+def test_stopping_counters_agree(fast):
     for n in list(range(1, 400)) + [2**64 + 1]:
-        assert _fast.apt_stopping(n, 10_000) == _pure.apt_stopping(n, 10_000)
+        assert fast.apt_stopping(n, 10_000) == _pure.apt_stopping(n, 10_000)
     for u in list(range(2, 400, 2)) + [2**64 + 2]:
-        assert _fast.emapt_stopping(u, 10_000) == _pure.emapt_stopping(u, 10_000)
-    assert _fast.apt_stopping(27, 2) == _pure.apt_stopping(27, 2) == -1
+        assert fast.emapt_stopping(u, 10_000) == _pure.emapt_stopping(u, 10_000)
+    assert fast.apt_stopping(27, 2) == _pure.apt_stopping(27, 2) == -1
 
 
 @pytest.mark.parametrize(
@@ -78,8 +75,8 @@ def test_stopping_counters_agree():
         ("scan_emapt_forms", 2),
     ],
 )
-def test_scans_agree(name, lo):
-    assert getattr(_fast, name)(lo, 3000) == getattr(_pure, name)(lo, 3000)
+def test_scans_agree(fast, name, lo):
+    assert getattr(fast, name)(lo, 3000) == getattr(_pure, name)(lo, 3000)
 
 
 @given(st.integers(min_value=1, max_value=10**40))
@@ -91,9 +88,9 @@ def test_selected_backend_matches_oracles(n):
 
 
 @given(st.integers(min_value=1, max_value=10**40))
-def test_fast_handles_arbitrary_magnitude(n):
-    assert _fast.apt_step(n) == _pure.apt_step(n)
-    assert _fast.odd_part(n) == _pure.odd_part(n)
+def test_fast_handles_arbitrary_magnitude(fast, n):
+    assert fast.apt_step(n) == _pure.apt_step(n)
+    assert fast.odd_part(n) == _pure.odd_part(n)
 
 
 def test_default_backend_is_compiled_when_built():

@@ -171,6 +171,15 @@ def test_tree_edges_respect_forward_map():
             assert tree.depths[node.w] == tree.depths[parent] + 1
 
 
+def test_tree_z_values_match_z_from_w():
+    tree = rt.build_tree(300, 40)
+    assert tree.root.z == rt.z_from_w(1)
+    for node in tree.nodes:
+        assert node.z == rt.z_from_w(node.w) == oracles.apt_step_by_iteration(node.w)
+    for orphan in tree.orphans:
+        assert orphan.parent == rt.w_forward(orphan.w)
+
+
 def test_tree_depth_bound_zero_keeps_only_root():
     tree = rt.build_tree(20, 0)
     assert [node.w for node in tree.nodes] == [1]

@@ -1,8 +1,10 @@
 """Range checkers: clean sweeps, determinism, caps, and the OEIS path."""
 
+from concurrent.futures import Future
+
 import pytest
 
-from collatz_lab import verify
+from collatz_lab import parallel, verify
 from collatz_lab.emit import to_jsonable
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
 from collatz_lab.oeis import GENERATORS, check_oeis, parse_bfile
@@ -22,7 +24,33 @@ CLEAN_SWEEPS = [
 ]
 
 
-@pytest.mark.parametrize("theorem,lo,hi", CLEAN_SWEEPS, ids=[c[0] for c in CLEAN_SWEEPS])
+# lo at every residue mod 6 above the floor of each checker whose span steps
+# through a residue class
+EDGE_SWEEPS = [
+    (theorem, lo, lo + 13)
+    for theorem, floor in [
+        ("u-residues", 2),
+        ("u-residues-odd-starts", 1),
+        ("dual-forms", 0),
+        ("linear-fixed-point", 2),
+    ]
+    for lo in range(floor, floor + 6)
+]
+
+# what each checker counts as checked, by brute force over [lo, hi]
+CHECKED_INPUTS = {
+    "u-residues": lambda n: n % 2 == 0,
+    "u-residues-odd-starts": lambda n: n % 2 == 1,
+    "dual-forms": lambda n: 2 if n % 2 == 0 and n >= 2 else 1,
+    "linear-fixed-point": lambda n: n % 6 == 2,
+}
+
+
+@pytest.mark.parametrize(
+    "theorem,lo,hi",
+    CLEAN_SWEEPS + EDGE_SWEEPS,
+    ids=[c[0] for c in CLEAN_SWEEPS] + [f"{t}-lo{lo}" for t, lo, _ in EDGE_SWEEPS],
+)
 def test_checkers_clean_on_small_ranges(theorem, lo, hi):
     report = verify.run_check(theorem, lo, hi, budget=10_000)
     assert report.violation_count == 0
@@ -30,6 +58,8 @@ def test_checkers_clean_on_small_ranges(theorem, lo, hi):
     assert report.budget_exhausted == ()
     assert report.checked > 0
     assert report.theorem_id == theorem
+    counts = CHECKED_INPUTS.get(theorem, lambda n: 1)
+    assert report.checked == sum(counts(n) for n in range(lo, hi + 1))
 
 
 def test_u_residues_allows_off_pattern_first_image():
@@ -69,11 +99,22 @@ def test_reports_identical_across_worker_counts():
     reference = None
     for workers in (1, 2, 8):
         report = verify.run_check("covering", 1, 400, budget=10_000, workers=workers)
-        snapshot = to_jsonable(report)   # serialized form excludes elapsed
+        snapshot = to_jsonable(report)
         if reference is None:
             reference = snapshot
         else:
             assert snapshot == reference
+
+
+@pytest.mark.parametrize(
+    "theorem,lo,hi",
+    [("covering", 1, 300), ("u-residues", 2, 600), ("dual-forms", 0, 500),
+     ("linear-fixed-point", 2, 600), ("conjecture-apt", 1, 2000)],
+)
+def test_reports_equal_at_one_and_four_workers(theorem, lo, hi):
+    # reports are plain values: no wall-clock time rides along
+    serial = verify.run_check(theorem, lo, hi, budget=10_000, workers=1)
+    assert verify.run_check(theorem, lo, hi, budget=10_000, workers=4) == serial
 
 
 def test_run_check_validation():
@@ -137,6 +178,43 @@ def test_violations_sorted_across_chunks(monkeypatch):
     assert inputs == sorted(inputs) == list(range(1, 201))
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _span_items(lo, hi):
+    return list(range(lo, hi + 1))
+
+
+@pytest.mark.parametrize(
+    "cpus,workers,hi,expected",
+    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1)],
+)
+def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
+    sizes = []
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        parallel, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(sizes, max_workers)
+    )
+    parts = parallel.run_chunked(_span_items, 1, hi, workers)
+    assert sizes == [expected]
+    assert [n for part in parts for n in part] == list(range(1, hi + 1))
+
+
 # --- OEIS cross-checks -------------------------------------------------------
 
 
@@ -173,6 +251,11 @@ def test_check_oeis_against_fixtures(generator, fixture, data_dir):
     assert report.violation_count == 0
     assert report.checked == 2000
     assert report.theorem_id == f"oeis-{GENERATORS[generator].oeis_id}-{generator}"
+
+
+def test_check_oeis_reports_equal_on_repeat(data_dir):
+    content = (data_dir / "b001511.txt").read_text()
+    assert check_oeis(content, "ruler", count=500) == check_oeis(content, "ruler", count=500)
 
 
 def test_check_oeis_flags_divergence():
