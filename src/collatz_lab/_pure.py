@@ -61,10 +61,7 @@ def emapt_step_ruler(u):
     Defined for any u >= 1 (odd u gives the step out of an odd seed); the
     public API restricts it to even u, the checkers use the odd case too.
     """
-    v = u >> ((u & -u).bit_length() - 1)
-    m = v + 1
-    e = (m & -m).bit_length() - 1
-    return 3**e * (m >> e) - 1
+    return apt_step(odd_part(u))
 
 
 def omapt_step(v):
@@ -141,64 +138,54 @@ def covering_chain(n, budget):
 # So one lookup on the low k bits advances the half-step orbit k steps and
 # says where its parity runs start.  T at most halves, so while n >= 2^k none
 # of the k values jumped over is 1 and every run counted lies before 1.
+# The even-only count is a corollary, not a second walk: (R + 1) / 2 for the
+# accelerated count R of an even u != 2 (see `emapt_stopping`).
 
 _K = 12
 _BLOCK = 1 << _K
 _MASK = _BLOCK - 1
 
-#: (block table, small runs, small odd runs); built on the first stopping call.
+#: (block table, small runs); built on the first stopping call.
 _STOP_TABLES = None
 
 
 def _block_table():
-    """Per k-bit residue b: (3^c(b), T^k(b), parity changes and odd-run starts
-    among the k parities after the first, the last of the k parities)."""
+    """Per k-bit residue b: (3^c(b), T^k(b), parity changes among the k
+    parities after the first, the last of the k parities)."""
     powers = [3**c for c in range(_K + 1)]
     table = []
     for b in range(_BLOCK):
         x = b
-        odd = changes = odd_starts = 0
+        odd = changes = 0
         last = b & 1
         for _ in range(_K):
             p = x & 1
             changes += p != last
-            odd_starts += p > last
             odd += p
             last = p
             x = (3 * x + 1) >> 1 if p else x >> 1
-        table.append((powers[odd], x, changes, odd_starts, last))
+        table.append((powers[odd], x, changes, last))
     return table
 
 
-def _small_tables():
-    """Per start m < 2^k: parity runs and odd runs of its T-orbit before 1.
-
-    Built smallest-first: walk m down to its first smaller value x and splice
-    in x's counts, less the run that continues across the splice.
-    """
+def _small_table():
+    """Per start m < 2^k: parity runs of its T-orbit before 1.  Smallest m
+    first: accelerated steps take m below itself to x, then add x's runs."""
     runs_of = [None, 0]
-    odd_runs_of = [None, 0]
     for m in range(2, _BLOCK):
         x = m
-        runs = odd_runs = 0
-        last = ~m & 1   # so that m opens a run
+        steps = 0
         while x >= m:
-            p = x & 1
-            if p != last:
-                runs += 1
-                odd_runs += p
-            last = p
-            x = (3 * x + 1) >> 1 if p else x >> 1
-        same = (x & 1) == last
-        runs_of.append(runs + runs_of[x] - same)
-        odd_runs_of.append(odd_runs + odd_runs_of[x] - (same & last))
-    return runs_of, odd_runs_of
+            x = apt_step(x)
+            steps += 1
+        runs_of.append(steps + runs_of[x])
+    return runs_of
 
 
 def _stop_tables():
     global _STOP_TABLES
     if _STOP_TABLES is None:
-        _STOP_TABLES = (_block_table(), *_small_tables())
+        _STOP_TABLES = (_block_table(), _small_table())
     return _STOP_TABLES
 
 
@@ -209,12 +196,12 @@ def apt_stopping(n, budget):
     this counts the parity runs of the half-step orbit before 1, jumping
     k = 12 half-steps per table lookup.  n = 1 gives 0 whatever the budget.
     """
-    blocks, runs_of, _ = _STOP_TABLES or _stop_tables()
+    blocks, runs_of = _STOP_TABLES or _stop_tables()
     runs = 0
     last = ~n & 1   # so that n opens a run
     while n >= _BLOCK:
         b = n & _MASK
-        mult, tail, changes, _, end = blocks[b]
+        mult, tail, changes, end = blocks[b]
         runs += changes + ((b ^ last) & 1)
         if runs > budget:
             return -1
@@ -227,25 +214,15 @@ def apt_stopping(n, budget):
 def emapt_stopping(u, budget):
     """Steps for the even-only map to reach 2, or -1 if the budget runs out.
 
-    For even u != 2 one even-only step covers an even run and the odd run
-    after it, so the count is the odd runs of the half-step orbit before 1,
-    plus the final step from a power of two to 2.  u = 2 gives 0.
+    T(x) = 1 only for x = 2, so from even u != 2 the half-step orbit's parity
+    runs before 1 go even, odd, ..., even: R = 2j + 1 of them, R being the
+    accelerated count.  One even-only step covers an even run and the odd run
+    after it, so the count is j + 1 = (R + 1) / 2.  u = 2 gives 0.
     """
     if u == 2:
         return 0
-    blocks, _, odd_runs_of = _STOP_TABLES or _stop_tables()
-    steps = 1
-    last = 0
-    while u >= _BLOCK:
-        b = u & _MASK
-        mult, tail, _, odd_starts, end = blocks[b]
-        steps += odd_starts + ((b & 1) > last)
-        if steps > budget:
-            return -1
-        last = end
-        u = mult * (u >> _K) + tail
-    steps += odd_runs_of[u] - (u & last)
-    return steps if steps <= budget else -1
+    runs = apt_stopping(u, 2 * budget - 1)
+    return -1 if runs < 0 else (runs + 1) >> 1
 
 
 # --- range scans; each returns the list of violating inputs -----------------

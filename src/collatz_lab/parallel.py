@@ -3,7 +3,7 @@
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
 or how many processes ran.  workers=1 stays in-process; a pool never holds
-more processes than there are CPUs or spans.
+more processes than there are CPUs or spans, and gets four spans per process.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     total = hi - lo + 1
     if workers <= 1:
         return [fn(lo, hi, *args)]
-    chunk = max(1, -(-total // (workers * 4)))
+    pool_size = min(workers, os.cpu_count() or 1)
+    chunk = max(1, -(-total // (pool_size * 4)))
     spans = split_range(lo, hi, chunk)
     if len(spans) == 1:
         return [fn(lo, hi, *args)]
-    pool_size = min(workers, os.cpu_count() or 1, len(spans))
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with ProcessPoolExecutor(max_workers=min(pool_size, len(spans))) as pool:
         futures = [pool.submit(fn, a, b, *args) for a, b in spans]
         return [f.result() for f in futures]

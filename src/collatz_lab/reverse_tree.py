@@ -56,7 +56,9 @@ class AffineStep:
         return -Fraction(2**b * (3**a - 2**a), 3**a)
 
     def apply(self, z) -> Fraction:
-        return self.slope * z + self.intercept
+        # slope * z + intercept over the one denominator 3^alpha.
+        a, b = self.alpha, self.beta
+        return Fraction(2 ** (a + b) * z - 2**b * (3**a - 2**a), 3**a)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
+from test_stopping import EDGES
 
 BOUNDARY = [
     1, 2, 3, 63, 64, 65,
@@ -60,7 +61,10 @@ def test_covering_chain_budget_sentinels_agree(fast):
 def test_stopping_counters_agree(fast):
     for n in list(range(1, 400)) + [2**64 + 1]:
         assert fast.apt_stopping(n, 10_000) == _pure.apt_stopping(n, 10_000)
-    for u in list(range(2, 400, 2)) + [2**64 + 2]:
+    # The even table edges, 2**63 / 2**64 +- 2 and the powers of two take the
+    # compiled even-engine loop into and out of its bigint fallback.
+    evens = [u for u in EDGES if u % 2 == 0 and u < 2**70]
+    for u in list(range(2, 400, 2)) + [2**64 + 2] + evens:
         assert fast.emapt_stopping(u, 10_000) == _pure.emapt_stopping(u, 10_000)
     assert fast.apt_stopping(27, 2) == _pure.apt_stopping(27, 2) == -1
 

@@ -90,7 +90,14 @@ def test_reverse_affine_examples():
     assert rt.reverse_affine_step(2, 1, 3) == 8
 
 
-@given(exponents, exponents, st.integers(min_value=-10**9, max_value=10**9))
+@given(
+    exponents,
+    exponents,
+    st.one_of(
+        st.integers(min_value=-10**9, max_value=10**9),
+        st.fractions(max_denominator=10**6),
+    ),
+)
 def test_affine_apply_matches_oracle(alpha, beta, z):
     assert rt.reverse_affine_step(z, alpha, beta) == oracles.affine_apply(
         z, alpha, beta

@@ -51,6 +51,9 @@ def _assert_apt(impl, n):
 def _assert_emapt(impl, u):
     r = oracles.emapt_stopping_by_iteration(u, BIG_BUDGET)
     assert r >= 0
+    if u != 2:
+        # Even, odd, ..., even parity runs: one even-only step per two runs.
+        assert r == (oracles.apt_stopping_by_iteration(u, BIG_BUDGET) + 1) // 2
     for budget in _budget_edges(r):
         assert impl.emapt_stopping(u, budget) == oracles.emapt_stopping_by_iteration(
             u, budget
@@ -72,6 +75,13 @@ def test_emapt_stopping_matches_literal_loop(impl):
     for u in EDGES:
         if u % 2 == 0:
             _assert_emapt(impl, u)
+
+
+def test_small_stopping_table_matches_literal_loop():
+    _, runs_of = _pure._stop_tables()
+    assert len(runs_of) == 2**12
+    for m in range(1, 2**12):
+        assert runs_of[m] == oracles.apt_stopping_by_iteration(m, BIG_BUDGET), m
 
 
 @pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)

@@ -179,10 +179,12 @@ def test_violations_sorted_across_chunks(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and the spans
+    submitted to it, runs in-process."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, spans, max_workers):
         sizes.append(max_workers)
+        self.spans = spans
 
     def __enter__(self):
         return self
@@ -191,6 +193,7 @@ class _RecordingPool:
         return False
 
     def submit(self, fn, *args):
+        self.spans.append(args[:2])
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -205,13 +208,17 @@ def _span_items(lo, hi):
     [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1)],
 )
 def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
-    sizes = []
+    sizes, spans = [], []
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
-        parallel, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(sizes, max_workers)
+        parallel,
+        "ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(sizes, spans, max_workers),
     )
     parts = parallel.run_chunked(_span_items, 1, hi, workers)
     assert sizes == [expected]
+    # Spans follow the clamped pool, not the requested worker count.
+    assert len(spans) <= 4 * expected
     assert [n for part in parts for n in part] == list(range(1, hi + 1))
 
 
