@@ -3,6 +3,9 @@
 Times each workload once per backend and prints a table with speedups.
 The stopping rows time the reach sweeps' counters at the sizes the
 benchmark's `sweep` and `frontier` workloads use (near 8.5e6 and 2**68).
+The stats row times the pure `orbit_lengths` block walk against the compiled
+literal `covering_chain`, which is why `kernels` binds the pure walk on both
+backends.
 Sizes are chosen so the pure backend finishes in a few seconds; pass
 --scale N to multiply every workload size by N.
 
@@ -42,12 +45,21 @@ def bench_emapt_stopping(mod, n):
         mod.emapt_stopping(6 * k + 2, 100_000)
 
 
+def bench_stats_lengths(mod, n):
+    # What `stats` would call per start on each side: the compiled module has
+    # no block walk, so its row is the literal covering_chain.
+    lengths = _pure.orbit_lengths if mod is _pure else mod.covering_chain
+    for k in range(8_500_000, 8_500_000 + n):
+        lengths(k, 100_000)
+
+
 WORKLOADS = [
     ("scalar sweep (ruler+p+apt)", bench_scalar_sweep, 200_000),
     ("covering_chain", bench_covering, 20_000),
     ("apt_stopping from 8.5e6", lambda m, n: bench_apt_stopping(m, 8_500_000, n), 50_000),
     ("apt_stopping from 2**68", lambda m, n: bench_apt_stopping(m, 2**68, n), 20_000),
     ("emapt_stopping of 6n+2 from 8.5e6", bench_emapt_stopping, 50_000),
+    ("stats lengths from 8.5e6", bench_stats_lengths, 20_000),
     ("scan_index_reps", lambda m, n: m.scan_index_reps(0, n), 1_000_000),
     ("scan_ruler_identities", lambda m, n: m.scan_ruler_identities(0, n), 1_000_000),
     ("scan_p3n", lambda m, n: m.scan_p3n(0, n), 1_000_000),

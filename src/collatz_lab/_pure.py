@@ -2,10 +2,11 @@
 
 Reference implementations of the hot inner loops.  `collatz_lab.kernels`
 swaps in the compiled twins from `collatz_lab._fast` when that extension is
-available; both modules expose exactly the same functions and must agree on
-every input.  Functions here assume validated arguments (the checked public
-surface lives in `arith`, `sequences` and `reverse_tree`); everything is
-plain-int arithmetic, so arbitrarily large values are handled natively.
+available; both modules expose the same functions, bar `orbit_lengths`,
+which has no compiled twin, and must agree on every input.  Functions here
+assume validated arguments (the checked public surface lives in `arith`,
+`sequences` and `reverse_tree`); everything is plain-int arithmetic, so
+arbitrarily large values are handled natively.
 """
 
 from __future__ import annotations
@@ -135,9 +136,11 @@ def covering_chain(n, budget):
 # Terras (1976): T^k(2^k a + b) = 3^c(b) a + T^k(b) for every integer a, where
 # c(b) counts the odd values among b, T(b), ..., T^(k-1)(b), and those k
 # values have the parities of the first k values of the orbit of 2^k a + b.
-# So one lookup on the low k bits advances the half-step orbit k steps and
-# says where its parity runs start.  T at most halves, so while n >= 2^k none
-# of the k values jumped over is 1 and every run counted lies before 1.
+# So one lookup on the low k bits advances the half-step orbit k steps, c(b)
+# of them odd, and says where its parity runs start.  T at most halves, so
+# while n >= 2^k none of the k values jumped over is 1 and every step counted
+# lies before 1.  An odd T-step is two plain steps (3n + 1, then the halving),
+# so the plain-map count is the T-step count plus the odd T-step count.
 # The even-only count is a corollary, not a second walk: (R + 1) / 2 for the
 # accelerated count R of an even u != 2 (see `emapt_stopping`).
 
@@ -145,13 +148,14 @@ _K = 12
 _BLOCK = 1 << _K
 _MASK = _BLOCK - 1
 
-#: (block table, small runs); built on the first stopping call.
+#: (block table, small runs, small (T-steps, odd T-steps)); built on the
+#: first stopping call.
 _STOP_TABLES = None
 
 
 def _block_table():
     """Per k-bit residue b: (3^c(b), T^k(b), parity changes among the k
-    parities after the first, the last of the k parities)."""
+    parities after the first, the last of the k parities, c(b))."""
     powers = [3**c for c in range(_K + 1)]
     table = []
     for b in range(_BLOCK):
@@ -164,51 +168,85 @@ def _block_table():
             odd += p
             last = p
             x = (3 * x + 1) >> 1 if p else x >> 1
-        table.append((powers[odd], x, changes, last))
+        table.append((powers[odd], x, changes, last, odd))
     return table
 
 
-def _small_table():
-    """Per start m < 2^k: parity runs of its T-orbit before 1.  Smallest m
-    first: accelerated steps take m below itself to x, then add x's runs."""
+def _small_tables():
+    """Per start m < 2^k: the parity runs, and the T-steps and odd T-steps,
+    of its T-orbit before 1.  Smallest m first: accelerated steps take m
+    below itself to x, then add x's counts.  An accelerated step from x is
+    e T-steps, all odd when x is, where 2^e exactly divides x or x + 1."""
     runs_of = [None, 0]
+    steps_of = [None, (0, 0)]
     for m in range(2, _BLOCK):
         x = m
-        steps = 0
+        runs = steps = odd = 0
         while x >= m:
+            p = x & 1
+            e = ruler(x + p) - 1
+            steps += e
+            odd += e * p
             x = apt_step(x)
-            steps += 1
-        runs_of.append(steps + runs_of[x])
-    return runs_of
+            runs += 1
+        runs_of.append(runs + runs_of[x])
+        x_steps, x_odd = steps_of[x]
+        steps_of.append((steps + x_steps, odd + x_odd))
+    return runs_of, steps_of
 
 
 def _stop_tables():
     global _STOP_TABLES
     if _STOP_TABLES is None:
-        _STOP_TABLES = (_block_table(), _small_table())
+        _STOP_TABLES = (_block_table(), *_small_tables())
     return _STOP_TABLES
+
+
+def orbit_lengths(n, budget):
+    """Element counts (c_len, t_len, a_len) of the plain, half-step and
+    accelerated orbits from n down to 1, each -1 when its own orbit needs
+    more than budget steps; equal to `covering_chain(n, budget)[:3]`.
+
+    One block walk, k = 12 half-steps per table lookup, counts the parity
+    runs, the T-steps and the odd T-steps.  Runs <= T-steps <= plain steps,
+    so once the runs pass the budget every orbit has.  n = 1 gives (1, 1, 1)
+    whatever the budget.
+    """
+    blocks, runs_of, steps_of = _STOP_TABLES or _stop_tables()
+    runs = steps = odd = 0
+    last = ~n & 1   # so that n opens a run
+    while n >= _BLOCK:
+        b = n & _MASK
+        mult, tail, changes, end, c = blocks[b]
+        runs += changes + ((b ^ last) & 1)
+        if runs > budget:
+            return -1, -1, -1
+        steps += _K
+        odd += c
+        last = end
+        n = mult * (n >> _K) + tail
+    runs += runs_of[n] - ((n & 1) == last)
+    if not runs:   # n = 1 is there already, whatever the budget
+        return 1, 1, 1
+    small_steps, small_odd = steps_of[n]
+    steps += small_steps
+    plain = steps + odd + small_odd
+    return (
+        plain + 1 if plain <= budget else -1,
+        steps + 1 if steps <= budget else -1,
+        runs + 1 if runs <= budget else -1,
+    )
 
 
 def apt_stopping(n, budget):
     """Steps for the accelerated map to reach 1, or -1 if the budget runs out.
 
     An accelerated step is one maximal parity run of the half-step map, so
-    this counts the parity runs of the half-step orbit before 1, jumping
-    k = 12 half-steps per table lookup.  n = 1 gives 0 whatever the budget.
+    this is the run count of `orbit_lengths`.  n = 1 gives 0 whatever the
+    budget.
     """
-    blocks, runs_of = _STOP_TABLES or _stop_tables()
-    runs = 0
-    last = ~n & 1   # so that n opens a run
-    while n >= _BLOCK:
-        b = n & _MASK
-        mult, tail, changes, end = blocks[b]
-        runs += changes + ((b ^ last) & 1)
-        if runs > budget:
-            return -1
-        last = end
-        n = mult * (n >> _K) + tail
-    runs += runs_of[n] - ((n & 1) == last)
-    return runs if runs <= budget or not runs else -1
+    a_len = orbit_lengths(n, budget)[2]
+    return a_len - 1 if a_len > 0 else -1
 
 
 def emapt_stopping(u, budget):

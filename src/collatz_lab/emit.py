@@ -219,14 +219,34 @@ def to_jsonable(result) -> dict:
     return _writer(result, "json")(result)
 
 
+#: Characters per JSON write: big enough that a megabyte of JSON takes about
+#: sixteen writes, small enough that the document is never held as one string.
+_JSON_BATCH = 1 << 16
+
+
+def _write_json(out: dict, sink) -> None:
+    """json.dump(out, sink, indent=2) and a newline, the encoder's many small
+    chunks joined into writes of about _JSON_BATCH characters."""
+    batch: list[str] = []
+    size = 0
+    for chunk in json.JSONEncoder(indent=2).iterencode(out):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _JSON_BATCH:
+            sink.write("".join(batch))
+            batch.clear()
+            size = 0
+    batch.append("\n")
+    sink.write("".join(batch))
+
+
 def emit(result, fmt: str, sink) -> None:
     """Write result to sink in the requested format."""
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown format {fmt!r}")
     out = _writer(result, fmt)(result)
     if fmt == "json":
-        json.dump(out, sink, indent=2)
-        sink.write("\n")
+        _write_json(out, sink)
     elif fmt == "csv":
         csv.writer(sink, lineterminator="\n").writerows(out)
     else:

@@ -300,6 +300,13 @@ def trace(
     return Trace(kind, start, tuple(elements), outcome, stopping_time)
 
 
+#: Fewest rows per pool worker in `stopping_stats`.  A row takes a few
+#: microseconds to build and about as long again to pickle back from a
+#: worker, whose start-up (fork, its own stopping tables) takes tens of
+#: milliseconds.
+_ROWS_PER_WORKER = 1 << 14
+
+
 def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTable:
     """Orbit-length table for n in [lo, hi] under the plain, half-step and
     accelerated maps; rows where any orbit exhausted the budget are flagged."""
@@ -309,6 +316,7 @@ def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTabl
     require_int(workers, "workers", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
+    workers = max(1, min(workers, (hi - lo + 1) // _ROWS_PER_WORKER))
     parts = run_chunked(_stats_span, lo, hi, workers, args=(budget,))
     rows: list[StatsRow] = []
     for part in parts:
@@ -319,7 +327,7 @@ def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTabl
 def _stats_span(lo: int, hi: int, budget: int) -> list[StatsRow]:
     rows = []
     for n in range(lo, hi + 1):
-        c_len, t_len, a_len, _ = kernels.covering_chain(n, budget)
+        c_len, t_len, a_len = kernels.orbit_lengths(n, budget)
         rows.append(
             StatsRow(
                 n,

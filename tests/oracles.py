@@ -139,6 +139,17 @@ def emapt_stopping_by_iteration(u: int, budget: int) -> int:
     return steps
 
 
+def orbit_lengths_by_iteration(n: int, budget: int) -> tuple[int, int, int]:
+    """Element counts of the plain, half-step and accelerated orbits from n
+    down to 1, each walked literally; -1 for an orbit that needs more than
+    budget steps."""
+    lengths = []
+    for step in (collatz_step, terras_step, apt_step_by_iteration):
+        seq = orbit(step, n, budget, 1)
+        lengths.append(len(seq) if seq[-1] == 1 else -1)
+    return tuple(lengths)
+
+
 def gapt_step_by_iteration(n: int, a: int, b: int) -> tuple[int, int]:
     """(landing value, run length) for one parity run of the generalized map."""
     runs = 0

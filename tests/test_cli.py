@@ -331,6 +331,42 @@ def test_emit_rejects_unknown_types_and_formats(result, fmt):
         emit.emit(result, fmt, io.StringIO())
 
 
+class _CountingSink(io.StringIO):
+    """A text sink that records how many writes reach it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        sequences.trace("A", 27, 1000),
+        verify.run_check("covering", 1, 50),
+        sequences.stopping_stats(1, 50, 8),
+        reverse_tree.build_tree(40, 8),
+    ],
+    ids=["trace", "report", "stats", "tree"],
+)
+def test_emit_json_bytes(result):
+    sink = io.StringIO()
+    emit.emit(result, "json", sink)
+    assert sink.getvalue() == json.dumps(emit.to_jsonable(result), indent=2) + "\n"
+
+
+def test_emit_json_batches_writes():
+    tree = reverse_tree.build_tree(12_000, 40)
+    sink = _CountingSink()
+    emit.emit(tree, "json", sink)
+    size = len(sink.getvalue())
+    assert size > 1_000_000
+    assert sink.getvalue() == json.dumps(emit.to_jsonable(tree), indent=2) + "\n"
+    assert sink.writes <= -(-size // 65536) + 1
+
+
 def test_unwritable_sink_exits_two(tmp_path, capsys):
     assert main(["trace", "--kind", "A", "--start", "7",
                  "--output", str(tmp_path)]) == 2
@@ -350,6 +386,8 @@ def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt):
 
 
 def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch):
+    # One row per worker is enough here, so the small table still fans out.
+    monkeypatch.setattr(sequences, "_ROWS_PER_WORKER", 1)
     paths = []
     for workers in ("1", "6"):
         monkeypatch.setenv("COLLATZ_LAB_WORKERS", workers)

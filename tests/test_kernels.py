@@ -58,6 +58,21 @@ def test_covering_chain_budget_sentinels_agree(fast):
         assert fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
 
 
+def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):
+    # The block walk against the compiled literal loops, across 2**63 / 2**64.
+    for n in BOUNDARY + RANDOMS:
+        for budget in (100_000, 3):
+            assert fast.covering_chain(n, budget)[:3] == _pure.orbit_lengths(
+                n, budget
+            ), f"orbit_lengths({n}, {budget})"
+    for n in range(1, 400):
+        lengths = fast.covering_chain(n, 100_000)[:3]
+        for budget in {length + d for length in lengths for d in (-2, -1, 0)}:
+            assert fast.covering_chain(n, budget)[:3] == _pure.orbit_lengths(
+                n, budget
+            ), f"orbit_lengths({n}, {budget})"
+
+
 def test_stopping_counters_agree(fast):
     for n in list(range(1, 400)) + [2**64 + 1]:
         assert fast.apt_stopping(n, 10_000) == _pure.apt_stopping(n, 10_000)

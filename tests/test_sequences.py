@@ -256,12 +256,36 @@ def test_stats_budget_exhaustion():
     assert row.exhausted
     assert row.c_len is None and row.t_len is None
     assert row.a_len is None
+    # Each orbit exhausts on its own: 7 takes 16 plain, 11 half- and 6
+    # accelerated steps.
+    assert seq.stopping_stats(7, 7, 13).rows[0] == seq.StatsRow(7, None, 12, 7, True)
+    assert seq.stopping_stats(7, 7, 8).rows[0] == seq.StatsRow(7, None, None, 7, True)
 
 
-def test_stats_parallel_matches_serial():
+def test_stats_parallel_matches_serial(monkeypatch):
+    # One row per worker is enough here, so the small table still fans out.
+    monkeypatch.setattr(seq, "_ROWS_PER_WORKER", 1)
     serial = seq.stopping_stats(1, 200, 10_000, workers=1)
     parallel = seq.stopping_stats(1, 200, 10_000, workers=4)
     assert serial == parallel
+
+
+def test_stats_pool_only_for_large_tables(monkeypatch):
+    from collatz_lab import parallel
+
+    seen = []
+
+    def spy(fn, lo, hi, workers, args=()):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(parallel, "run_chunked", spy)
+    per_worker = seq._ROWS_PER_WORKER
+    seq.stopping_stats(1, 5_000, 100, workers=2)
+    seq.stopping_stats(1, 2 * per_worker - 1, 100, workers=8)
+    seq.stopping_stats(1, 2 * per_worker, 100, workers=8)
+    seq.stopping_stats(1, 2 * per_worker, 100, workers=1)
+    assert seen == [1, 1, 2, 1]
 
 
 def test_stats_validation():

@@ -78,10 +78,41 @@ def test_emapt_stopping_matches_literal_loop(impl):
 
 
 def test_small_stopping_table_matches_literal_loop():
-    _, runs_of = _pure._stop_tables()
+    _, runs_of, _ = _pure._stop_tables()
     assert len(runs_of) == 2**12
     for m in range(1, 2**12):
         assert runs_of[m] == oracles.apt_stopping_by_iteration(m, BIG_BUDGET), m
+
+
+def _assert_lengths(n, every_orbit=True):
+    full = oracles.orbit_lengths_by_iteration(n, BIG_BUDGET)
+    assert min(full) > 0
+    if every_orbit:
+        # Each orbit's step count - 1, itself and + 1 (its length is steps + 1).
+        budgets = {-1, 0, 1, BIG_BUDGET} | {
+            length + d for length in full for d in (-2, -1, 0)
+        }
+    else:
+        # Big n has long literal orbits: only the budget one step short of the
+        # accelerated count, where the walk can stop inside the block loop.
+        budgets = {BIG_BUDGET, full[2] - 2}
+    for budget in sorted(budgets):
+        assert _pure.orbit_lengths(n, budget) == oracles.orbit_lengths_by_iteration(
+            n, budget
+        ), f"orbit_lengths({n}, {budget})"
+
+
+def test_orbit_lengths_match_literal_orbits():
+    assert kernels.orbit_lengths is _pure.orbit_lengths
+    for n in range(1, 5001):
+        _assert_lengths(n)
+    for n in EDGES:
+        _assert_lengths(n, every_orbit=False)
+
+
+@given(st.integers(min_value=1, max_value=2**300))
+def test_orbit_lengths_match_literal_orbits_on_bigints(n):
+    _assert_lengths(n, every_orbit=False)
 
 
 @pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
