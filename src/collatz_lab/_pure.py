@@ -1,9 +1,10 @@
 """Pure-Python integer kernels.
 
 Reference implementations of the hot inner loops.  `collatz_lab.kernels`
-swaps in the compiled twins from `collatz_lab._fast` when that extension is
-available; both modules expose the same functions, bar `orbit_lengths`,
-which has no compiled twin, and must agree on every input.  Functions here
+uses the compiled twins from `collatz_lab._fast` when that extension
+imports; both modules expose the same functions, bar `orbit_lengths`,
+which has no compiled twin, and must agree on every input (the tests run
+the stopping and oracle suites on both).  Functions here
 assume validated arguments (the checked public surface lives in `arith`,
 `sequences` and `reverse_tree`); everything is plain-int arithmetic, so
 arbitrarily large values are handled natively.

@@ -1,29 +1,20 @@
 """Kernel backend selection.
 
-Imports the compiled kernels when the `collatz_lab._fast` extension built,
-otherwise the pure-Python reference module.  Setting the environment variable
-COLLATZ_LAB_PURE to anything but "0" forces the pure backend; useful for
-benchmarking and for reproducing behaviour on installs without a compiler.
+One rule: the compiled kernels when the `collatz_lab._fast` extension
+imports, otherwise the pure-Python reference module.  `BACKEND` names the
+one that imported.
 """
 
 from __future__ import annotations
 
-import os
-
 from collatz_lab import _pure
 
-_forced_pure = os.environ.get("COLLATZ_LAB_PURE", "") not in ("", "0")
-
-if _forced_pure:
+try:
+    from collatz_lab import _fast as _impl
+except ImportError:
     _impl = _pure
-else:
-    try:
-        from collatz_lab import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
 
-ACCELERATED = _impl is not _pure
-BACKEND = "compiled" if ACCELERATED else "pure-python"
+BACKEND = "pure-python" if _impl is _pure else "compiled"
 
 ruler = _impl.ruler
 interleave_p = _impl.interleave_p

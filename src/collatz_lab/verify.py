@@ -131,10 +131,8 @@ def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
     seeds = range(lo + (lo & 1), hi + 1, 2)
     for u in seeds:
         x = u
-        reached = x == 2
         for step in range(1, budget + 1):
             if x == 2:
-                reached = True
                 break
             x = kernels.emapt_step_pq(x)
             if x % 6 != 2:
@@ -144,9 +142,9 @@ def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
                 violations.append((u, f"element {x} is not 2 or 8 mod 18"))
                 break
         else:
-            reached = x == 2
-        if not reached and not (violations and violations[-1][0] == u):
-            exhausted.append(u)
+            # The budget ran out with neither a violation nor an early 2.
+            if x != 2:
+                exhausted.append(u)
     return len(seeds), violations, exhausted
 
 
@@ -159,17 +157,16 @@ def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
     seeds = range(lo | 1, hi + 1, 2)
     for seed in seeds:
         x = kernels.emapt_step_ruler(seed)
-        reached = False
         for _ in range(budget):
             if x == 2:
-                reached = True
                 break
             x = kernels.emapt_step_pq(x)
             if x % 18 not in (2, 8):
                 violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
                 break
-        if not reached and not (violations and violations[-1][0] == seed):
-            exhausted.append(seed)
+        else:
+            if x != 2:
+                exhausted.append(seed)
     return len(seeds), violations, exhausted
 
 

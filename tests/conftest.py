@@ -2,9 +2,14 @@ import importlib.util
 import pathlib
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import pytest
+
+# Imports the package, and so `kernels`, before `fast` can load the compiled
+# module: loaded first, its half-initialised self is what `kernels` would see.
+from collatz_lab import _pure
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
@@ -20,9 +25,11 @@ def data_dir() -> pathlib.Path:
 def fast(tmp_path_factory):
     """The compiled kernels, built from the committed C source into a temp dir.
 
-    Loaded as ``collatz_lab._fast`` without entering ``sys.modules``, so the
-    rest of the suite keeps the backend it started with.  Skips only when
-    gcc or Python.h is missing; a failed compile fails the tests that use it.
+    Loaded as ``collatz_lab._fast`` after the package itself, so `kernels`
+    has already chosen its backend and keeps it.  The module registers itself
+    in ``sys.modules`` while it initialises; that entry is removed again.
+    Skips only when gcc or Python.h is missing; a failed compile fails the
+    tests that use it.
     """
     gcc = shutil.which("gcc")
     include = pathlib.Path(sysconfig.get_paths()["include"])
@@ -41,4 +48,17 @@ def fast(tmp_path_factory):
     spec = importlib.util.spec_from_file_location("collatz_lab._fast", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(spec.name, None)
     return module
+
+
+@pytest.fixture(scope="session", params=["pure", "compiled"])
+def impl(request):
+    """Each kernel backend in turn: `_pure`, then the module `fast` built.
+
+    The compiled case skips exactly when `fast` does.  Session-scoped, so
+    hypothesis tests can take it.
+    """
+    if request.param == "pure":
+        return _pure
+    return request.getfixturevalue("fast")

@@ -3,9 +3,12 @@
 The compiled kernels take uint64 fast paths and fall back per call for
 anything larger, so the values around 2**63 / 2**64 are the interesting
 boundary; the random sweep crosses it on purpose.  The ``fast`` fixture
-(tests/conftest.py) builds the compiled module from its committed C source.
+(tests/conftest.py) builds the compiled module from its committed C source,
+and ``impl`` runs a test on each backend in turn.  The stopping counters are
+checked on both backends against literal loops in tests/test_stopping.py.
 """
 
+import inspect
 import random
 
 import pytest
@@ -13,7 +16,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
-from test_stopping import EDGES
 
 BOUNDARY = [
     1, 2, 3, 63, 64, 65,
@@ -73,17 +75,6 @@ def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):
             ), f"orbit_lengths({n}, {budget})"
 
 
-def test_stopping_counters_agree(fast):
-    for n in list(range(1, 400)) + [2**64 + 1]:
-        assert fast.apt_stopping(n, 10_000) == _pure.apt_stopping(n, 10_000)
-    # The even table edges, 2**63 / 2**64 +- 2 and the powers of two take the
-    # compiled even-engine loop into and out of its bigint fallback.
-    evens = [u for u in EDGES if u % 2 == 0 and u < 2**70]
-    for u in list(range(2, 400, 2)) + [2**64 + 2] + evens:
-        assert fast.emapt_stopping(u, 10_000) == _pure.emapt_stopping(u, 10_000)
-    assert fast.apt_stopping(27, 2) == _pure.apt_stopping(27, 2) == -1
-
-
 @pytest.mark.parametrize(
     "name,lo",
     [
@@ -99,11 +90,11 @@ def test_scans_agree(fast, name, lo):
 
 
 @given(st.integers(min_value=1, max_value=10**40))
-def test_selected_backend_matches_oracles(n):
-    assert kernels.ruler(n) == oracles.ruler_rec(n)
-    assert kernels.interleave_p(n) == oracles.p_rec(n)
-    assert kernels.shifted_ruler_q(n) == oracles.q_rec(n)
-    assert kernels.apt_step(n) == oracles.apt_step_by_iteration(n)
+def test_selected_backend_matches_oracles(impl, n):
+    assert impl.ruler(n) == oracles.ruler_rec(n)
+    assert impl.interleave_p(n) == oracles.p_rec(n)
+    assert impl.shifted_ruler_q(n) == oracles.q_rec(n)
+    assert impl.apt_step(n) == oracles.apt_step_by_iteration(n)
 
 
 @given(st.integers(min_value=1, max_value=10**40))
@@ -112,6 +103,14 @@ def test_fast_handles_arbitrary_magnitude(fast, n):
     assert fast.odd_part(n) == _pure.odd_part(n)
 
 
-def test_default_backend_is_compiled_when_built():
-    assert kernels.BACKEND in ("compiled", "pure-python")
-    assert kernels.ACCELERATED == (kernels.BACKEND == "compiled")
+def test_every_pure_kernel_has_a_compiled_twin(fast):
+    # `kernels` binds each name from the compiled module when it imports, so
+    # a missing twin would break `import collatz_lab` on compiled installs.
+    names = {
+        name
+        for name, value in vars(_pure).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    }
+    assert {"apt_stopping", "covering_chain", "scan_p3n"} <= names
+    assert sorted(n for n in names - {"orbit_lengths"} if not hasattr(fast, n)) == []
+    assert sorted(n for n in names if not hasattr(kernels, n)) == []

@@ -1,25 +1,22 @@
-"""Stopping counters and backend selection; none of this needs a compiled build.
+"""Stopping counters on both backends, against literal loops.
 
-The pure stopping counters jump 12 half-steps per table lookup, so every
-count is compared with the literal loops in `oracles`, which walk one parity
-run at a time.  The inputs cover the table edges (2^12 +- 1 and the orbits
-that cross it mid-run), long runs spanning many blocks, the 2**63 / 2**64
-edges where the compiled backend falls back, and budgets at r - 1, r, r + 1.
+The pure stopping counters jump 12 half-steps per table lookup and the
+compiled ones walk uint64 parity runs with a bigint fallback, so every count
+is compared with the literal loops in `oracles`, which walk one parity run
+at a time.  The ``impl`` fixture (tests/conftest.py) runs each suite on
+`_pure` and on the compiled module built from its committed C source.  The
+inputs cover the table edges (2^12 +- 1 and the orbits that cross it
+mid-run), long runs spanning many blocks, the 2**63 / 2**64 edges where the
+compiled backend falls back, and budgets at r - 1, r, r + 1.
 """
 
-import os
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
-
-# Always the pure reference; the selected backend too when it is compiled.
-IMPLS = [_pure] + ([kernels] if kernels.ACCELERATED else [])
-IMPL_IDS = ["pure"] + (["selected"] if kernels.ACCELERATED else [])
 
 BIG_BUDGET = 10**6
 
@@ -60,7 +57,6 @@ def _assert_emapt(impl, u):
         ), f"emapt_stopping({u}, {budget})"
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
 def test_apt_stopping_matches_literal_loop(impl):
     for n in range(1, 20_001):
         _assert_apt(impl, n)
@@ -68,7 +64,6 @@ def test_apt_stopping_matches_literal_loop(impl):
         _assert_apt(impl, n)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
 def test_emapt_stopping_matches_literal_loop(impl):
     for u in range(2, 20_001, 2):
         _assert_emapt(impl, u)
@@ -115,7 +110,6 @@ def test_orbit_lengths_match_literal_orbits_on_bigints(n):
     _assert_lengths(n, every_orbit=False)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
 def test_stopping_targets_cost_nothing(impl):
     # Already at the target: zero steps, even when the budget is not positive.
     for budget in (-1, 0, 1):
@@ -123,25 +117,14 @@ def test_stopping_targets_cost_nothing(impl):
         assert impl.emapt_stopping(2, budget) == 0
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
 @given(st.integers(min_value=1, max_value=2**300))
 def test_apt_stopping_matches_literal_loop_on_bigints(impl, n):
     _assert_apt(impl, n)
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=IMPL_IDS)
 @given(st.integers(min_value=1, max_value=2**299).map(lambda k: 2 * k))
 def test_emapt_stopping_matches_literal_loop_on_bigints(impl, u):
     _assert_emapt(impl, u)
-
-
-def _run_python(code, **env):
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, **env},
-    )
 
 
 def test_stopping_tables_are_not_built_at_import():
@@ -150,15 +133,6 @@ def test_stopping_tables_are_not_built_at_import():
         "from collatz_lab import _pure\n"
         "print(_pure._STOP_TABLES is None)"
     )
-    out = _run_python(code)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
-
-
-def test_env_var_forces_pure_backend():
-    out = _run_python(
-        "from collatz_lab import kernels; print(kernels.BACKEND)",
-        COLLATZ_LAB_PURE="1",
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure-python"

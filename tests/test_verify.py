@@ -4,6 +4,7 @@ from concurrent.futures import Future
 
 import pytest
 
+import oracles
 from collatz_lab import parallel, verify
 from collatz_lab.emit import to_jsonable
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
@@ -93,6 +94,42 @@ def test_budget_exhaustion_is_recorded_not_raised():
     report = verify.run_check("conjecture-apt", 1, 9, budget=1)
     assert report.violation_count == 0
     assert report.budget_exhausted == (3, 5, 6, 7, 9)
+
+
+# Steps the walk of each budgeted checker needs from seed n, by the literal
+# oracles, and the seed parity a checker takes (None: every seed).
+WALK_STEPS = {
+    "covering": (None, lambda n: oracles.orbit_lengths_by_iteration(n, 10**6)[0] - 1),
+    "u-residues": (0, lambda u: oracles.emapt_stopping_by_iteration(u, 10**6)),
+    # An odd seed's free ruler-form step is one accelerated step.
+    "u-residues-odd-starts": (
+        1,
+        lambda v: oracles.emapt_stopping_by_iteration(
+            oracles.apt_step_by_iteration(v), 10**6
+        ),
+    ),
+    "conjecture-apt": (None, lambda n: oracles.apt_stopping_by_iteration(n, 10**6)),
+    "conjecture-emapt": (
+        None,
+        lambda n: oracles.emapt_stopping_by_iteration(6 * n + 2, 10**6),
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(WALK_STEPS))
+def test_seed_finishing_on_the_last_budget_step_is_not_exhausted(theorem):
+    parity, steps = WALK_STEPS[theorem]
+    checked = 0
+    for n in range(2, 300):
+        if parity is not None and n % 2 != parity:
+            continue
+        b = steps(n)
+        if b < 2:
+            continue   # b - 1 would be below the smallest budget
+        assert verify.run_check(theorem, n, n, budget=b).budget_exhausted == (), n
+        assert verify.run_check(theorem, n, n, budget=b - 1).budget_exhausted == (n,), n
+        checked += 1
+    assert checked >= 140
 
 
 def test_reports_identical_across_worker_counts():
