@@ -4,139 +4,38 @@ Index arithmetic (`arith`), accelerated step maps and tracing (`sequences`),
 the inverse affine map with candidate-tree enumeration (`reverse_tree`),
 range checkers (`verify`, `oeis`), serialization (`emit`) and a CLI (`cli`).
 Hot loops run on a compiled extension when it imports; `BACKEND` names
-the implementation in use.
+the implementation in use.  Each exported name imports its home module on
+first use, so importing one submodule does not import the others.
 """
 
-from collatz_lab.arith import (
-    IndexTuple,
-    OddShiftRep,
-    ThreeTuple,
-    even_from_index,
-    index_pair,
-    interleave_p,
-    odd_from_index,
-    odd_shift_split,
-    ruler,
-    shifted_ruler_q,
-    three_tuple,
-)
-from collatz_lab.errors import (
-    BFileParseError,
-    ConfigurationError,
-    DomainError,
-    InnerSplitUndefined,
-)
-from collatz_lab.kernels import BACKEND
-from collatz_lab.reverse_tree import (
-    AffineStep,
-    CycleScanReport,
-    MultiplicityResult,
-    Orphan,
-    PathComposition,
-    WZNode,
-    WZTree,
-    build_tree,
-    compose_path,
-    cycle_scan,
-    multiplicity,
-    reverse_affine_step,
-    steiner_search,
-    w_candidate,
-    w_forward,
-    w_from_z,
-    z_from_w,
-)
-from collatz_lab.sequences import (
-    DEFAULT_MAGNITUDE_CEILING,
-    DEFAULT_TARGETS,
-    GParams,
-    Outcome,
-    ParityFlip,
-    StatsRow,
-    StatsTable,
-    Trace,
-    apt_step,
-    collatz_step,
-    emapt_step_pq,
-    emapt_step_ruler,
-    g_step,
-    gapt_step,
-    mapt_even_step,
-    mapt_odd_step,
-    omapt_step,
-    parity_flip,
-    stopping_stats,
-    terras_step,
-    trace,
-    u_to_v,
-    x_step,
-)
-from collatz_lab.verify import (
-    TheoremReport,
-    Violation,
-    run_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineStep",
-    "BACKEND",
-    "BFileParseError",
-    "ConfigurationError",
-    "CycleScanReport",
-    "DEFAULT_MAGNITUDE_CEILING",
-    "DEFAULT_TARGETS",
-    "DomainError",
-    "GParams",
-    "IndexTuple",
-    "InnerSplitUndefined",
-    "MultiplicityResult",
-    "OddShiftRep",
-    "Orphan",
-    "Outcome",
-    "ParityFlip",
-    "PathComposition",
-    "StatsRow",
-    "StatsTable",
-    "TheoremReport",
-    "ThreeTuple",
-    "Trace",
-    "Violation",
-    "WZNode",
-    "WZTree",
-    "apt_step",
-    "build_tree",
-    "collatz_step",
-    "compose_path",
-    "cycle_scan",
-    "emapt_step_pq",
-    "emapt_step_ruler",
-    "even_from_index",
-    "g_step",
-    "gapt_step",
-    "index_pair",
-    "interleave_p",
-    "mapt_even_step",
-    "mapt_odd_step",
-    "multiplicity",
-    "odd_from_index",
-    "odd_shift_split",
-    "omapt_step",
-    "parity_flip",
-    "reverse_affine_step",
-    "ruler",
-    "run_check",
-    "shifted_ruler_q",
-    "steiner_search",
-    "stopping_stats",
-    "terras_step",
-    "three_tuple",
-    "trace",
-    "u_to_v",
-    "w_candidate",
-    "w_forward",
-    "w_from_z",
-    "x_step",
-    "z_from_w",
-]
+#: Home module of every exported name.
+_EXPORTS = {
+    "arith": "IndexTuple OddShiftRep ThreeTuple even_from_index index_pair interleave_p "
+    "odd_from_index odd_shift_split ruler shifted_ruler_q three_tuple",
+    "errors": "BFileParseError ConfigurationError DomainError InnerSplitUndefined",
+    "kernels": "BACKEND",
+    "reverse_tree": "AffineStep CycleScanReport MultiplicityResult Orphan PathComposition "
+    "WZNode WZTree build_tree compose_path cycle_scan multiplicity reverse_affine_step "
+    "steiner_search w_candidate w_forward w_from_z z_from_w",
+    "sequences": "DEFAULT_MAGNITUDE_CEILING DEFAULT_TARGETS GParams Outcome ParityFlip "
+    "StatsRow StatsTable Trace apt_step collatz_step emapt_step_pq emapt_step_ruler g_step "
+    "gapt_step mapt_even_step mapt_odd_step omapt_step parity_flip stopping_stats "
+    "terras_step trace u_to_v x_step",
+    "verify": "TheoremReport Violation run_check",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import an exported name from its home module and keep it here (PEP 562)."""
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value

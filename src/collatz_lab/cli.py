@@ -19,7 +19,6 @@ import sys
 import time
 
 from collatz_lab import emit as emit_mod
-from collatz_lab import oeis, reverse_tree, sequences, verify
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
 
 
@@ -34,7 +33,28 @@ def _workers(text: str) -> int:
     return value
 
 
+# Each command imports its modules when its arguments are added or it runs,
+# and calls through them, so the benchmark's wrappers see the calls.
+
+
+def _trace_args(p: argparse.ArgumentParser) -> type:
+    from collatz_lab import kernels, sequences
+
+    p.add_argument("--kind", required=True, choices=sequences.TRACE_KINDS)
+    p.add_argument("--start", required=True, type=int)
+    p.add_argument("--budget", type=int, default=kernels.DEFAULT_BUDGET)
+    p.add_argument("--target", type=int, default=None,
+                   help="stop value; defaults per kind")
+    p.add_argument("--param-a", type=int, default=None,
+                   help="odd multiplier for kinds G and H")
+    p.add_argument("--param-b", type=int, default=None,
+                   help="odd offset for kinds G and H")
+    return sequences.Trace
+
+
 def _trace(ns: argparse.Namespace):
+    from collatz_lab import sequences
+
     params = None
     if ns.kind in ("G", "H"):
         if ns.param_a is None or ns.param_b is None:
@@ -58,22 +78,73 @@ def _summarized(check, *args):
     return report, 1 if report.violation_count > 0 and not report.observational else 0
 
 
+def _verify_args(p: argparse.ArgumentParser) -> type:
+    from collatz_lab import verify
+
+    p.add_argument("--theorem", required=True, choices=sorted(verify.CHECKERS))
+    p.add_argument("--lo", required=True, type=int)
+    p.add_argument("--hi", required=True, type=int)
+    p.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
+    p.add_argument("--workers", type=_workers, default=1)
+    p.add_argument("--max-violations", type=int,
+                   default=verify.DEFAULT_VIOLATION_CAP,
+                   help="cap on listed counterexamples")
+    return verify.TheoremReport
+
+
 def _verify(ns: argparse.Namespace):
+    from collatz_lab import verify
+
     return _summarized(
         verify.run_check,
         ns.theorem, ns.lo, ns.hi, ns.budget, ns.workers, ns.max_violations,
     )
 
 
+def _tree_args(p: argparse.ArgumentParser) -> type:
+    from collatz_lab import reverse_tree
+
+    p.add_argument("--candidates", type=int, default=100,
+                   help="how many candidates to enumerate")
+    p.add_argument("--depth", type=int, default=16,
+                   help="breadth-first depth bound")
+    return reverse_tree.WZTree
+
+
 def _tree(ns: argparse.Namespace):
+    from collatz_lab import reverse_tree
+
     return reverse_tree.build_tree(ns.candidates, ns.depth), 0
 
 
+def _stats_args(p: argparse.ArgumentParser) -> type:
+    from collatz_lab import kernels, sequences
+
+    p.add_argument("--lo", required=True, type=int)
+    p.add_argument("--hi", required=True, type=int)
+    p.add_argument("--budget", type=int, default=kernels.DEFAULT_BUDGET)
+    p.add_argument("--workers", type=_workers, default=1)
+    return sequences.StatsTable
+
+
 def _stats(ns: argparse.Namespace):
+    from collatz_lab import sequences
+
     return sequences.stopping_stats(ns.lo, ns.hi, ns.budget, ns.workers), 0
 
 
+def _oeis_args(p: argparse.ArgumentParser) -> type:
+    from collatz_lab import oeis, verify
+
+    p.add_argument("--bfile", required=True, help="path to the b-file")
+    p.add_argument("--generator", required=True, choices=sorted(oeis.GENERATORS))
+    p.add_argument("--count", type=int, default=10_000)
+    return verify.TheoremReport
+
+
 def _oeis(ns: argparse.Namespace):
+    from collatz_lab import oeis
+
     try:
         with open(ns.bfile, encoding="utf-8") as handle:
             content = handle.read()
@@ -82,7 +153,20 @@ def _oeis(ns: argparse.Namespace):
     return _summarized(oeis.check_oeis, content, ns.generator, ns.count)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+#: Per command: its help line, the function that adds its arguments and
+#: returns its result type, and its handler.
+_COMMANDS = {
+    "trace": ("iterate one map from a start value", _trace_args, _trace),
+    "verify": ("run a range checker", _verify_args, _verify),
+    "tree": ("build the reverse candidate tree", _tree_args, _tree),
+    "stats": ("orbit-length table over a range", _stats_args, _stats),
+    "oeis-check": ("compare a generator to a b-file", _oeis_args, _oeis),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, but with arguments only for ``command`` when it names
+    one: the other subcommands keep their help line and import nothing."""
     parser = argparse.ArgumentParser(
         prog="collatz-lab",
         description="Exact sequence engines, reverse-tree enumeration and "
@@ -91,55 +175,15 @@ def _build_parser() -> argparse.ArgumentParser:
     # commands without --workers still carry one for COLLATZ_LAB_WORKERS
     parser.set_defaults(workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p: argparse.ArgumentParser, result_type: type, handler) -> None:
-        p.add_argument("--format", default="text", choices=emit_mod.formats(result_type))
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.set_defaults(handler=handler)
-
-    p_trace = sub.add_parser("trace", help="iterate one map from a start value")
-    p_trace.add_argument("--kind", required=True, choices=sequences.TRACE_KINDS)
-    p_trace.add_argument("--start", required=True, type=int)
-    p_trace.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
-    p_trace.add_argument("--target", type=int, default=None,
-                         help="stop value; defaults per kind")
-    p_trace.add_argument("--param-a", type=int, default=None,
-                         help="odd multiplier for kinds G and H")
-    p_trace.add_argument("--param-b", type=int, default=None,
-                         help="odd offset for kinds G and H")
-    add_io(p_trace, sequences.Trace, _trace)
-
-    p_verify = sub.add_parser("verify", help="run a range checker")
-    p_verify.add_argument("--theorem", required=True, choices=sorted(verify.CHECKERS))
-    p_verify.add_argument("--lo", required=True, type=int)
-    p_verify.add_argument("--hi", required=True, type=int)
-    p_verify.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
-    p_verify.add_argument("--workers", type=_workers, default=1)
-    p_verify.add_argument("--max-violations", type=int,
-                          default=verify.DEFAULT_VIOLATION_CAP,
-                          help="cap on listed counterexamples")
-    add_io(p_verify, verify.TheoremReport, _verify)
-
-    p_tree = sub.add_parser("tree", help="build the reverse candidate tree")
-    p_tree.add_argument("--candidates", type=int, default=100,
-                        help="how many candidates to enumerate")
-    p_tree.add_argument("--depth", type=int, default=16,
-                        help="breadth-first depth bound")
-    add_io(p_tree, reverse_tree.WZTree, _tree)
-
-    p_stats = sub.add_parser("stats", help="orbit-length table over a range")
-    p_stats.add_argument("--lo", required=True, type=int)
-    p_stats.add_argument("--hi", required=True, type=int)
-    p_stats.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET)
-    p_stats.add_argument("--workers", type=_workers, default=1)
-    add_io(p_stats, sequences.StatsTable, _stats)
-
-    p_oeis = sub.add_parser("oeis-check", help="compare a generator to a b-file")
-    p_oeis.add_argument("--bfile", required=True, help="path to the b-file")
-    p_oeis.add_argument("--generator", required=True, choices=sorted(oeis.GENERATORS))
-    p_oeis.add_argument("--count", type=int, default=10_000)
-    add_io(p_oeis, verify.TheoremReport, _oeis)
-
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            result_type = add_args(p)
+            p.add_argument("--format", default="text",
+                           choices=emit_mod.formats(result_type))
+            p.add_argument("--output", default=None,
+                           help="write to this path instead of stdout")
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -149,7 +193,10 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
     The namespace's ``handler`` runs its command and returns the result with
     the exit status.  COLLATZ_LAB_WORKERS, when set, replaces ``workers``.
     """
-    parser = _build_parser()
+    # The top-level parser takes no option values, so its first positional
+    # argument is the command.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _build_parser(command if command in _COMMANDS else None)
     ns = parser.parse_args(argv)
     env_workers = os.environ.get("COLLATZ_LAB_WORKERS")
     if env_workers is not None:

@@ -2,7 +2,8 @@
 
 JSON carries every integer as a decimal string so consumers never face
 precision loss on large orbit elements; field order is fixed.  CSV holds the
-tabular heart of a result (trace steps, stats rows, report violations).
+tabular heart of a result (trace steps, stats rows, report violations and
+budget-exhausted inputs).
 DOT exists only for trees.  All emitted bytes are deterministic functions of
 the result object: wall-clock time is deliberately absent.
 """
@@ -11,12 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from collatz_lab.errors import ConfigurationError
-from collatz_lab.reverse_tree import WZTree
-from collatz_lab.sequences import StatsTable, Trace
-from collatz_lab.verify import TheoremReport
+
+if TYPE_CHECKING:
+    from collatz_lab.reverse_tree import WZTree
+    from collatz_lab.sequences import StatsTable, Trace
+    from collatz_lab.verify import TheoremReport
 
 FORMATS = ("json", "csv", "dot", "text")
 
@@ -69,6 +72,8 @@ def _report_json(result: TheoremReport) -> dict:
 def _report_csv(result: TheoremReport):
     yield ("input", "detail")
     yield from result.violations
+    for n in result.budget_exhausted:
+        yield (n, "budget exhausted")
 
 
 def _report_text(result: TheoremReport) -> list[str]:
@@ -187,30 +192,30 @@ def _tree_text(result: WZTree) -> list[str]:
     return lines
 
 
-#: Per result type, the formats it can be written in, "text" first: json
-#: builds a dict, csv yields the header row and then the data rows, text and
-#: dot return lines.  DOT exists only for trees and CSV for all but trees.
-_WRITERS: dict[type, dict[str, Callable]] = {
-    Trace: {"text": _trace_text, "json": _trace_json, "csv": _trace_csv},
-    TheoremReport: {"text": _report_text, "json": _report_json, "csv": _report_csv},
-    StatsTable: {"text": _stats_text, "json": _stats_json, "csv": _stats_csv},
-    WZTree: {"text": _tree_text, "json": _tree_json, "dot": _tree_dot},
+#: Per result class name, the formats it can be written in, "text" first:
+#: json builds a dict, csv yields the header row and then the data rows, text
+#: and dot return lines.  DOT exists only for trees and CSV for all but trees.
+#: Keyed by name so that emit imports none of the result modules.
+_WRITERS: dict[str, dict[str, Callable]] = {
+    "Trace": {"text": _trace_text, "json": _trace_json, "csv": _trace_csv},
+    "TheoremReport": {"text": _report_text, "json": _report_json, "csv": _report_csv},
+    "StatsTable": {"text": _stats_text, "json": _stats_json, "csv": _stats_csv},
+    "WZTree": {"text": _tree_text, "json": _tree_json, "dot": _tree_dot},
 }
 
 
 def formats(result_type: type) -> tuple[str, ...]:
     """The formats a result type can be written in, "text" first."""
-    return tuple(_WRITERS[result_type])
+    return tuple(_WRITERS[result_type.__name__])
 
 
 def _writer(result, fmt: str) -> Callable:
-    by_format = _WRITERS.get(type(result))
+    name = type(result).__name__
+    by_format = _WRITERS.get(name)
     if by_format is None:
-        raise ConfigurationError(f"cannot serialize {type(result).__name__}")
+        raise ConfigurationError(f"cannot serialize {name}")
     if fmt not in by_format:
-        raise ConfigurationError(
-            f"{fmt} format not valid for {type(result).__name__}"
-        )
+        raise ConfigurationError(f"{fmt} format not valid for {name}")
     return by_format[fmt]
 
 

@@ -16,6 +16,9 @@ except ImportError:
 
 BACKEND = "pure-python" if _impl is _pure else "compiled"
 
+#: Default step budget for orbit walks: the checkers' and the CLI's --budget.
+DEFAULT_BUDGET = 100_000
+
 ruler = _impl.ruler
 interleave_p = _impl.interleave_p
 shifted_ruler_q = _impl.shifted_ruler_q

@@ -9,7 +9,6 @@ more processes than there are CPUs or spans, and gets four spans per process.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def split_range(lo: int, hi: int, chunk: int) -> list[tuple[int, int]]:
@@ -35,6 +34,9 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     spans = split_range(lo, hi, chunk)
     if len(spans) == 1:
         return [fn(lo, hi, *args)]
+    # Loads concurrent.futures.process and multiprocessing: paid only here.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(pool_size, len(spans))) as pool:
         futures = [pool.submit(fn, a, b, *args) for a, b in spans]
         return [f.result() for f in futures]

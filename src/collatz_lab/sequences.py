@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from collatz_lab import kernels
 from collatz_lab.errors import ConfigurationError, DomainError, require_int
@@ -94,8 +95,7 @@ class Trace:
     stopping_time: int | None
 
 
-@dataclass(frozen=True)
-class StatsRow:
+class StatsRow(NamedTuple):
     """Orbit lengths down to 1 for one start; None where the budget ran out."""
 
     n: int

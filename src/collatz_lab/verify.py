@@ -14,19 +14,14 @@ statement, so its findings are reported without affecting exit status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from collatz_lab import kernels
 from collatz_lab.errors import ConfigurationError, require_int
-from collatz_lab.reverse_tree import reverse_affine_step
-from collatz_lab.sequences import mapt_even_step, mapt_odd_step
+from collatz_lab.kernels import DEFAULT_BUDGET
 
 #: Default violation-list cap; the total count is always kept.
 DEFAULT_VIOLATION_CAP = 32
-
-#: Default step budget for checkers that trace orbits.
-DEFAULT_BUDGET = 100_000
 
 
 class Violation(NamedTuple):
@@ -34,8 +29,7 @@ class Violation(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     theorem_id: str
     lo: int
     hi: int
@@ -185,6 +179,8 @@ def _span_p3n(lo: int, hi: int, budget: int) -> ScanPart:
 def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
     """The two even-engine formulations agree, and both index maps agree
     with the accelerated step."""
+    from collatz_lab.sequences import mapt_even_step, mapt_odd_step
+
     violations = [
         (u, "pq and ruler forms disagree")
         for u in kernels.scan_emapt_forms(lo, hi)
@@ -203,6 +199,8 @@ def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
 def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
     """Exact linear and fixed-point identities for consecutive even pairs,
     plus round-trip through the inverse affine step."""
+    from collatz_lab.reverse_tree import reverse_affine_step
+
     violations = []
     seeds = range(lo + (2 - lo) % 6, hi + 1, 6)   # u = 2 mod 6
     for u in seeds:
@@ -243,8 +241,7 @@ def _span_conjecture_emapt(lo: int, hi: int, budget: int) -> ScanPart:
     return hi - lo + 1, [], exhausted
 
 
-@dataclass(frozen=True)
-class CheckerSpec:
+class CheckerSpec(NamedTuple):
     span: Callable[[int, int, int], ScanPart]
     min_lo: int
     observational: bool = False

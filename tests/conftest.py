@@ -7,9 +7,9 @@ import sysconfig
 
 import pytest
 
-# Imports the package, and so `kernels`, before `fast` can load the compiled
-# module: loaded first, its half-initialised self is what `kernels` would see.
-from collatz_lab import _pure
+# Imports `kernels` before `fast` can load the compiled module: loaded first,
+# its half-initialised self is what `kernels` would see.
+from collatz_lab import _pure, kernels  # noqa: F401
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"

@@ -1,5 +1,6 @@
 """CLI parsing, dispatch, output formats, exit codes, and doc examples."""
 
+import importlib
 import io
 import json
 import os
@@ -7,9 +8,11 @@ import pathlib
 import shlex
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import collatz_lab
 from collatz_lab import cli, emit, oeis, parallel, reverse_tree, sequences, verify
 from collatz_lab.errors import ConfigurationError
 from collatz_lab.cli import main, parse_cli
@@ -227,6 +230,19 @@ def test_verify_max_violations_caps_listing(monkeypatch, capsys):
     assert out == "input,detail\n1,synthetic\n2,synthetic\n3,synthetic\n"
 
 
+def test_verify_csv_lists_exhausted_inputs(capsys):
+    assert main(["verify", "--theorem", "conjecture-apt", "--lo", "1", "--hi", "9",
+                 "--budget", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "input,detail\n"
+        "3,budget exhausted\n"
+        "5,budget exhausted\n"
+        "6,budget exhausted\n"
+        "7,budget exhausted\n"
+        "9,budget exhausted\n"
+    )
+
+
 # --- tree ---------------------------------------------------------------------
 
 
@@ -442,6 +458,69 @@ def test_cli_reaches_benchmark_hooks(command, monkeypatch, data_dir):
         argv = argv + ["--bfile", str(data_dir / "b001511.txt")]
     assert main(argv) == 0
     assert set(calls) == expected | {"emit.emit"}
+
+
+# --- imports and exports --------------------------------------------------------
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The names in sys.modules after code runs in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "COLLATZ_LAB_WORKERS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def _cli_code(argv: list[str]) -> str:
+    return (
+        "import contextlib, io\n"
+        "from collatz_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+
+
+POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+
+# What each run must not load: a command imports only its own modules, and
+# the pool's modules load only when a pool starts.
+IMPORT_BUDGETS = {
+    "trace": (_cli_code(["trace", "--kind", "A", "--start", "7"]),
+              {"collatz_lab.verify", "collatz_lab.reverse_tree", "collatz_lab.oeis",
+               "fractions"}),
+    "tree": (_cli_code(["tree", "--candidates", "20"]),
+             {"collatz_lab.sequences", "collatz_lab.verify"}),
+    "verify": (_cli_code(["verify", "--theorem", "p3n", "--lo", "0", "--hi", "99",
+                          "--workers", "1"]),
+               POOL_MODULES),
+    "stats": (_cli_code(["stats", "--lo", "1", "--hi", "50"]), POOL_MODULES),
+    "kernels": ("import collatz_lab.kernels",
+                {"collatz_lab.reverse_tree", "collatz_lab.verify", "collatz_lab.oeis",
+                 "fractions"}),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_BUDGETS)
+def test_run_imports_only_what_it_needs(case):
+    code, absent = IMPORT_BUDGETS[case]
+    assert absent & _loaded_modules(code) == set()
+
+
+def test_package_exports_resolve_to_their_home_objects():
+    for name in collatz_lab.__all__:
+        home = importlib.import_module(f"collatz_lab.{collatz_lab._HOME[name]}")
+        assert getattr(collatz_lab, name) is getattr(home, name), name
+    namespace: dict = {}
+    exec("from collatz_lab import *", namespace)
+    for name in collatz_lab.__all__:
+        assert namespace[name] is getattr(collatz_lab, name), name
+    assert collatz_lab.BACKEND in ("pure-python", "compiled")
+    with pytest.raises(AttributeError):
+        collatz_lab.no_such_export
+    assert not hasattr(collatz_lab, "no_such_export")
 
 
 # --- documentation examples -----------------------------------------------------

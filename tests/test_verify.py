@@ -1,5 +1,6 @@
 """Range checkers: clean sweeps, determinism, caps, and the OEIS path."""
 
+import concurrent.futures
 from concurrent.futures import Future
 
 import pytest
@@ -247,8 +248,9 @@ def _span_items(lo, hi):
 def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
     sizes, spans = [], []
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    # run_chunked imports the pool class from concurrent.futures when it starts one.
     monkeypatch.setattr(
-        parallel,
+        concurrent.futures,
         "ProcessPoolExecutor",
         lambda max_workers: _RecordingPool(sizes, spans, max_workers),
     )
