@@ -1,23 +1,5 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-# The extension is optional: the package falls back to the pure-Python
-# kernels in collatz_lab._pure when the compiled module is absent.
-extensions = [
-    Extension(
-        "collatz_lab._fast",
-        sources=["src/collatz_lab/_fast.pyx"],
-        extra_compile_args=["-O3"],
-        optional=True,
-    )
-]
-
-setup(
-    ext_modules=cythonize(extensions, compiler_directives={"language_level": "3"})
-    if cythonize is not None
-    else [],
-)
+# The compiled kernels are built only on request (README "Install"); the
+# package runs on the pure-Python kernels in collatz_lab._pure without them.
+setup()

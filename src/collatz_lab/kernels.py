@@ -32,8 +32,8 @@ covering_chain = _impl.covering_chain
 apt_stopping = _impl.apt_stopping
 emapt_stopping = _impl.emapt_stopping
 # The pure block walk on both backends: the compiled module has no twin, and
-# near 8.5e6 the walk (about 2.8 us per start) already beats the compiled
-# literal covering_chain (about 3.7 us); see benchmarks/bench_kernels.py.
+# near 8.5e6 the walk (about 2.7 us per start) already beats the compiled
+# literal covering_chain (about 4.1 us); see benchmarks/bench_kernels.py.
 orbit_lengths = _pure.orbit_lengths
 scan_index_reps = _impl.scan_index_reps
 scan_ruler_identities = _impl.scan_ruler_identities

@@ -2,18 +2,17 @@ import importlib.util
 import pathlib
 import shutil
 import subprocess
-import sys
 import sysconfig
 
 import pytest
 
-# Imports `kernels` before `fast` can load the compiled module: loaded first,
-# its half-initialised self is what `kernels` would see.
-from collatz_lab import _pure, kernels  # noqa: F401
+from collatz_lab import _pure
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
 FAST_SOURCE = TESTS_DIR.parent / "src" / "collatz_lab" / "_fast.c"
+#: The flags of the build line in README "Install"; a C warning is an error.
+GCC_FLAGS = ["-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
 
 
 @pytest.fixture
@@ -25,11 +24,10 @@ def data_dir() -> pathlib.Path:
 def fast(tmp_path_factory):
     """The compiled kernels, built from the committed C source into a temp dir.
 
-    Loaded as ``collatz_lab._fast`` after the package itself, so `kernels`
-    has already chosen its backend and keeps it.  The module registers itself
-    in ``sys.modules`` while it initialises; that entry is removed again.
-    Skips only when gcc or Python.h is missing; a failed compile fails the
-    tests that use it.
+    Built with README's gcc line and loaded as ``collatz_lab._fast`` without
+    entering ``sys.modules``, so `kernels` keeps the backend it finds in the
+    package, whenever it is imported.  Skips only when gcc or Python.h is
+    missing; a failed compile, or a warning, fails the tests that use it.
     """
     gcc = shutil.which("gcc")
     include = pathlib.Path(sysconfig.get_paths()["include"])
@@ -39,7 +37,7 @@ def fast(tmp_path_factory):
         "_fast" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     proc = subprocess.run(
-        [gcc, "-O1", "-shared", "-fPIC", f"-I{include}", str(FAST_SOURCE), "-o", str(target)],
+        [gcc, *GCC_FLAGS, f"-I{include}", str(FAST_SOURCE), "-o", str(target)],
         capture_output=True,
         text=True,
     )
@@ -48,7 +46,6 @@ def fast(tmp_path_factory):
     spec = importlib.util.spec_from_file_location("collatz_lab._fast", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules.pop(spec.name, None)
     return module
 
 

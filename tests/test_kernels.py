@@ -2,27 +2,40 @@
 
 The compiled kernels take uint64 fast paths and fall back per call for
 anything larger, so the values around 2**63 / 2**64 are the interesting
-boundary; the random sweep crosses it on purpose.  The ``fast`` fixture
-(tests/conftest.py) builds the compiled module from its committed C source,
-and ``impl`` runs a test on each backend in turn.  The stopping counters are
-checked on both backends against literal loops in tests/test_stopping.py.
+boundary; the random sweep crosses it on purpose, and the scans and budgets
+below straddle each cutoff where the compiled module hands a call to
+`_pure`.  The ``fast`` fixture (tests/conftest.py) builds the compiled module
+from its committed C source with README's gcc line, and ``impl`` runs a test
+on each backend in turn.  The stopping counters are checked on both backends
+against literal loops in tests/test_stopping.py.
 """
 
 import inspect
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
+from conftest import GCC_FLAGS
+
+U64_MAX = 2**64 - 1
+SAFE_N = 2**62                 # the index scans' fast path stays below this
+SAFE3 = (2**64 - 2) // 3       # 3n + 1 fits for n up to this
 
 BOUNDARY = [
     1, 2, 3, 63, 64, 65,
     2**31 - 1, 2**32, 2**62 - 1, 2**62, 2**63 - 1, 2**63,
+    SAFE3 - 1, SAFE3, SAFE3 + 1,
     2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1,
     3**40, 3**50, 2**200 - 1, 2**200,
 ]
+
+#: Budgets below, at and past the long long range the compiled module takes.
+BIG_BUDGETS = (2**63 - 1, 2**63, 2**64, -(2**63) - 1)
 
 rng = random.Random(20260814)
 RANDOMS = [rng.randrange(1, 2**70) for _ in range(400)]
@@ -50,9 +63,35 @@ def test_scalars_agree(fast, name, valid):
         assert fast_fn(n) == pure_fn(n), f"{name}({n})"
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:   # the exception type is the result to compare
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ["ruler", "odd_part", "apt_step", "emapt_step_ruler"])
+def test_zero_matches_pure(impl, name):
+    # ctz(0) has no answer; the compiled kernels must not loop on it.
+    assert _outcome(getattr(impl, name), 0) == _outcome(getattr(_pure, name), 0)
+
+
 def test_covering_chain_agrees(fast):
     for n in list(range(1, 500)) + [2**63 - 1, 2**64 + 5, 3**45]:
-        assert fast.covering_chain(n, 100_000) == _pure.covering_chain(n, 100_000)
+        for budget in (100_000, *BIG_BUDGETS):
+            assert fast.covering_chain(n, budget) == _pure.covering_chain(
+                n, budget
+            ), f"covering_chain({n}, {budget})"
+
+
+def test_stopping_agrees_at_big_budgets(fast):
+    for n in list(range(1, 500)) + BOUNDARY:
+        for budget in BIG_BUDGETS:
+            assert fast.apt_stopping(n, budget) == _pure.apt_stopping(n, budget)
+            if n % 2 == 0:
+                assert fast.emapt_stopping(n, budget) == _pure.emapt_stopping(
+                    n, budget
+                ), f"emapt_stopping({n}, {budget})"
 
 
 def test_covering_chain_budget_sentinels_agree(fast):
@@ -75,6 +114,20 @@ def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):
             ), f"orbit_lengths({n}, {budget})"
 
 
+def _around(cutoff):
+    return [(cutoff - 64, cutoff - 1), (cutoff - 64, cutoff + 64), (cutoff, cutoff + 64)]
+
+
+#: Windows on each side of the cutoff where a scan hands its range to `_pure`.
+CUTOFF_WINDOWS = {
+    "scan_index_reps": _around(SAFE_N),
+    "scan_ruler_identities": _around(SAFE_N),
+    "scan_p3n": _around(SAFE3),
+    "scan_x_residues": _around(SAFE3) + [(U64_MAX - 64, U64_MAX)],
+    "scan_emapt_forms": _around(U64_MAX - 1),
+}
+
+
 @pytest.mark.parametrize(
     "name,lo",
     [
@@ -86,7 +139,11 @@ def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):
     ],
 )
 def test_scans_agree(fast, name, lo):
-    assert getattr(fast, name)(lo, 3000) == getattr(_pure, name)(lo, 3000)
+    # Plus, for every scan, a window past 2**64 and an empty range whose lo is
+    # 2**64 - 1 (rounding that up to even must not wrap).
+    windows = [(lo, 3000), *CUTOFF_WINDOWS[name], (U64_MAX - 64, U64_MAX + 64), (U64_MAX, 5)]
+    for a, b in windows:
+        assert getattr(fast, name)(a, b) == getattr(_pure, name)(a, b), (a, b)
 
 
 @given(st.integers(min_value=1, max_value=10**40))
@@ -114,3 +171,10 @@ def test_every_pure_kernel_has_a_compiled_twin(fast):
     assert {"apt_stopping", "covering_chain", "scan_p3n"} <= names
     assert sorted(n for n in names - {"orbit_lengths"} if not hasattr(fast, n)) == []
     assert sorted(n for n in names if not hasattr(kernels, n)) == []
+    # Loading the fixture's build must not make it the package's backend.
+    assert sys.modules.get("collatz_lab._fast") is not fast
+
+
+def test_readme_gives_the_fixtures_build_line():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "gcc " + " ".join(GCC_FLAGS) + " $(python3-config --includes)" in readme
