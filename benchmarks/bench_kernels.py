@@ -7,6 +7,8 @@ The stats row times the pure `orbit_lengths` block walk against the compiled
 literal `covering_chain` (about 2.7 against 4.1 us per start, medians of 5
 runs on 2 vCPUs), which is why `kernels` binds the pure walk on both
 backends.
+The span rows time the checker span kernels on windows from 8.5e6 at the
+sizes the benchmark's `checkers` workload gives each checker.
 Sizes are chosen so the pure backend finishes in a few seconds; pass
 --scale N to multiply every workload size by N.
 
@@ -57,6 +59,14 @@ def bench_stats_lengths(mod, n):
         lengths(k, 100_000)
 
 
+def bench_span(name, budgeted):
+    def run(mod, n):
+        span = getattr(mod, name)
+        lo, hi = 8_500_000, 8_500_000 + n - 1
+        return span(lo, hi, 100_000) if budgeted else span(lo, hi)
+    return run
+
+
 WORKLOADS = [
     ("scalar sweep (ruler+p+apt)", bench_scalar_sweep, 200_000),
     ("covering_chain", bench_covering, 20_000),
@@ -69,6 +79,10 @@ WORKLOADS = [
     ("scan_p3n", lambda m, n: m.scan_p3n(0, n), 1_000_000),
     ("scan_x_residues", lambda m, n: m.scan_x_residues(0, n), 200_000),
     ("scan_emapt_forms", lambda m, n: m.scan_emapt_forms(2, n), 200_000),
+    ("span_u_residues from 8.5e6", bench_span("span_u_residues", True), 25_000),
+    ("span_u_residues_odd from 8.5e6", bench_span("span_u_residues_odd", True), 25_000),
+    ("span_parity_runs from 8.5e6", bench_span("span_parity_runs", False), 100_000),
+    ("span_dual_forms from 8.5e6", bench_span("span_dual_forms", False), 100_000),
 ]
 
 

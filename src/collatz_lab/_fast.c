@@ -6,16 +6,20 @@
    Every kernel runs a fixed-width uint64 fast path and calls the _pure
    function of the same name, with the caller's arguments, whenever a value
    might not fit: an argument that is negative or >= 2^64, a budget outside
-   long long, a product that would pass 2^64 mid-orbit (the whole count then
-   restarts in _pure), or a zero that ctz would see.  Only OverflowError is
-   taken as "does not fit"; any other conversion error propagates.  So every
-   result equals _pure's on the kernels' domain, which is all the checked
-   public API passes; outside it (emapt_stopping of an odd u, say) the two
-   may differ.
+   long long, a product that would pass 2^64 mid-orbit (the whole count, or
+   the whole checker span, then restarts in _pure), or a zero that ctz would
+   see.  Arguments below a kernel's domain (the even step of u < 2, the odd
+   step of 0, an even-only count from an odd u, a span starting below its
+   checker's first element) go to _pure too, which raises ValueError or
+   gives the value of its own formula.  Only OverflowError is taken as "does
+   not fit"; any other conversion error propagates.  So every result equals
+   _pure's.
 
    The stopping counters and covering_chain are literal loops, one parity
    run (or one step) at a time, not block jumps, so comparing them with
-   _pure's block walk tests the Terras and (R + 1) / 2 identities. */
+   _pure's block walk tests the Terras and (R + 1) / 2 identities.  The
+   checker spans at the end are _pure's span_* loops on uint64, with the
+   step helpers below in place of the inlined formulas. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -98,6 +102,8 @@ static inline int apt_u64(u64 v, u64 *out)
 
 static inline int emapt_pq_u64(u64 u, u64 *out)
 {
+    if (u < 2)
+        return 0;
     u64 m = p_u64((u - 2) >> 1);
     u64 k = mul_pow3(2 * p_u64(m) + 1, q_u64(m));
     *out = k - 1;
@@ -113,6 +119,8 @@ static inline int emapt_ruler_u64(u64 u, u64 *out)
 
 static inline int omapt_u64(u64 v, u64 *out)
 {
+    if (v == 0)
+        return 0;
     u64 m = (v - 1) >> 1;
     u64 k = mul_pow3(2 * p_u64(m) + 1, q_u64(m));
     *out = 2 * p_u64((k - 3) >> 1) + 1;
@@ -187,12 +195,12 @@ static int to_ll(PyObject *o, long long *v)
     return fitted(*v == -1 && PyErr_Occurred());
 }
 
-static int two_args(const char *name, Py_ssize_t nargs)
+static int n_args(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
-    if (nargs == 2)
+    if (nargs == want)
         return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes exactly 2 arguments (%zd given)",
-                 name, nargs);
+    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
+                 name, want, nargs);
     return -1;
 }
 
@@ -200,7 +208,7 @@ static int two_args(const char *name, Py_ssize_t nargs)
 static int orbit_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
                       u64 *n, long long *budget)
 {
-    if (two_args(name, nargs) < 0)
+    if (n_args(name, nargs, 2) < 0)
         return -1;
     int fits = to_u64(args[0], n);
     return fits <= 0 ? fits : to_ll(args[1], budget);
@@ -210,10 +218,22 @@ static int orbit_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
 static int range_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
                       u64 *lo, u64 *hi)
 {
-    if (two_args(name, nargs) < 0)
+    if (n_args(name, nargs, 2) < 0)
         return -1;
     int fits = to_u64(args[0], lo);
     return fits <= 0 ? fits : to_u64(args[1], hi);
+}
+
+/* (lo, hi, budget), likewise. */
+static int span_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
+                     u64 *lo, u64 *hi, long long *budget)
+{
+    if (n_args(name, nargs, 3) < 0)
+        return -1;
+    int fits = to_u64(args[0], lo);
+    if (fits > 0)
+        fits = to_u64(args[1], hi);
+    return fits <= 0 ? fits : to_ll(args[2], budget);
 }
 
 /* --- one-argument kernels -------------------------------------------------- */
@@ -353,7 +373,9 @@ static PyObject *emapt_stopping(PyObject *Py_UNUSED(self), PyObject *const *args
     int fits = orbit_args("emapt_stopping", args, nargs, &u, &budget);
     if (fits < 0)
         return NULL;
-    if (fits && (steps = stopping(u, 2, budget, emapt_pq_u64)) != -2)
+    /* An odd u: _pure counts (R + 1) / 2 of its runs, not its pq steps. */
+    if (fits && (u & 1) == 0
+        && (steps = stopping(u, 2, budget, emapt_pq_u64)) != -2)
         return PyLong_FromLongLong(steps);
     return pure_call("emapt_stopping", args, nargs);
 }
@@ -457,10 +479,264 @@ SCAN(scan_x_residues, 0, lo, 1, x_residue_bad)
 SCAN(scan_emapt_forms, hi >= U64_MAX - 1,
      lo < 2 ? 2 : lo + ((lo & 1) && lo <= hi), 2, emapt_forms_bad)
 
+/* --- checker spans; each returns (checked, violations, exhausted) -------- */
+
+/* A span's violations, as (input, detail) pairs, and its exhausted inputs. */
+typedef struct {
+    PyObject *violations, *exhausted;
+} Findings;
+
+static void findings_clear(Findings *f)
+{
+    Py_CLEAR(f->violations);
+    Py_CLEAR(f->exhausted);
+}
+
+static int findings_init(Findings *f)
+{
+    f->violations = PyList_New(0);
+    f->exhausted = PyList_New(0);
+    if (f->violations && f->exhausted)
+        return 0;
+    findings_clear(f);
+    return -1;
+}
+
+/* Appends (n, detail) to the violations and drops detail; -1 on error. */
+static int violation(Findings *f, u64 n, PyObject *detail)
+{
+    PyObject *key = PyLong_FromUnsignedLongLong(n);
+    PyObject *item = key && detail ? PyTuple_Pack(2, key, detail) : NULL;
+    Py_XDECREF(key);
+    Py_XDECREF(detail);
+    int failed = item == NULL || PyList_Append(f->violations, item) < 0;
+    Py_XDECREF(item);
+    return failed ? -1 : 0;
+}
+
+static int exhausted(Findings *f, u64 n)
+{
+    PyObject *key = PyLong_FromUnsignedLongLong(n);
+    int failed = key == NULL || PyList_Append(f->exhausted, key) < 0;
+    Py_XDECREF(key);
+    return failed ? -1 : 0;
+}
+
+/* The span's (checked, violations, exhausted); clears f. */
+static PyObject *findings_result(Findings *f, u64 checked)
+{
+    PyObject *result = Py_BuildValue("(KOO)", (unsigned long long)checked,
+                                     f->violations, f->exhausted);
+    findings_clear(f);
+    return result;
+}
+
+/* Every span takes _pure's path for arguments that do not fit, a first
+   element outside the checker's domain (where _pure raises), an empty span,
+   and a hi so close to 2^64 that stepping past it would wrap. */
+
+/* How the pq-form walk of a u-residues seed ends. */
+enum { REACHED_2, EXHAUSTED, NOT_2_MOD_6, NOT_2_OR_8_MOD_18, NO_FIT };
+
+/* Walks *x under the pq form for at most budget steps, leaving the last
+   image in *x.  Each image must be 2 mod 6 when mod6 is set, and 2 or 8
+   mod 18 from image from18 on. */
+static int residue_walk(u64 *x, long long budget, int mod6, long long from18)
+{
+    for (long long step = 1; step <= budget; step++) {
+        if (*x == 2)
+            return REACHED_2;
+        if (!emapt_pq_u64(*x, x))
+            return NO_FIT;
+        if (mod6 && *x % 6 != 2)
+            return NOT_2_MOD_6;
+        if (step >= from18 && *x % 18 != 2 && *x % 18 != 8)
+            return NOT_2_OR_8_MOD_18;
+    }
+    return *x == 2 ? REACHED_2 : EXHAUSTED;
+}
+
+/* Records how seed's walk ended at image x; -1 on error. */
+static int record_walk(Findings *f, u64 seed, int end, u64 x)
+{
+    unsigned long long image = x;
+    if (end == EXHAUSTED)
+        return exhausted(f, seed);
+    if (end == NOT_2_MOD_6)
+        return violation(f, seed, PyUnicode_FromFormat(
+                             "element %llu is not 2 mod 6", image));
+    if (end == NOT_2_OR_8_MOD_18)
+        return violation(f, seed, PyUnicode_FromFormat(
+                             "element %llu is not 2 or 8 mod 18", image));
+    return 0;
+}
+
+static PyObject *span_u_residues(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    u64 lo, hi;
+    long long budget;
+    int fits = span_args("span_u_residues", args, nargs, &lo, &hi, &budget);
+    if (fits < 0)
+        return NULL;
+    u64 first = lo + (lo & 1);
+    if (!fits || first < 2 || first > hi || hi > U64_MAX - 2)
+        return pure_call("span_u_residues", args, nargs);
+    Findings f;
+    if (findings_init(&f) < 0)
+        return NULL;
+    for (u64 u = first; u <= hi; u += 2) {
+        u64 x = u;
+        int end = residue_walk(&x, budget, 1, 2);
+        if (end == NO_FIT)
+            goto overflow;
+        if (record_walk(&f, u, end, x) < 0)
+            goto fail;
+    }
+    return findings_result(&f, (hi - first) / 2 + 1);
+overflow:   /* a value did not fit: the whole span again in _pure */
+    findings_clear(&f);
+    return pure_call("span_u_residues", args, nargs);
+fail:
+    findings_clear(&f);
+    return NULL;
+}
+
+/* One ruler-form step from each odd seed, then the pq form. */
+static PyObject *span_u_residues_odd(PyObject *Py_UNUSED(self),
+                                     PyObject *const *args, Py_ssize_t nargs)
+{
+    u64 lo, hi;
+    long long budget;
+    int fits = span_args("span_u_residues_odd", args, nargs, &lo, &hi, &budget);
+    if (fits < 0)
+        return NULL;
+    u64 first = lo | 1;
+    if (!fits || first > hi || hi > U64_MAX - 2)
+        return pure_call("span_u_residues_odd", args, nargs);
+    Findings f;
+    if (findings_init(&f) < 0)
+        return NULL;
+    for (u64 seed = first; seed <= hi; seed += 2) {
+        u64 x;
+        if (!emapt_ruler_u64(seed, &x))
+            goto overflow;
+        int end = residue_walk(&x, budget, 0, 1);
+        if (end == NO_FIT)
+            goto overflow;
+        if (record_walk(&f, seed, end, x) < 0)
+            goto fail;
+    }
+    return findings_result(&f, (hi - first) / 2 + 1);
+overflow:   /* a value did not fit: the whole span again in _pure */
+    findings_clear(&f);
+    return pure_call("span_u_residues_odd", args, nargs);
+fail:
+    findings_clear(&f);
+    return NULL;
+}
+
+/* The literal parity run from n against its closed-form length and apt_step. */
+static PyObject *span_parity_runs(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                  Py_ssize_t nargs)
+{
+    u64 lo, hi;
+    int fits = range_args("span_parity_runs", args, nargs, &lo, &hi);
+    if (fits < 0)
+        return NULL;
+    if (!fits || lo < 1 || lo > hi || hi > U64_MAX - 2)
+        return pure_call("span_parity_runs", args, nargs);
+    Findings f;
+    if (findings_init(&f) < 0)
+        return NULL;
+    for (u64 n = lo; n <= hi; n++) {
+        u64 x = n, landing;
+        int run = 0, expected;
+        if ((n & 1) == 0) {
+            for (; (x & 1) == 0; run++)
+                x >>= 1;
+            expected = ctz(n >> 1) + 1;
+        } else {
+            for (; x & 1; run++)
+                if (!t_u64(x, &x))
+                    goto overflow;
+            expected = ctz((n + 1) >> 1) + 1;
+        }
+        if (!apt_u64(n, &landing))
+            goto overflow;
+        PyObject *detail = NULL;
+        if (run != expected)
+            detail = PyUnicode_FromFormat("run length %d, expected %d", run, expected);
+        else if (x != landing)
+            detail = PyUnicode_FromFormat("run lands on %llu, not the accelerated step",
+                                          (unsigned long long)x);
+        else
+            continue;
+        if (violation(&f, n, detail) < 0)
+            goto fail;
+    }
+    return findings_result(&f, hi - lo + 1);
+overflow:   /* a value did not fit: the whole span again in _pure */
+    findings_clear(&f);
+    return pure_call("span_parity_runs", args, nargs);
+fail:
+    findings_clear(&f);
+    return NULL;
+}
+
+/* scan_emapt_forms, then both index maps from p(n) and q(n) against apt_step.
+   Below SAFE_N the even value 2(n + 1) fits. */
+static PyObject *span_dual_forms(PyObject *Py_UNUSED(self), PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    u64 lo, hi;
+    int fits = range_args("span_dual_forms", args, nargs, &lo, &hi);
+    if (fits < 0)
+        return NULL;
+    if (!fits || lo > hi || hi >= SAFE_N)
+        return pure_call("span_dual_forms", args, nargs);
+    Findings f;
+    if (findings_init(&f) < 0)
+        return NULL;
+    u64 evens = lo < 2 ? 2 : lo + (lo & 1);
+    for (u64 u = evens; u <= hi; u += 2) {
+        int bad = emapt_forms_bad(u);
+        if (bad < 0 || (bad && violation(&f, u, PyUnicode_FromString(
+                                              "pq and ruler forms disagree")) < 0))
+            goto fail;
+    }
+    for (u64 n = lo; n <= hi; n++) {
+        u64 odd = 2 * p_u64(n) + 1, landing;
+        int q = q_u64(n);
+        u64 even = odd << q, succ = mul_pow3(odd, q);
+        if (succ == 0)
+            goto overflow;
+        if (!apt_u64(even, &landing))
+            goto overflow;
+        if (landing != odd
+            && violation(&f, n, PyUnicode_FromString(
+                             "even index map disagrees with accelerated step")) < 0)
+            goto fail;
+        if (!apt_u64(even - 1, &landing))
+            goto overflow;
+        if (landing != succ - 1
+            && violation(&f, n, PyUnicode_FromString(
+                             "odd index map disagrees with accelerated step")) < 0)
+            goto fail;
+    }
+    return findings_result(&f, (evens > hi ? 0 : (hi - evens) / 2 + 1) + hi - lo + 1);
+overflow:   /* a value did not fit: the whole span again in _pure */
+    findings_clear(&f);
+    return pure_call("span_dual_forms", args, nargs);
+fail:
+    findings_clear(&f);
+    return NULL;
+}
+
 /* --- module ---------------------------------------------------------------- */
 
 #define ONE(name) {#name, name, METH_O, NULL}
-#define TWO(name) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, NULL}
+#define MANY(name) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
     ONE(ruler),
@@ -472,14 +748,18 @@ static PyMethodDef methods[] = {
     ONE(emapt_step_ruler),
     ONE(omapt_step),
     ONE(x_step),
-    TWO(covering_chain),
-    TWO(apt_stopping),
-    TWO(emapt_stopping),
-    TWO(scan_index_reps),
-    TWO(scan_ruler_identities),
-    TWO(scan_p3n),
-    TWO(scan_x_residues),
-    TWO(scan_emapt_forms),
+    MANY(covering_chain),
+    MANY(apt_stopping),
+    MANY(emapt_stopping),
+    MANY(scan_index_reps),
+    MANY(scan_ruler_identities),
+    MANY(scan_p3n),
+    MANY(scan_x_residues),
+    MANY(scan_emapt_forms),
+    MANY(span_u_residues),
+    MANY(span_u_residues_odd),
+    MANY(span_parity_runs),
+    MANY(span_dual_forms),
     {NULL, NULL, 0, NULL},
 };
 

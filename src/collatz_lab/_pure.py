@@ -6,8 +6,16 @@ imports; both modules expose the same functions, bar `orbit_lengths`,
 which has no compiled twin, and must agree on every input (the tests run
 the stopping and oracle suites on both).  Functions here
 assume validated arguments (the checked public surface lives in `arith`,
-`sequences` and `reverse_tree`); everything is plain-int arithmetic, so
-arbitrarily large values are handled natively.
+`sequences` and `reverse_tree`); a negative `interleave_p` argument or an
+orbit start below 1 raises ValueError rather than loop or index the
+tables.  Everything is plain-int arithmetic, so arbitrarily large values
+are handled natively.
+
+The checker spans at the end run a whole `verify` span in one call, with
+the step formulas written out inline so that no element pays a function
+call.  The standalone kernels above stay the reference for those formulas:
+the tests compare each span with the literal checker loop over them
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ def ruler(n):
 
 def interleave_p(n):
     # p(2n) = n, p(2n+1) = p(n): halve through the odd prefix, then once more.
+    if n < 0:   # -1 >> 1 is -1: the odd prefix of a negative n never ends
+        raise ValueError(f"interleave_p needs n >= 0, got {n}")
     while n & 1:
         n >>= 1
     return n >> 1
@@ -211,8 +221,10 @@ def orbit_lengths(n, budget):
     One block walk, k = 12 half-steps per table lookup, counts the parity
     runs, the T-steps and the odd T-steps.  Runs <= T-steps <= plain steps,
     so once the runs pass the budget every orbit has.  n = 1 gives (1, 1, 1)
-    whatever the budget.
+    whatever the budget; n < 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"orbits start at n >= 1, got {n}")
     blocks, runs_of, steps_of = _STOP_TABLES or _stop_tables()
     runs = steps = odd = 0
     last = ~n & 1   # so that n opens a run
@@ -313,3 +325,156 @@ def scan_emapt_forms(lo, hi):
         if emapt_step_pq(u) != emapt_step_ruler(u):
             bad.append(u)
     return bad
+
+
+# --- checker spans; each returns (checked, violations, exhausted) -----------
+#
+# Violations are (input, detail) pairs in input order.  Each loop is its
+# `verify` checker's, with the standalone kernels written out inline: p is
+# the literal recursion (halve through the odd prefix, then once more), never
+# the closed form (n + 1) >> q(n) that scan_index_reps checks, and q(n) is
+# ruler(n + 1).  A lo whose first element lies outside the checker's domain
+# raises ValueError, where the loop would never end.
+
+
+def span_u_residues(lo, hi, budget):
+    """Even seeds u in [lo, hi]: every even-engine image, in the pq form, is
+    2 mod 6, and 2 or 8 mod 18 from the second image on; a seed still short
+    of 2 after budget steps is exhausted.
+
+    The mod-18 refinement needs an input that is already 2 mod 6, so it
+    starts at the second image: seeds divisible by 6 have first images like
+    18 -> 14 that sit outside {2, 8} mod 18.
+    """
+    first = lo + (lo & 1)
+    if first < 2:
+        raise ValueError(f"even seeds start at 2, got lo = {lo}")
+    violations = []
+    exhausted = []
+    seeds = range(first, hi + 1, 2)
+    for u in seeds:
+        x = u
+        for step in range(1, budget + 1):
+            if x == 2:
+                break
+            # x = emapt_step_pq(x): m = p((x - 2) / 2), then (2 p(m) + 1) 3^q(m) - 1
+            n = (x - 2) >> 1
+            while n & 1:
+                n >>= 1
+            m = n = n >> 1
+            while n & 1:
+                n >>= 1
+            m += 1
+            x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
+            if x % 6 != 2:
+                violations.append((u, f"element {x} is not 2 mod 6"))
+                break
+            if step >= 2 and x % 18 not in (2, 8):
+                violations.append((u, f"element {x} is not 2 or 8 mod 18"))
+                break
+        else:
+            # The budget ran out with neither a violation nor an early 2.
+            if x != 2:
+                exhausted.append(u)
+    return len(seeds), violations, exhausted
+
+
+def span_u_residues_odd(lo, hi, budget):
+    """Odd seeds in [lo, hi]: one ruler-form step, then every pq-form image
+    is 2 or 8 mod 18; a seed still short of 2 after budget pq steps is
+    exhausted.  Observational: not a proved statement."""
+    first = lo | 1
+    if first < 1:
+        raise ValueError(f"odd seeds start at 1, got lo = {lo}")
+    violations = []
+    exhausted = []
+    seeds = range(first, hi + 1, 2)
+    for seed in seeds:
+        # x = emapt_step_ruler(seed): an odd seed is its own odd part, so one
+        # parity run, 3^e (seed + 1) / 2^e - 1 with 2^e exactly dividing seed + 1
+        m = seed + 1
+        e = (m & -m).bit_length() - 1
+        x = 3**e * (m >> e) - 1
+        for _ in range(budget):
+            if x == 2:
+                break
+            # x = emapt_step_pq(x), as in span_u_residues
+            n = (x - 2) >> 1
+            while n & 1:
+                n >>= 1
+            m = n = n >> 1
+            while n & 1:
+                n >>= 1
+            m += 1
+            x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
+            if x % 18 not in (2, 8):
+                violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
+                break
+        else:
+            if x != 2:
+                exhausted.append(seed)
+    return len(seeds), violations, exhausted
+
+
+def span_parity_runs(lo, hi):
+    """n in [lo, hi]: the literal parity run from n has the closed-form
+    length, ruler(n / 2) halvings for even n and ruler((n + 1) / 2) odd
+    half-steps for odd n, and lands on apt_step(n)."""
+    if lo < 1:
+        raise ValueError(f"parity runs start at 1, got lo = {lo}")
+    violations = []
+    for n in range(lo, hi + 1):
+        x = n
+        run = 0
+        if n & 1 == 0:
+            # halving run in the plain orbit; apt_step is the odd part
+            while x & 1 == 0:
+                x >>= 1
+                run += 1
+            m = n >> 1
+            expected = (m & -m).bit_length()
+            landing = n >> ((n & -n).bit_length() - 1)
+        else:
+            # odd run in the half-step orbit; apt_step is 3^e (n + 1) / 2^e - 1
+            while x & 1:
+                x = (3 * x + 1) >> 1
+                run += 1
+            m = (n + 1) >> 1
+            expected = (m & -m).bit_length()
+            m = n + 1
+            e = (m & -m).bit_length() - 1
+            landing = 3**e * (m >> e) - 1
+        if run != expected:
+            violations.append((n, f"run length {run}, expected {expected}"))
+        elif x != landing:
+            violations.append((n, f"run lands on {x}, not the accelerated step"))
+    return hi - lo + 1, violations, []
+
+
+def span_dual_forms(lo, hi):
+    """The pq and ruler forms of the even step agree on even u in [lo, hi]
+    (scan_emapt_forms), and for each n in [lo, hi] both index maps built
+    from p(n) and q(n) agree with the ruler-form accelerated step: the even
+    value (2 p + 1) 2^q runs to its odd part 2 p + 1, and the odd value
+    (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
+    if lo < 0:
+        raise ValueError(f"index maps start at 0, got lo = {lo}")
+    violations = [(u, "pq and ruler forms disagree") for u in scan_emapt_forms(lo, hi)]
+    for n in range(lo, hi + 1):
+        p = n
+        while p & 1:
+            p >>= 1
+        odd = 2 * (p >> 1) + 1
+        m = n + 1
+        q = (m & -m).bit_length()
+        even = odd << q
+        # apt_step of both index values: 2^r exactly divides the even value
+        # and the odd one plus one, so the even value drops to even >> r and
+        # the odd one runs to 3^r (even >> r) - 1
+        r = (even & -even).bit_length() - 1
+        if odd != even >> r:
+            violations.append((n, "even index map disagrees with accelerated step"))
+        if odd * 3**q - 1 != 3**r * (even >> r) - 1:
+            violations.append((n, "odd index map disagrees with accelerated step"))
+    evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
+    return len(evens) + hi - lo + 1, violations, []

@@ -228,19 +228,75 @@ def to_jsonable(result) -> dict:
 #: sixteen writes, small enough that the document is never held as one string.
 _JSON_BATCH = 1 << 16
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str) -> str:
+    """json.dumps(value, indent=2) of a dict, list, str, bool or None, its
+    lines after the first indented by `indent` ("\n" and spaces)."""
+    if type(value) is str:
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
 
 def _write_json(out: dict, sink) -> None:
-    """json.dump(out, sink, indent=2) and a newline, the encoder's many small
-    chunks joined into writes of about _JSON_BATCH characters."""
+    """json.dump(out, sink, indent=2) and a newline, in writes of about
+    _JSON_BATCH characters.
+
+    The top-level dict and the lists and dicts directly inside it are walked
+    item by item, so no piece held at once is bigger than one of their items
+    (a stats row, a tree node, an orbit element); deeper values are encoded
+    whole.  The stdlib encoder cannot do this fast: with indent set, Python
+    3.11 runs its pure-Python iterencode.
+    """
     batch: list[str] = []
     size = 0
-    for chunk in json.JSONEncoder(indent=2).iterencode(out):
-        batch.append(chunk)
-        size += len(chunk)
+
+    def put(text: str) -> None:
+        nonlocal size
+        batch.append(text)
+        size += len(text)
         if size >= _JSON_BATCH:
             sink.write("".join(batch))
             batch.clear()
             size = 0
+
+    def walk(value, indent: str, depth: int) -> None:
+        if depth == 2 or type(value) not in (dict, list) or not value:
+            put(_json_text(value, indent))
+            return
+        inner = indent + "  "
+        if type(value) is dict:
+            items = ((_escape(k) + ": ", v) for k, v in value.items())
+            opener, closer = "{", "}"
+        else:
+            items = (("", v) for v in value)
+            opener, closer = "[", "]"
+        sep = opener + inner
+        for key, v in items:
+            put(sep + key)
+            walk(v, inner, depth + 1)
+            sep = "," + inner
+        put(indent + closer)
+
+    walk(out, "\n", 0)
     batch.append("\n")
     sink.write("".join(batch))
 

@@ -3,6 +3,11 @@
 One rule: the compiled kernels when the `collatz_lab._fast` extension
 imports, otherwise the pure-Python reference module.  `BACKEND` names the
 one that imported.
+
+The `span_*` kernels run a whole `verify` checker span in one call, with
+the step formulas inlined; the standalone step kernels stay the reference
+for those formulas, and the tests compare each span kernel, on both
+backends, with the literal checker loop over them.
 """
 
 from __future__ import annotations
@@ -40,3 +45,7 @@ scan_ruler_identities = _impl.scan_ruler_identities
 scan_p3n = _impl.scan_p3n
 scan_x_residues = _impl.scan_x_residues
 scan_emapt_forms = _impl.scan_emapt_forms
+span_u_residues = _impl.span_u_residues
+span_u_residues_odd = _impl.span_u_residues_odd
+span_parity_runs = _impl.span_parity_runs
+span_dual_forms = _impl.span_dual_forms

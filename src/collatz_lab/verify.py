@@ -68,6 +68,10 @@ def build_report(
 
 
 # --- span workers (top-level so process pools can pickle them) ---------------
+#
+# Four checkers run each span as one kernel call (parity-runs, u-residues,
+# u-residues-odd-starts, dual-forms); their functions here stay the CHECKERS
+# entries, so a span is still named after this module.
 
 
 def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
@@ -90,78 +94,17 @@ def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
 
 def _span_parity_runs(lo: int, hi: int, budget: int) -> ScanPart:
     """Observed parity-run lengths match the closed-form exponents."""
-    violations = []
-    for n in range(lo, hi + 1):
-        if n & 1 == 0:
-            # halving run in the plain orbit
-            x = n
-            run = 0
-            while x & 1 == 0:
-                x >>= 1
-                run += 1
-            expected = kernels.ruler(n >> 1)
-        else:
-            # odd run in the half-step orbit
-            x = n
-            run = 0
-            while x & 1:
-                x = (3 * x + 1) >> 1
-                run += 1
-            expected = kernels.ruler((n + 1) >> 1)
-        if run != expected:
-            violations.append((n, f"run length {run}, expected {expected}"))
-        elif x != kernels.apt_step(n):
-            violations.append((n, f"run lands on {x}, not the accelerated step"))
-    return hi - lo + 1, violations, []
+    return kernels.span_parity_runs(lo, hi)
 
 
 def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
     """Even-engine images are 2 mod 6, and 2 or 8 mod 18 past the first image."""
-    # The mod-18 refinement needs an input that is already 2 mod 6, so it
-    # starts at the second image: seeds divisible by 6 have first images
-    # like 18 -> 14 that sit outside {2, 8} mod 18.
-    violations = []
-    exhausted = []
-    seeds = range(lo + (lo & 1), hi + 1, 2)
-    for u in seeds:
-        x = u
-        for step in range(1, budget + 1):
-            if x == 2:
-                break
-            x = kernels.emapt_step_pq(x)
-            if x % 6 != 2:
-                violations.append((u, f"element {x} is not 2 mod 6"))
-                break
-            if step >= 2 and x % 18 not in (2, 8):
-                violations.append((u, f"element {x} is not 2 or 8 mod 18"))
-                break
-        else:
-            # The budget ran out with neither a violation nor an early 2.
-            if x != 2:
-                exhausted.append(u)
-    return len(seeds), violations, exhausted
+    return kernels.span_u_residues(lo, hi, budget)
 
 
 def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
     """Observational: odd seeds show the same mod-18 pattern past the first image."""
-    # Odd seeds: the ruler-form step applies once, then the even engine.
-    # Only elements beyond that first image are claimed to be 2 or 8 mod 18.
-    violations = []
-    exhausted = []
-    seeds = range(lo | 1, hi + 1, 2)
-    for seed in seeds:
-        x = kernels.emapt_step_ruler(seed)
-        for _ in range(budget):
-            if x == 2:
-                break
-            x = kernels.emapt_step_pq(x)
-            if x % 18 not in (2, 8):
-                violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
-                break
-        else:
-            if x != 2:
-                exhausted.append(seed)
-    return len(seeds), violations, exhausted
+    return kernels.span_u_residues_odd(lo, hi, budget)
 
 
 def _span_x_residues(lo: int, hi: int, budget: int) -> ScanPart:
@@ -179,21 +122,7 @@ def _span_p3n(lo: int, hi: int, budget: int) -> ScanPart:
 def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
     """The two even-engine formulations agree, and both index maps agree
     with the accelerated step."""
-    from collatz_lab.sequences import mapt_even_step, mapt_odd_step
-
-    violations = [
-        (u, "pq and ruler forms disagree")
-        for u in kernels.scan_emapt_forms(lo, hi)
-    ]
-    evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
-    for n in range(lo, hi + 1):
-        even, odd_succ = mapt_even_step(n)
-        if odd_succ != kernels.apt_step(even):
-            violations.append((n, "even index map disagrees with accelerated step"))
-        odd, even_succ = mapt_odd_step(n)
-        if even_succ != kernels.apt_step(odd):
-            violations.append((n, "odd index map disagrees with accelerated step"))
-    return len(evens) + hi - lo + 1, violations, []
+    return kernels.span_dual_forms(lo, hi)
 
 
 def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:

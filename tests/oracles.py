@@ -3,12 +3,20 @@
 Everything here is computed straight from defining recursions or by literal
 brute force, with no shortcuts shared with the package code.  Tests compare
 package output against these, so keep them slow and obvious.
+
+The checker-span references are the exception: they are the `verify`
+checker loops as they stood before the span kernels, one standalone `_pure`
+kernel call per step, so they share those kernels (which the tests check
+against the recursions above) but none of the kernels' inlined formulas.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+
+from collatz_lab import _pure
+from collatz_lab.sequences import mapt_even_step, mapt_odd_step
 
 
 def v2_by_division(n: int) -> int:
@@ -195,6 +203,89 @@ def compose_by_sequential_apply(z0, steps) -> Fraction:
     for alpha, beta in steps:
         z = affine_apply(z, alpha, beta)
     return z
+
+
+# --- checker spans: (checked, violations, exhausted) by the literal loops -----
+
+
+def u_residues_span(lo: int, hi: int, budget: int):
+    violations = []
+    exhausted = []
+    seeds = range(lo + (lo & 1), hi + 1, 2)
+    for u in seeds:
+        x = u
+        for step in range(1, budget + 1):
+            if x == 2:
+                break
+            x = _pure.emapt_step_pq(x)
+            if x % 6 != 2:
+                violations.append((u, f"element {x} is not 2 mod 6"))
+                break
+            if step >= 2 and x % 18 not in (2, 8):
+                violations.append((u, f"element {x} is not 2 or 8 mod 18"))
+                break
+        else:
+            if x != 2:
+                exhausted.append(u)
+    return len(seeds), violations, exhausted
+
+
+def u_residues_odd_span(lo: int, hi: int, budget: int):
+    violations = []
+    exhausted = []
+    seeds = range(lo | 1, hi + 1, 2)
+    for seed in seeds:
+        x = _pure.emapt_step_ruler(seed)
+        for _ in range(budget):
+            if x == 2:
+                break
+            x = _pure.emapt_step_pq(x)
+            if x % 18 not in (2, 8):
+                violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
+                break
+        else:
+            if x != 2:
+                exhausted.append(seed)
+    return len(seeds), violations, exhausted
+
+
+def parity_runs_span(lo: int, hi: int):
+    violations = []
+    for n in range(lo, hi + 1):
+        if n & 1 == 0:
+            x = n
+            run = 0
+            while x & 1 == 0:
+                x >>= 1
+                run += 1
+            expected = _pure.ruler(n >> 1)
+        else:
+            x = n
+            run = 0
+            while x & 1:
+                x = (3 * x + 1) >> 1
+                run += 1
+            expected = _pure.ruler((n + 1) >> 1)
+        if run != expected:
+            violations.append((n, f"run length {run}, expected {expected}"))
+        elif x != _pure.apt_step(n):
+            violations.append((n, f"run lands on {x}, not the accelerated step"))
+    return hi - lo + 1, violations, []
+
+
+def dual_forms_span(lo: int, hi: int):
+    violations = [
+        (u, "pq and ruler forms disagree") for u in _pure.scan_emapt_forms(lo, hi)
+    ]
+    evens = range(max(lo + (lo & 1), 2), hi + 1, 2)
+    for n in range(lo, hi + 1):
+        even, odd_succ = mapt_even_step(n)
+        if odd_succ != _pure.apt_step(even):
+            violations.append((n, "even index map disagrees with accelerated step"))
+        odd, even_succ = mapt_odd_step(n)
+        if even_succ != _pure.apt_step(odd):
+            violations.append((n, "odd index map disagrees with accelerated step"))
+    return len(evens) + hi - lo + 1, violations, []
 
 
 if __name__ == "__main__":

@@ -383,6 +383,31 @@ def test_emit_json_batches_writes():
     assert sink.writes <= -(-size // 65536) + 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        {"a": [], "b": {}, "c": [[], {}], "d": {"e": {}}},
+        {"s": ["", "quote \" backslash \\ slash /", "tab\tnewline\n\x00\x1f\x7f"]},
+        {"s": "caf\u00e9 \u2028 \U0001f600", "k\u00e9y \"x\"": "v"},
+        {"t": True, "f": False, "n": None, "l": [True, False, None]},
+        {"deep": [{"x": [{"y": ["z", []]}], "w": {}}, [["a", "b"], {}]]},
+        {"top": "only"},
+    ],
+    ids=["empty", "nested-empty", "escapes", "non-ascii", "constants", "deep", "flat"],
+)
+def test_write_json_matches_json_dumps(doc):
+    sink = io.StringIO()
+    emit._write_json(doc, sink)
+    assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1, 1.5, (1, 2), {"deep": [{"x": 3}]}, {1: "a"}])
+def test_write_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        emit._write_json({"v": value}, io.StringIO())
+
+
 def test_unwritable_sink_exits_two(tmp_path, capsys):
     assert main(["trace", "--kind", "A", "--start", "7",
                  "--output", str(tmp_path)]) == 2

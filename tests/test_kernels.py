@@ -76,6 +76,43 @@ def test_zero_matches_pure(impl, name):
     assert _outcome(getattr(impl, name), 0) == _outcome(getattr(_pure, name), 0)
 
 
+#: Calls outside the kernels' domain, where `_pure` once hung (a negative odd
+#: p argument halves to -1 forever) or indexed its tables with 0, and where
+#: the uint64 formulas gave values of their own.
+OUT_OF_DOMAIN = [
+    ("interleave_p", -1),
+    ("interleave_p", -6),
+    ("emapt_step_pq", 0),
+    ("emapt_step_pq", 1),
+    ("omapt_step", 0),
+    ("x_step", -1),
+    ("scan_index_reps", -5, 10),
+    ("scan_ruler_identities", -5, 10),
+    ("scan_p3n", -5, 10),
+    ("apt_stopping", 0, 5),
+    ("apt_stopping", -3, 5),
+    ("emapt_stopping", 0, 5),
+    ("emapt_stopping", 1, 5),
+    ("emapt_stopping", 7, 5),
+]
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN, ids=[str(c) for c in OUT_OF_DOMAIN])
+def test_out_of_domain_matches_pure(impl, call):
+    name, *args = call
+    assert _outcome(getattr(impl, name), *args) == _outcome(getattr(_pure, name), *args)
+
+
+def test_pure_rejects_what_it_cannot_walk():
+    for call in [("interleave_p", -1), ("emapt_step_pq", 1),
+                 ("scan_ruler_identities", -5, 10), ("orbit_lengths", 0, 5),
+                 ("apt_stopping", 0, 5), ("emapt_stopping", 0, 5)]:
+        name, *args = call
+        with pytest.raises(ValueError):
+            getattr(_pure, name)(*args)
+    assert _pure.emapt_stopping(1, 5) == 0
+
+
 def test_covering_chain_agrees(fast):
     for n in list(range(1, 500)) + [2**63 - 1, 2**64 + 5, 3**45]:
         for budget in (100_000, *BIG_BUDGETS):

@@ -1,0 +1,91 @@
+"""Checker span kernels on both backends, against the literal checker loops.
+
+Each `span_*` kernel runs a whole `verify` span with the step formulas
+inlined; `oracles` keeps the loops they replaced, one standalone `_pure`
+kernel call per step.  The windows cover the checkers' small ranges, ±64
+around 2**63 and 2**64, where the compiled spans hand the call to `_pure`,
+and bigint seeds past 2**68.  The budgeted spans also run one seed at a time
+at budgets 1, 2, 3 and at each seed's exact step count - 1, itself and + 1.
+"""
+
+import pytest
+
+import oracles
+from collatz_lab import verify
+
+BIG_BUDGET = 10**6
+
+
+def _windows(first):
+    out = [(first, 3000)]
+    for c in (2**63, 2**64):
+        out += [(c - 64, c - 1), (c - 64, c + 64), (c, c + 64)]
+    return out + [(2**68, 2**68 + 300)]
+
+
+def _u_steps(u):
+    """pq steps from even seed u to 2."""
+    return oracles.emapt_stopping_by_iteration(u, BIG_BUDGET)
+
+
+def _odd_steps(seed):
+    """pq steps to 2 after an odd seed's ruler-form step."""
+    return oracles.emapt_stopping_by_iteration(
+        oracles.apt_step_by_iteration(seed), BIG_BUDGET
+    )
+
+
+# name, oracle, first input, seed parity, steps per seed
+BUDGETED = [
+    ("span_u_residues", oracles.u_residues_span, 2, 0, _u_steps),
+    ("span_u_residues_odd", oracles.u_residues_odd_span, 1, 1, _odd_steps),
+]
+UNBUDGETED = [
+    ("span_parity_runs", oracles.parity_runs_span, 1),
+    ("span_dual_forms", oracles.dual_forms_span, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,oracle,first,parity,steps", BUDGETED, ids=[c[0] for c in BUDGETED]
+)
+def test_budgeted_span_matches_literal_loop(impl, name, oracle, first, parity, steps):
+    span = getattr(impl, name)
+    for lo, hi in _windows(first):
+        for budget in (1, 2, 3, BIG_BUDGET):
+            assert span(lo, hi, budget) == oracle(lo, hi, budget), (lo, hi, budget)
+    for lo, hi in _windows(first):
+        for seed in range(lo + ((lo & 1) != parity), hi + 1, 2):
+            b = steps(seed)
+            for budget in (b - 1, b, b + 1):
+                assert span(seed, seed, budget) == oracle(seed, seed, budget), (
+                    seed,
+                    budget,
+                )
+
+
+@pytest.mark.parametrize("name,oracle,first", UNBUDGETED, ids=[c[0] for c in UNBUDGETED])
+def test_span_matches_literal_loop(impl, name, oracle, first):
+    span = getattr(impl, name)
+    for lo, hi in _windows(first):
+        assert span(lo, hi) == oracle(lo, hi), (lo, hi)
+
+
+BELOW_DOMAIN = [
+    ("span_u_residues", (0, 10, 5)),       # u = 0: p((0 - 2) / 2) halves -1 forever
+    ("span_u_residues_odd", (-1, 10, 5)),
+    ("span_parity_runs", (0, 10)),         # n = 0: the halving run never ends
+    ("span_dual_forms", (-1, 10)),         # no index below 0
+]
+
+
+@pytest.mark.parametrize("name,args", BELOW_DOMAIN, ids=[c[0] for c in BELOW_DOMAIN])
+def test_span_below_its_domain_raises(impl, name, args):
+    with pytest.raises(ValueError):
+        getattr(impl, name)(*args)
+
+
+def test_checker_spans_stay_in_verify():
+    # perfbench names a traced span after the module of the CHECKERS entry.
+    for spec in verify.CHECKERS.values():
+        assert spec.span.__module__ == "collatz_lab.verify"
