@@ -4,9 +4,9 @@ Times each workload once per backend and prints a table with speedups.
 The stopping rows time the reach sweeps' counters at the sizes the
 benchmark's `sweep` and `frontier` workloads use (near 8.5e6 and 2**68).
 The stats row times the pure `orbit_lengths` block walk against the compiled
-literal `covering_chain` (about 2.7 against 4.1 us per start, medians of 5
-runs on 2 vCPUs), which is why `kernels` binds the pure walk on both
-backends.
+lock-step `covering_chain`, which gives the same three lengths: about 3.0
+against 1.6 us per start (medians of 5 runs on 2 vCPUs).  `kernels` binds
+the pure walk on both backends all the same; its comment says why.
 The span rows time the checker span kernels on windows from 8.5e6 at the
 sizes the benchmark's `checkers` workload gives each checker.
 Sizes are chosen so the pure backend finishes in a few seconds; pass

@@ -9,17 +9,19 @@
    long long, a product that would pass 2^64 mid-orbit (the whole count, or
    the whole checker span, then restarts in _pure), or a zero that ctz would
    see.  Arguments below a kernel's domain (the even step of u < 2, the odd
-   step of 0, an even-only count from an odd u, a span starting below its
-   checker's first element) go to _pure too, which raises ValueError or
-   gives the value of its own formula.  Only OverflowError is taken as "does
-   not fit"; any other conversion error propagates.  So every result equals
-   _pure's.
+   step of 0, an orbit from 0, an even-only count from an odd u, a span
+   starting below its checker's first element) go to _pure too, which
+   raises ValueError or gives the value of its own formula.  Only
+   OverflowError is taken as "does not fit"; any other conversion error
+   propagates.  So every result equals _pure's.
 
    The stopping counters and covering_chain are literal loops, one parity
    run (or one step) at a time, not block jumps, so comparing them with
-   _pure's block walk tests the Terras and (R + 1) / 2 identities.  The
-   checker spans at the end are _pure's span_* loops on uint64, with the
-   step helpers below in place of the inlined formulas. */
+   _pure's block walk tests the Terras and (R + 1) / 2 identities.
+   covering_chain is _pure's lock-step walk of the three orbits, so it
+   stores none of them and allocates nothing.  The checker spans at the end
+   are _pure's span_* loops on uint64, with the step helpers below in place
+   of the inlined formulas. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -262,79 +264,60 @@ SCALAR(x_step, x_u64)
 
 /* --- orbits ---------------------------------------------------------------- */
 
-typedef struct {
-    u64 *data;
-    Py_ssize_t size, cap;
-} Buf;
-
-static int push(Buf *b, u64 v)
+/* Steps *x under step, counting in *steps, until it equals target or 1 or
+   has taken budget steps; 0, or -1 when a step does not fit. */
+static inline __attribute__((always_inline)) int
+walk(u64 *x, u64 target, long long *steps, long long budget, int (*step)(u64, u64 *))
 {
-    if (b->size == b->cap) {
-        Py_ssize_t cap = b->cap ? 2 * b->cap : 128;
-        u64 *grown = PyMem_Realloc(b->data, cap * sizeof *grown);
-        if (grown == NULL)
+    for (; *x != target && *x != 1 && *steps < budget; ++*steps)
+        if (!step(*x, x))
             return -1;
-        b->data = grown;
-        b->cap = cap;
-    }
-    b->data[b->size++] = v;
     return 0;
 }
 
-/* Pushes x and its orbit under step until 1 or `budget` steps: 1 when it
-   reached 1, 0 when the budget ran out, -1 when a step does not fit or
-   memory ran out. */
-static inline __attribute__((always_inline)) int
-fill(Buf *b, u64 x, long long budget, int (*step)(u64, u64 *))
-{
-    if (push(b, x) < 0)
-        return -1;
-    for (; x != 1 && budget > 0; budget--)
-        if (!step(x, &x) || push(b, x) < 0)
-            return -1;
-    return x == 1;
-}
-
-/* Whether inner is an ordered subsequence of outer. */
-static int subseq(const Buf *inner, const Buf *outer)
-{
-    Py_ssize_t j = 0;
-    for (Py_ssize_t i = 0; i < inner->size; i++, j++) {
-        while (j < outer->size && outer->data[j] != inner->data[i])
-            j++;
-        if (j == outer->size)
-            return 0;
-    }
-    return 1;
-}
-
+/* _pure's lock-step walk: each accelerated value steps the half-step walk
+   until it is equal, and each half-step value the plain walk. */
 static PyObject *covering_chain(PyObject *Py_UNUSED(self), PyObject *const *args,
                                 Py_ssize_t nargs)
 {
     u64 n;
     long long budget;
     int fits = orbit_args("covering_chain", args, nargs, &n, &budget);
-    if (fits <= 0)
-        return fits < 0 ? NULL : pure_call("covering_chain", args, nargs);
-    Buf c = {0}, t = {0}, a = {0};
-    int rc, rt, ra;
-    PyObject *result;
-    /* The accelerated orbit first: it declines n = 0 at once, where the
-       other two would fill the whole budget with zeros. */
-    if ((ra = fill(&a, n, budget, apt_u64)) < 0
-        || (rt = fill(&t, n, budget, t_u64)) < 0
-        || (rc = fill(&c, n, budget, c_u64)) < 0)
-        result = pure_call("covering_chain", args, nargs);
-    else if (rc && rt && ra)
-        result = Py_BuildValue("(nnni)", c.size, t.size, a.size,
-                               subseq(&a, &t) && subseq(&t, &c));
-    else
-        result = Py_BuildValue("(nnni)", rc ? c.size : -1, rt ? t.size : -1,
-                               ra ? a.size : -1, -1);
-    PyMem_Free(c.data);
-    PyMem_Free(t.data);
-    PyMem_Free(a.data);
-    return result;
+    if (fits < 0)
+        return NULL;
+    if (!fits || n == 0)   /* _pure raises ValueError for n < 1 */
+        return pure_call("covering_chain", args, nargs);
+    u64 c = n, t = n, a = n;
+    long long sc = 0, st = 0, sa = 0;
+    int ok = 1;
+    while (a != 1 && sa < budget) {
+        if (!apt_u64(a, &a))
+            goto overflow;
+        sa++;
+        while (t != a && t != 1 && st < budget) {
+            if (!t_u64(t, &t))
+                goto overflow;
+            st++;
+            if (walk(&c, t, &sc, budget, c_u64) < 0)
+                goto overflow;
+            if (c != t)
+                break;
+        }
+        if (t != a || c != t) {
+            ok = 0;
+            break;
+        }
+    }
+    /* Each walk on its own to 1, to count its length. */
+    if (walk(&c, 1, &sc, budget, c_u64) < 0 || walk(&t, 1, &st, budget, t_u64) < 0
+        || walk(&a, 1, &sa, budget, apt_u64) < 0)
+        goto overflow;
+    if (c != 1 || t != 1 || a != 1)
+        ok = -1;
+    return Py_BuildValue("(LLLi)", c == 1 ? sc + 1 : -1, t == 1 ? st + 1 : -1,
+                         a == 1 ? sa + 1 : -1, ok);
+overflow:   /* a value did not fit: the whole call again in _pure */
+    return pure_call("covering_chain", args, nargs);
 }
 
 /* Steps from n to target under step, -1 once the budget runs out, or -2

@@ -97,49 +97,49 @@ def _t_step(n):
     return n >> 1 if n & 1 == 0 else (3 * n + 1) >> 1
 
 
-def _orbit_to_one(step, n, budget):
-    seq = [n]
-    x = n
-    left = budget
-    while x != 1 and left > 0:
-        x = step(x)
-        seq.append(x)
-        left -= 1
-    return seq, x == 1
-
-
-def _is_subsequence(inner, outer):
-    j = 0
-    limit = len(outer)
-    for x in inner:
-        while j < limit and outer[j] != x:
-            j += 1
-        if j == limit:
-            return False
-        j += 1
-    return True
-
-
 def covering_chain(n, budget):
     """Element counts of the three orbits from n down to 1, plus containment.
 
     Returns (c_len, t_len, a_len, ok).  A length is -1 when the step budget
     ran out before reaching 1.  ok is 1 when the accelerated orbit embeds in
     the half-step orbit embeds in the plain orbit (ordered subsequences),
-    0 when an embedding fails, -1 when any orbit is unfinished.
+    0 when an embedding fails, -1 when any orbit is unfinished.  n < 1
+    raises ValueError.
+
+    The three walks advance together and store nothing: each accelerated
+    value steps the half-step walk until equal, and each half-step value the
+    plain walk (the greedy, consuming match of an ordered subsequence; no
+    map fixes the value a walk stands on, so each steps at least once).  A
+    walk that reaches 1 or its budget unmatched breaks the embedding; then
+    each walk finishes on its own to count its length.
     """
-    c, c_done = _orbit_to_one(_c_step, n, budget)
-    t, t_done = _orbit_to_one(_t_step, n, budget)
-    a, a_done = _orbit_to_one(apt_step, n, budget)
-    if not (c_done and t_done and a_done):
-        return (
-            len(c) if c_done else -1,
-            len(t) if t_done else -1,
-            len(a) if a_done else -1,
-            -1,
-        )
-    ok = 1 if (_is_subsequence(a, t) and _is_subsequence(t, c)) else 0
-    return len(c), len(t), len(a), ok
+    if n < 1:
+        raise ValueError(f"orbits start at n >= 1, got {n}")
+    c = t = a = n
+    c_steps = t_steps = a_steps = 0
+    ok = 1
+    while a != 1 and a_steps < budget:
+        a = apt_step(a)
+        a_steps += 1
+        while t != a and t != 1 and t_steps < budget:
+            t = _t_step(t)
+            t_steps += 1
+            while c != t and c != 1 and c_steps < budget:
+                c = _c_step(c)
+                c_steps += 1
+            if c != t:
+                break
+        if t != a or c != t:
+            ok = 0
+            break
+    lengths = []
+    walks = ((_c_step, c, c_steps), (_t_step, t, t_steps), (apt_step, a, a_steps))
+    for step, x, steps in walks:
+        while x != 1 and steps < budget:
+            x = step(x)
+            steps += 1
+        lengths.append(steps + 1 if x == 1 else -1)
+    return (*lengths, -1 if -1 in lengths else ok)
 
 
 # --- stopping counts by 2^k block jumps --------------------------------------

@@ -36,9 +36,10 @@ x_step = _impl.x_step
 covering_chain = _impl.covering_chain
 apt_stopping = _impl.apt_stopping
 emapt_stopping = _impl.emapt_stopping
-# The pure block walk on both backends: the compiled module has no twin, and
-# near 8.5e6 the walk (about 2.7 us per start) already beats the compiled
-# literal covering_chain (about 4.1 us); see benchmarks/bench_kernels.py.
+# The pure block walk on both backends, though near 8.5e6 the compiled
+# lock-step covering_chain gives the same lengths in about half the time
+# (benchmarks/bench_kernels.py): the walk, and the Terras identity in it, is
+# what the tests check against those compiled literal loops.
 orbit_lengths = _pure.orbit_lengths
 scan_index_reps = _impl.scan_index_reps
 scan_ruler_identities = _impl.scan_ruler_identities

@@ -147,15 +147,27 @@ def emapt_stopping_by_iteration(u: int, budget: int) -> int:
     return steps
 
 
-def orbit_lengths_by_iteration(n: int, budget: int) -> tuple[int, int, int]:
+def covering_chain_by_iteration(
+    n: int, budget: int, steps=(collatz_step, terras_step, apt_step_by_iteration)
+) -> tuple[int, int, int, int]:
     """Element counts of the plain, half-step and accelerated orbits from n
-    down to 1, each walked literally; -1 for an orbit that needs more than
-    budget steps."""
-    lengths = []
-    for step in (collatz_step, terras_step, apt_step_by_iteration):
-        seq = orbit(step, n, budget, 1)
-        lengths.append(len(seq) if seq[-1] == 1 else -1)
-    return tuple(lengths)
+    down to 1, each walked literally and kept whole, plus containment.
+
+    A length is -1 for an orbit that needs more than budget steps.  The last
+    entry is 1 when the accelerated orbit is an ordered subsequence of the
+    half-step orbit and that one of the plain orbit, 0 when not, and -1 when
+    any orbit is unfinished.  `steps` are the three maps, in that order.
+    """
+    c, t, a = (orbit(step, n, budget, 1) for step in steps)
+    lengths = tuple(len(seq) if seq[-1] == 1 else -1 for seq in (c, t, a))
+    if -1 in lengths:
+        return (*lengths, -1)
+    return (*lengths, int(is_subsequence(a, t) and is_subsequence(t, c)))
+
+
+def orbit_lengths_by_iteration(n: int, budget: int) -> tuple[int, int, int]:
+    """The three lengths of `covering_chain_by_iteration`."""
+    return covering_chain_by_iteration(n, budget)[:3]
 
 
 def gapt_step_by_iteration(n: int, a: int, b: int) -> tuple[int, int]:
@@ -169,8 +181,10 @@ def gapt_step_by_iteration(n: int, a: int, b: int) -> tuple[int, int]:
 
 
 def is_subsequence(inner: list[int], outer: list[int]) -> bool:
+    """Whether inner is an ordered subsequence of outer: each `in` consumes
+    outer up to and including its match."""
     it = iter(outer)
-    return all(any(x == y for y in it) for x in inner)
+    return all(x in it for x in inner)
 
 
 def odd_elements(seq: list[int]) -> list[int]:

@@ -6,10 +6,12 @@ boundary; the random sweep crosses it on purpose, and the scans and budgets
 below straddle each cutoff where the compiled module hands a call to
 `_pure`.  The ``fast`` fixture (tests/conftest.py) builds the compiled module
 from its committed C source with README's gcc line, and ``impl`` runs a test
-on each backend in turn.  The stopping counters are checked on both backends
-against literal loops in tests/test_stopping.py.
+on each backend in turn.  `covering_chain` is checked on both backends
+against the literal orbits in `oracles`, and the stopping counters against
+literal loops in tests/test_stopping.py.
 """
 
+import functools
 import inspect
 import pathlib
 import random
@@ -91,6 +93,9 @@ OUT_OF_DOMAIN = [
     ("scan_p3n", -5, 10),
     ("apt_stopping", 0, 5),
     ("apt_stopping", -3, 5),
+    ("covering_chain", 0, 5),
+    ("covering_chain", 0, 0),
+    ("covering_chain", -3, 5),
     ("emapt_stopping", 0, 5),
     ("emapt_stopping", 1, 5),
     ("emapt_stopping", 7, 5),
@@ -110,7 +115,54 @@ def test_pure_rejects_what_it_cannot_walk():
         name, *args = call
         with pytest.raises(ValueError):
             getattr(_pure, name)(*args)
+    # Up front: walking 0 would fill the whole budget first.
+    with pytest.raises(ValueError, match="orbits start at n >= 1"):
+        _pure.covering_chain(0, 10**6)
     assert _pure.emapt_stopping(1, 5) == 0
+
+
+#: Budgets for every covering start: none, one and three steps, and the
+#: checkers' default.
+COVERING_BUDGETS = (-1, 0, 1, 3, 100_000)
+#: Powers of two and their predecessors, across 2**63 / 2**64, plus bigints.
+COVERING_EDGES = sorted(
+    {2**k for k in range(70)}
+    | {2**k - 1 for k in range(1, 70)}
+    | {2**63, 2**64, 2**64 + 5, 2**68 - 2, 2**68 + 2, 3**45}
+)
+
+
+#: The literal orbits once per (n, budget), for both backends.
+_literal_covering = functools.cache(oracles.covering_chain_by_iteration)
+
+
+def _assert_covering(impl, n, budgets):
+    for budget in sorted(budgets):
+        assert impl.covering_chain(n, budget) == _literal_covering(
+            n, budget
+        ), f"covering_chain({n}, {budget})"
+
+
+def _length_budgets(n):
+    """Each orbit's step count - 1, itself and + 1 (its length is steps + 1),
+    and its length + 1."""
+    lengths = _literal_covering(n, 100_000)[:3]
+    assert min(lengths) > 0
+    return {length + d for length in lengths for d in (-2, -1, 0, 1)}
+
+
+def test_covering_chain_matches_literal_orbits(impl):
+    for n in [*range(1, 5001), *range(8_500_000, 8_501_000), *COVERING_EDGES]:
+        _assert_covering(impl, n, COVERING_BUDGETS)
+    for n in [*range(1, 500), *COVERING_EDGES]:
+        _assert_covering(impl, n, BIG_BUDGETS)
+    for n in [*range(1, 1001), *COVERING_EDGES]:
+        _assert_covering(impl, n, _length_budgets(n))
+
+
+@given(st.integers(min_value=1, max_value=2**300))
+def test_covering_chain_matches_literal_orbits_on_bigints(impl, n):
+    _assert_covering(impl, n, {100_000, *_length_budgets(n)})
 
 
 def test_covering_chain_agrees(fast):
@@ -121,6 +173,38 @@ def test_covering_chain_agrees(fast):
             ), f"covering_chain({n}, {budget})"
 
 
+def test_covering_chain_budget_sentinels_agree(fast):
+    for n in (7, 27, 97):
+        assert fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
+
+
+#: Broken maps that still reach 1, for the path no start takes: a half-step
+#: map that visits 8 before 16 from 5 (the plain orbit has 16 first), and a
+#: plain map that skips 8 after 16.
+BROKEN_MAPS = [
+    ("_t_step", 1, lambda x: {5: 8, 8: 16, 16: 4}.get(x) or oracles.terras_step(x)),
+    ("_c_step", 0, lambda x: 4 if x == 16 else oracles.collatz_step(x)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,which,broken", BROKEN_MAPS, ids=[m[0] for m in BROKEN_MAPS]
+)
+def test_pure_covering_chain_reports_a_broken_embedding(
+    monkeypatch, name, which, broken
+):
+    steps = [oracles.collatz_step, oracles.terras_step, oracles.apt_step_by_iteration]
+    steps[which] = broken
+    monkeypatch.setattr(_pure, name, broken)
+    oks = set()
+    for n in range(1, 200):
+        for budget in (3, 8, 100_000):
+            want = oracles.covering_chain_by_iteration(n, budget, steps)
+            assert _pure.covering_chain(n, budget) == want, (n, budget)
+            oks.add(want[3])
+    assert oks == {-1, 0, 1}
+
+
 def test_stopping_agrees_at_big_budgets(fast):
     for n in list(range(1, 500)) + BOUNDARY:
         for budget in BIG_BUDGETS:
@@ -129,11 +213,6 @@ def test_stopping_agrees_at_big_budgets(fast):
                 assert fast.emapt_stopping(n, budget) == _pure.emapt_stopping(
                     n, budget
                 ), f"emapt_stopping({n}, {budget})"
-
-
-def test_covering_chain_budget_sentinels_agree(fast):
-    for n in (7, 27, 97):
-        assert fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
 
 
 def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):

@@ -6,12 +6,19 @@ kernel call per step.  The windows cover the checkers' small ranges, ±64
 around 2**63 and 2**64, where the compiled spans hand the call to `_pure`,
 and bigint seeds past 2**68.  The budgeted spans also run one seed at a time
 at budgets 1, 2, 3 and at each seed's exact step count - 1, itself and + 1.
+No input in a checker's domain reaches a violation, so the violation details
+are compared as source literals across the two backends and the loops.
 """
+
+import ast
+import pathlib
+import re
 
 import pytest
 
 import oracles
-from collatz_lab import verify
+from collatz_lab import _pure, verify
+from conftest import FAST_SOURCE
 
 BIG_BUDGET = 10**6
 
@@ -89,3 +96,41 @@ def test_checker_spans_stay_in_verify():
     # perfbench names a traced span after the module of the CHECKERS entry.
     for spec in verify.CHECKERS.values():
         assert spec.span.__module__ == "collatz_lab.verify"
+
+
+def _python_details(module, select):
+    """The detail literal of every (input, detail) pair built in the module's
+    functions that `select` names, with `{}` for each formatted field."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    details = set()
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and select(fn.name)):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Tuple) and len(node.elts) == 2):
+                continue
+            detail = node.elts[1]
+            if isinstance(detail, ast.Constant) and isinstance(detail.value, str):
+                details.add(detail.value)
+            elif isinstance(detail, ast.JoinedStr):
+                details.add("".join(
+                    part.value if isinstance(part, ast.Constant) else "{}"
+                    for part in detail.values
+                ))
+    return details
+
+
+def _c_details():
+    """The detail literal of every Python string the C spans build, with `{}`
+    for each conversion."""
+    literals = re.findall(
+        r'PyUnicode_From(?:Format|String)\(\s*"([^"]*)"', FAST_SOURCE.read_text()
+    )
+    return {re.sub(r"%(?:ll|z)?[dus]", "{}", text) for text in literals}
+
+
+def test_violation_details_agree():
+    pure = _python_details(_pure, lambda name: name.startswith("span_"))
+    oracle = _python_details(oracles, lambda name: name.endswith("_span"))
+    assert len(pure) == 7
+    assert pure == _c_details() == oracle
