@@ -3,17 +3,20 @@
    Built only on request, in place, with the gcc line in README "Install";
    `collatz_lab.kernels` then binds these functions in place of _pure's.
 
-   Every kernel runs a fixed-width uint64 fast path and calls the _pure
-   function of the same name, with the caller's arguments, whenever a value
-   might not fit: an argument that is negative or >= 2^64, a budget outside
-   long long, a product that would pass 2^64 mid-orbit (the whole count, or
-   the whole checker span, then restarts in _pure), or a zero that ctz would
-   see.  Arguments below a kernel's domain (the even step of u < 2, the odd
-   step of 0, an orbit from 0, an even-only count from an odd u, a span
-   starting below its checker's first element) go to _pure too, which
-   raises ValueError or gives the value of its own formula.  Only
-   OverflowError is taken as "does not fit"; any other conversion error
-   propagates.  So every result equals _pure's.
+   One rule keeps every result equal to _pure's: a kernel runs on uint64 and
+   hands the call, with the caller's arguments, to the _pure function of the
+   same name whenever a value might not fit, or lies below the kernel's
+   domain, where _pure raises ValueError or gives its own formula's value.
+   The rule has three doors, each a call of pure_call:
+   - KERNEL, for the multi-argument kernels, when call_args finds an argument
+     that does not fit, or when the kernel's uint64 body returns NULL with no
+     exception set; the whole call then runs again in _pure, even when a
+     product passed 2^64 mid-orbit or mid-span;
+   - SCALAR, for the one-argument kernels, likewise;
+   - pure_flags, for the one element of a range scan that does not fit; the
+     rest of the range stays on uint64.
+   Only OverflowError is taken as "does not fit"; any other conversion
+   error, or a wrong argument count, propagates.
 
    The stopping counters and covering_chain are literal loops, one parity
    run (or one step) at a time, not block jumps, so comparing them with
@@ -197,46 +200,43 @@ static int to_ll(PyObject *o, long long *v)
     return fitted(*v == -1 && PyErr_Occurred());
 }
 
-static int n_args(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+/* A kernel's nu uint64 arguments into u and, when budgeted, the budget after
+   them into *budget: 1 when all fit, 0 when one does not (_pure takes the
+   call), -1 on any other error, a wrong argument count included. */
+static inline __attribute__((always_inline)) int
+call_args(const char *name, PyObject *const *args, Py_ssize_t nargs, int nu,
+          int budgeted, u64 *u, long long *budget)
 {
-    if (nargs == want)
-        return 0;
-    PyErr_Format(PyExc_TypeError, "%s() takes exactly %zd arguments (%zd given)",
-                 name, want, nargs);
-    return -1;
+    if (nargs != nu + budgeted) {
+        PyErr_Format(PyExc_TypeError, "%s() takes exactly %d arguments (%zd given)",
+                     name, nu + budgeted, nargs);
+        return -1;
+    }
+    for (int i = 0; i < nu; i++) {
+        int fits = to_u64(args[i], &u[i]);
+        if (fits <= 0)
+            return fits;
+    }
+    return budgeted ? to_ll(args[nu], budget) : 1;
 }
 
-/* (n, budget): 1 when both fit, 0 when _pure takes the call, -1 on error. */
-static int orbit_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                      u64 *n, long long *budget)
-{
-    if (n_args(name, nargs, 2) < 0)
-        return -1;
-    int fits = to_u64(args[0], n);
-    return fits <= 0 ? fits : to_ll(args[1], budget);
-}
-
-/* (lo, hi), likewise. */
-static int range_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                      u64 *lo, u64 *hi)
-{
-    if (n_args(name, nargs, 2) < 0)
-        return -1;
-    int fits = to_u64(args[0], lo);
-    return fits <= 0 ? fits : to_u64(args[1], hi);
-}
-
-/* (lo, hi, budget), likewise. */
-static int span_args(const char *name, PyObject *const *args, Py_ssize_t nargs,
-                     u64 *lo, u64 *hi, long long *budget)
-{
-    if (n_args(name, nargs, 3) < 0)
-        return -1;
-    int fits = to_u64(args[0], lo);
-    if (fits > 0)
-        fits = to_u64(args[1], hi);
-    return fits <= 0 ? fits : to_ll(args[2], budget);
-}
+/* The multi-argument kernel `name`: its body name##_u64(u, budget) returns
+   the result, or NULL, which is an error when an exception is set and hands
+   the call to _pure when none is. */
+#define KERNEL(name, nu, budgeted)                                           \
+    static PyObject *name(PyObject *Py_UNUSED(self), PyObject *const *args, \
+                          Py_ssize_t nargs)                                  \
+    {                                                                        \
+        u64 u[nu];                                                           \
+        long long budget = 0;                                                \
+        int fits = call_args(#name, args, nargs, nu, budgeted, u, &budget);  \
+        if (fits < 0)                                                        \
+            return NULL;                                                     \
+        PyObject *result = fits ? name##_u64(u, budget) : NULL;              \
+        if (result == NULL && !PyErr_Occurred())                             \
+            return pure_call(#name, args, nargs);                            \
+        return result;                                                       \
+    }
 
 /* --- one-argument kernels -------------------------------------------------- */
 
@@ -277,29 +277,23 @@ walk(u64 *x, u64 target, long long *steps, long long budget, int (*step)(u64, u6
 
 /* _pure's lock-step walk: each accelerated value steps the half-step walk
    until it is equal, and each half-step value the plain walk. */
-static PyObject *covering_chain(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                Py_ssize_t nargs)
+static PyObject *covering_chain_u64(const u64 *n, long long budget)
 {
-    u64 n;
-    long long budget;
-    int fits = orbit_args("covering_chain", args, nargs, &n, &budget);
-    if (fits < 0)
+    if (*n == 0)   /* _pure raises ValueError for n < 1 */
         return NULL;
-    if (!fits || n == 0)   /* _pure raises ValueError for n < 1 */
-        return pure_call("covering_chain", args, nargs);
-    u64 c = n, t = n, a = n;
+    u64 c = *n, t = *n, a = *n;
     long long sc = 0, st = 0, sa = 0;
     int ok = 1;
     while (a != 1 && sa < budget) {
         if (!apt_u64(a, &a))
-            goto overflow;
+            return NULL;
         sa++;
         while (t != a && t != 1 && st < budget) {
             if (!t_u64(t, &t))
-                goto overflow;
+                return NULL;
             st++;
             if (walk(&c, t, &sc, budget, c_u64) < 0)
-                goto overflow;
+                return NULL;
             if (c != t)
                 break;
         }
@@ -311,57 +305,37 @@ static PyObject *covering_chain(PyObject *Py_UNUSED(self), PyObject *const *args
     /* Each walk on its own to 1, to count its length. */
     if (walk(&c, 1, &sc, budget, c_u64) < 0 || walk(&t, 1, &st, budget, t_u64) < 0
         || walk(&a, 1, &sa, budget, apt_u64) < 0)
-        goto overflow;
+        return NULL;
     if (c != 1 || t != 1 || a != 1)
         ok = -1;
     return Py_BuildValue("(LLLi)", c == 1 ? sc + 1 : -1, t == 1 ? st + 1 : -1,
                          a == 1 ? sa + 1 : -1, ok);
-overflow:   /* a value did not fit: the whole call again in _pure */
-    return pure_call("covering_chain", args, nargs);
 }
 
-/* Steps from n to target under step, -1 once the budget runs out, or -2
-   when a step does not fit. */
-static inline __attribute__((always_inline)) long long
-stopping(u64 n, u64 target, long long budget, int (*step)(u64, u64 *))
+/* Parity runs from n to 1, or -1 once the budget runs out. */
+static PyObject *apt_stopping_u64(const u64 *n, long long budget)
 {
+    u64 x = *n;
     long long steps = 0;
-    for (; n != target; steps++) {
-        if (steps >= budget)
-            return -1;
-        if (!step(n, &n))
-            return -2;
-    }
-    return steps;
+    if (walk(&x, 1, &steps, budget, apt_u64) < 0)
+        return NULL;
+    return PyLong_FromLongLong(x == 1 ? steps : -1);
 }
 
-static PyObject *apt_stopping(PyObject *Py_UNUSED(self), PyObject *const *args,
-                              Py_ssize_t nargs)
+/* pq steps from an even u to 2.  An odd u goes to _pure, which counts
+   (R + 1) / 2 of its runs, not its pq steps. */
+static PyObject *emapt_stopping_u64(const u64 *u, long long budget)
 {
-    u64 n;
-    long long budget, steps;
-    int fits = orbit_args("apt_stopping", args, nargs, &n, &budget);
-    if (fits < 0)
+    u64 x = *u;
+    long long steps = 0;
+    if ((x & 1) || walk(&x, 2, &steps, budget, emapt_pq_u64) < 0)
         return NULL;
-    if (fits && (steps = stopping(n, 1, budget, apt_u64)) != -2)
-        return PyLong_FromLongLong(steps);
-    return pure_call("apt_stopping", args, nargs);
+    return PyLong_FromLongLong(x == 2 ? steps : -1);
 }
 
-static PyObject *emapt_stopping(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                Py_ssize_t nargs)
-{
-    u64 u;
-    long long budget, steps;
-    int fits = orbit_args("emapt_stopping", args, nargs, &u, &budget);
-    if (fits < 0)
-        return NULL;
-    /* An odd u: _pure counts (R + 1) / 2 of its runs, not its pq steps. */
-    if (fits && (u & 1) == 0
-        && (steps = stopping(u, 2, budget, emapt_pq_u64)) != -2)
-        return PyLong_FromLongLong(steps);
-    return pure_call("emapt_stopping", args, nargs);
-}
+KERNEL(covering_chain, 1, 1)
+KERNEL(apt_stopping, 1, 1)
+KERNEL(emapt_stopping, 1, 1)
 
 /* --- range scans; each returns the list of violating inputs --------------- */
 
@@ -438,20 +412,15 @@ static int emapt_forms_bad(u64 u)
     return via_pq != via_ruler;
 }
 
-/* Scans [first, hi] in steps of stride; _pure takes the call when lo or hi
-   does not fit, or when hi reaches the scan's cutoff. */
+/* Scans [first, hi] in steps of stride; _pure takes the call when hi reaches
+   the scan's cutoff. */
 #define SCAN(name, cutoff, first, stride, flag)                              \
-    static PyObject *name(PyObject *Py_UNUSED(self), PyObject *const *args, \
-                          Py_ssize_t nargs)                                  \
+    static PyObject *name##_u64(const u64 *u, long long Py_UNUSED(budget))   \
     {                                                                        \
-        u64 lo, hi;                                                          \
-        int fits = range_args(#name, args, nargs, &lo, &hi);                 \
-        if (fits < 0)                                                        \
-            return NULL;                                                     \
-        if (!fits || (cutoff))                                               \
-            return pure_call(#name, args, nargs);                            \
-        return scan(first, hi, stride, flag);                                \
-    }
+        u64 lo = u[0], hi = u[1];                                            \
+        return (cutoff) ? NULL : scan(first, hi, stride, flag);              \
+    }                                                                        \
+    KERNEL(name, 2, 0)
 
 SCAN(scan_index_reps, hi >= SAFE_N, lo, 1, index_rep_bad)
 SCAN(scan_ruler_identities, hi >= SAFE_N, lo, 1, ruler_identity_bad)
@@ -464,28 +433,18 @@ SCAN(scan_emapt_forms, hi >= U64_MAX - 1,
 
 /* --- checker spans; each returns (checked, violations, exhausted) -------- */
 
-/* A span's violations, as (input, detail) pairs, and its exhausted inputs. */
+/* A span's violations, as (input, detail) pairs, its exhausted inputs, and
+   how many inputs it checked. */
 typedef struct {
     PyObject *violations, *exhausted;
+    u64 checked;
 } Findings;
 
-static void findings_clear(Findings *f)
-{
-    Py_CLEAR(f->violations);
-    Py_CLEAR(f->exhausted);
-}
+/* How a span body ends, then how the pq-form walk of a u-residues seed
+   ends. */
+enum { DONE, FAILED, NO_FIT, REACHED_2, EXHAUSTED, NOT_2_MOD_6, NOT_2_OR_8_MOD_18 };
 
-static int findings_init(Findings *f)
-{
-    f->violations = PyList_New(0);
-    f->exhausted = PyList_New(0);
-    if (f->violations && f->exhausted)
-        return 0;
-    findings_clear(f);
-    return -1;
-}
-
-/* Appends (n, detail) to the violations and drops detail; -1 on error. */
+/* Appends (n, detail) to the violations and drops detail; DONE or FAILED. */
 static int violation(Findings *f, u64 n, PyObject *detail)
 {
     PyObject *key = PyLong_FromUnsignedLongLong(n);
@@ -494,7 +453,7 @@ static int violation(Findings *f, u64 n, PyObject *detail)
     Py_XDECREF(detail);
     int failed = item == NULL || PyList_Append(f->violations, item) < 0;
     Py_XDECREF(item);
-    return failed ? -1 : 0;
+    return failed ? FAILED : DONE;
 }
 
 static int exhausted(Findings *f, u64 n)
@@ -502,24 +461,33 @@ static int exhausted(Findings *f, u64 n)
     PyObject *key = PyLong_FromUnsignedLongLong(n);
     int failed = key == NULL || PyList_Append(f->exhausted, key) < 0;
     Py_XDECREF(key);
-    return failed ? -1 : 0;
+    return failed ? FAILED : DONE;
 }
 
-/* The span's (checked, violations, exhausted); clears f. */
-static PyObject *findings_result(Findings *f, u64 checked)
+/* body's (checked, violations, exhausted) over [u[0], u[1]], or NULL: when
+   body says NO_FIT, _pure takes the call; when FAILED, an error is set.
+   Each body says NO_FIT for a first element outside its checker's domain
+   (where _pure raises), an empty span, and a hi so close to 2^64 that
+   stepping past it would wrap. */
+static PyObject *
+span(const u64 *u, long long budget, int (*body)(Findings *, u64, u64, long long))
 {
-    PyObject *result = Py_BuildValue("(KOO)", (unsigned long long)checked,
-                                     f->violations, f->exhausted);
-    findings_clear(f);
+    Findings f = {PyList_New(0), PyList_New(0), 0};
+    PyObject *result = NULL;
+    if (f.violations && f.exhausted && body(&f, u[0], u[1], budget) == DONE)
+        result = Py_BuildValue("(KOO)", (unsigned long long)f.checked,
+                               f.violations, f.exhausted);
+    Py_XDECREF(f.violations);
+    Py_XDECREF(f.exhausted);
     return result;
 }
 
-/* Every span takes _pure's path for arguments that do not fit, a first
-   element outside the checker's domain (where _pure raises), an empty span,
-   and a hi so close to 2^64 that stepping past it would wrap. */
-
-/* How the pq-form walk of a u-residues seed ends. */
-enum { REACHED_2, EXHAUSTED, NOT_2_MOD_6, NOT_2_OR_8_MOD_18, NO_FIT };
+#define SPAN(name, budgeted)                                                 \
+    static PyObject *name##_u64(const u64 *u, long long budget)              \
+    {                                                                        \
+        return span(u, budget, name##_body);                                 \
+    }                                                                        \
+    KERNEL(name, 2, budgeted)
 
 /* Walks *x under the pq form for at most budget steps, leaving the last
    image in *x.  Each image must be 2 mod 6 when mod6 is set, and 2 or 8
@@ -539,7 +507,8 @@ static int residue_walk(u64 *x, long long budget, int mod6, long long from18)
     return *x == 2 ? REACHED_2 : EXHAUSTED;
 }
 
-/* Records how seed's walk ended at image x; -1 on error. */
+/* Records how seed's walk ended at image x: DONE, FAILED, or NO_FIT when
+   the walk did not fit. */
 static int record_walk(Findings *f, u64 seed, int end, u64 x)
 {
     unsigned long long image = x;
@@ -551,87 +520,48 @@ static int record_walk(Findings *f, u64 seed, int end, u64 x)
     if (end == NOT_2_OR_8_MOD_18)
         return violation(f, seed, PyUnicode_FromFormat(
                              "element %llu is not 2 or 8 mod 18", image));
-    return 0;
+    return end == NO_FIT ? NO_FIT : DONE;
 }
 
-static PyObject *span_u_residues(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                 Py_ssize_t nargs)
+static int span_u_residues_body(Findings *f, u64 lo, u64 hi, long long budget)
 {
-    u64 lo, hi;
-    long long budget;
-    int fits = span_args("span_u_residues", args, nargs, &lo, &hi, &budget);
-    if (fits < 0)
-        return NULL;
     u64 first = lo + (lo & 1);
-    if (!fits || first < 2 || first > hi || hi > U64_MAX - 2)
-        return pure_call("span_u_residues", args, nargs);
-    Findings f;
-    if (findings_init(&f) < 0)
-        return NULL;
+    if (first < 2 || first > hi || hi > U64_MAX - 2)
+        return NO_FIT;
     for (u64 u = first; u <= hi; u += 2) {
         u64 x = u;
         int end = residue_walk(&x, budget, 1, 2);
-        if (end == NO_FIT)
-            goto overflow;
-        if (record_walk(&f, u, end, x) < 0)
-            goto fail;
+        if ((end = record_walk(f, u, end, x)) != DONE)
+            return end;
     }
-    return findings_result(&f, (hi - first) / 2 + 1);
-overflow:   /* a value did not fit: the whole span again in _pure */
-    findings_clear(&f);
-    return pure_call("span_u_residues", args, nargs);
-fail:
-    findings_clear(&f);
-    return NULL;
+    f->checked = (hi - first) / 2 + 1;
+    return DONE;
 }
 
 /* One ruler-form step from each odd seed, then the pq form. */
-static PyObject *span_u_residues_odd(PyObject *Py_UNUSED(self),
-                                     PyObject *const *args, Py_ssize_t nargs)
+static int span_u_residues_odd_body(Findings *f, u64 lo, u64 hi, long long budget)
 {
-    u64 lo, hi;
-    long long budget;
-    int fits = span_args("span_u_residues_odd", args, nargs, &lo, &hi, &budget);
-    if (fits < 0)
-        return NULL;
     u64 first = lo | 1;
-    if (!fits || first > hi || hi > U64_MAX - 2)
-        return pure_call("span_u_residues_odd", args, nargs);
-    Findings f;
-    if (findings_init(&f) < 0)
-        return NULL;
+    if (first > hi || hi > U64_MAX - 2)
+        return NO_FIT;
     for (u64 seed = first; seed <= hi; seed += 2) {
         u64 x;
         if (!emapt_ruler_u64(seed, &x))
-            goto overflow;
+            return NO_FIT;
         int end = residue_walk(&x, budget, 0, 1);
-        if (end == NO_FIT)
-            goto overflow;
-        if (record_walk(&f, seed, end, x) < 0)
-            goto fail;
+        if ((end = record_walk(f, seed, end, x)) != DONE)
+            return end;
     }
-    return findings_result(&f, (hi - first) / 2 + 1);
-overflow:   /* a value did not fit: the whole span again in _pure */
-    findings_clear(&f);
-    return pure_call("span_u_residues_odd", args, nargs);
-fail:
-    findings_clear(&f);
-    return NULL;
+    f->checked = (hi - first) / 2 + 1;
+    return DONE;
 }
 
 /* The literal parity run from n against its closed-form length and apt_step. */
-static PyObject *span_parity_runs(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                  Py_ssize_t nargs)
+static int span_parity_runs_body(Findings *f, u64 lo, u64 hi,
+                                 long long Py_UNUSED(budget))
 {
-    u64 lo, hi;
-    int fits = range_args("span_parity_runs", args, nargs, &lo, &hi);
-    if (fits < 0)
-        return NULL;
-    if (!fits || lo < 1 || lo > hi || hi > U64_MAX - 2)
-        return pure_call("span_parity_runs", args, nargs);
-    Findings f;
-    if (findings_init(&f) < 0)
-        return NULL;
+    if (lo < 1 || lo > hi || hi > U64_MAX - 2)
+        return NO_FIT;
     for (u64 n = lo; n <= hi; n++) {
         u64 x = n, landing;
         int run = 0, expected;
@@ -642,11 +572,11 @@ static PyObject *span_parity_runs(PyObject *Py_UNUSED(self), PyObject *const *ar
         } else {
             for (; x & 1; run++)
                 if (!t_u64(x, &x))
-                    goto overflow;
+                    return NO_FIT;
             expected = ctz((n + 1) >> 1) + 1;
         }
         if (!apt_u64(n, &landing))
-            goto overflow;
+            return NO_FIT;
         PyObject *detail = NULL;
         if (run != expected)
             detail = PyUnicode_FromFormat("run length %d, expected %d", run, expected);
@@ -655,66 +585,54 @@ static PyObject *span_parity_runs(PyObject *Py_UNUSED(self), PyObject *const *ar
                                           (unsigned long long)x);
         else
             continue;
-        if (violation(&f, n, detail) < 0)
-            goto fail;
+        if (violation(f, n, detail) != DONE)
+            return FAILED;
     }
-    return findings_result(&f, hi - lo + 1);
-overflow:   /* a value did not fit: the whole span again in _pure */
-    findings_clear(&f);
-    return pure_call("span_parity_runs", args, nargs);
-fail:
-    findings_clear(&f);
-    return NULL;
+    f->checked = hi - lo + 1;
+    return DONE;
 }
 
 /* scan_emapt_forms, then both index maps from p(n) and q(n) against apt_step.
    Below SAFE_N the even value 2(n + 1) fits. */
-static PyObject *span_dual_forms(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                 Py_ssize_t nargs)
+static int span_dual_forms_body(Findings *f, u64 lo, u64 hi,
+                                long long Py_UNUSED(budget))
 {
-    u64 lo, hi;
-    int fits = range_args("span_dual_forms", args, nargs, &lo, &hi);
-    if (fits < 0)
-        return NULL;
-    if (!fits || lo > hi || hi >= SAFE_N)
-        return pure_call("span_dual_forms", args, nargs);
-    Findings f;
-    if (findings_init(&f) < 0)
-        return NULL;
+    if (lo > hi || hi >= SAFE_N)
+        return NO_FIT;
     u64 evens = lo < 2 ? 2 : lo + (lo & 1);
     for (u64 u = evens; u <= hi; u += 2) {
         int bad = emapt_forms_bad(u);
-        if (bad < 0 || (bad && violation(&f, u, PyUnicode_FromString(
-                                              "pq and ruler forms disagree")) < 0))
-            goto fail;
+        if (bad < 0 || (bad && violation(f, u, PyUnicode_FromString(
+                                             "pq and ruler forms disagree")) != DONE))
+            return FAILED;
     }
     for (u64 n = lo; n <= hi; n++) {
         u64 odd = 2 * p_u64(n) + 1, landing;
         int q = q_u64(n);
         u64 even = odd << q, succ = mul_pow3(odd, q);
         if (succ == 0)
-            goto overflow;
+            return NO_FIT;
         if (!apt_u64(even, &landing))
-            goto overflow;
+            return NO_FIT;
         if (landing != odd
-            && violation(&f, n, PyUnicode_FromString(
-                             "even index map disagrees with accelerated step")) < 0)
-            goto fail;
+            && violation(f, n, PyUnicode_FromString(
+                             "even index map disagrees with accelerated step")) != DONE)
+            return FAILED;
         if (!apt_u64(even - 1, &landing))
-            goto overflow;
+            return NO_FIT;
         if (landing != succ - 1
-            && violation(&f, n, PyUnicode_FromString(
-                             "odd index map disagrees with accelerated step")) < 0)
-            goto fail;
+            && violation(f, n, PyUnicode_FromString(
+                             "odd index map disagrees with accelerated step")) != DONE)
+            return FAILED;
     }
-    return findings_result(&f, (evens > hi ? 0 : (hi - evens) / 2 + 1) + hi - lo + 1);
-overflow:   /* a value did not fit: the whole span again in _pure */
-    findings_clear(&f);
-    return pure_call("span_dual_forms", args, nargs);
-fail:
-    findings_clear(&f);
-    return NULL;
+    f->checked = (evens > hi ? 0 : (hi - evens) / 2 + 1) + hi - lo + 1;
+    return DONE;
 }
+
+SPAN(span_u_residues, 1)
+SPAN(span_u_residues_odd, 1)
+SPAN(span_parity_runs, 0)
+SPAN(span_dual_forms, 0)
 
 /* --- module ---------------------------------------------------------------- */
 

@@ -20,33 +20,36 @@ def data_dir() -> pathlib.Path:
     return DATA_DIR
 
 
-@pytest.fixture(scope="session")
-def fast(tmp_path_factory):
-    """The compiled kernels, built from the committed C source into a temp dir.
+def build_fast(source: pathlib.Path, directory: pathlib.Path):
+    """The module compiled from the C file `source` into `directory`.
 
     Built with README's gcc line and loaded as ``collatz_lab._fast`` without
     entering ``sys.modules``, so `kernels` keeps the backend it finds in the
     package, whenever it is imported.  Skips only when gcc or Python.h is
-    missing; a failed compile, or a warning, fails the tests that use it.
+    missing; a failed compile, or a warning, fails the test.
     """
     gcc = shutil.which("gcc")
     include = pathlib.Path(sysconfig.get_paths()["include"])
     if gcc is None or not (include / "Python.h").is_file():
         pytest.skip("building the compiled kernels needs gcc and Python.h")
-    target = tmp_path_factory.mktemp("fast") / (
-        "_fast" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
+    target = directory / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
-        [gcc, *GCC_FLAGS, f"-I{include}", str(FAST_SOURCE), "-o", str(target)],
+        [gcc, *GCC_FLAGS, f"-I{include}", str(source), "-o", str(target)],
         capture_output=True,
         text=True,
     )
     if proc.returncode != 0:
-        pytest.fail(f"compiling {FAST_SOURCE.name} failed:\n{proc.stderr}")
+        pytest.fail(f"compiling {source.name} failed:\n{proc.stderr}")
     spec = importlib.util.spec_from_file_location("collatz_lab._fast", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    """The compiled kernels, built from the committed C source by `build_fast`."""
+    return build_fast(FAST_SOURCE, tmp_path_factory.mktemp("fast"))
 
 
 @pytest.fixture(scope="session", params=["pure", "compiled"])

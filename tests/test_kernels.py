@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
-from conftest import GCC_FLAGS
+from conftest import FAST_SOURCE, GCC_FLAGS, build_fast
 
 U64_MAX = 2**64 - 1
 SAFE_N = 2**62                 # the index scans' fast path stays below this
@@ -106,6 +106,35 @@ OUT_OF_DOMAIN = [
 def test_out_of_domain_matches_pure(impl, call):
     name, *args = call
     assert _outcome(getattr(impl, name), *args) == _outcome(getattr(_pure, name), *args)
+
+
+#: Each multi-argument kernel with arguments in its domain.
+IN_DOMAIN_CALLS = [
+    ("covering_chain", 27, 100),
+    ("apt_stopping", 27, 100),
+    ("emapt_stopping", 20, 100),
+    ("scan_index_reps", 0, 50),
+    ("scan_ruler_identities", 0, 50),
+    ("scan_p3n", 0, 50),
+    ("scan_x_residues", 0, 50),
+    ("scan_emapt_forms", 2, 50),
+    ("span_u_residues", 2, 50, 100),
+    ("span_u_residues_odd", 1, 50, 100),
+    ("span_parity_runs", 1, 50),
+    ("span_dual_forms", 0, 50),
+]
+
+
+@pytest.mark.parametrize("call", IN_DOMAIN_CALLS, ids=[c[0] for c in IN_DOMAIN_CALLS])
+def test_bad_arguments_match_pure(impl, call):
+    # One argument short, one extra, and a str or None in each place.
+    name, *args = call
+    bad_calls = [args[:-1], [*args, 5]]
+    for i in range(len(args)):
+        bad_calls += [[*args[:i], wrong, *args[i + 1:]] for wrong in ("7", None)]
+    for bad in bad_calls:
+        outcome = _outcome(getattr(impl, name), *bad)
+        assert outcome == _outcome(getattr(_pure, name), *bad) == TypeError, bad
 
 
 def test_pure_rejects_what_it_cannot_walk():
@@ -201,6 +230,63 @@ def test_pure_covering_chain_reports_a_broken_embedding(
         for budget in (3, 8, 100_000):
             want = oracles.covering_chain_by_iteration(n, budget, steps)
             assert _pure.covering_chain(n, budget) == want, (n, budget)
+            oks.add(want[3])
+    assert oks == {-1, 0, 1}
+
+
+#: The same broken maps in C, each defined in place of the step helper it
+#: breaks, for a copy of the source patched above FALLBACK_SECTION.
+BROKEN_C_STEPS = {
+    "_t_step": """
+static inline int broken_t_u64(u64 x, u64 *out)
+{
+    if (x == 5 || x == 8 || x == 16) {
+        *out = x == 5 ? 8 : x == 8 ? 16 : 4;
+        return 1;
+    }
+    return t_u64(x, out);
+}
+#define t_u64 broken_t_u64
+
+""",
+    "_c_step": """
+static inline int broken_c_u64(u64 x, u64 *out)
+{
+    if (x == 16) {
+        *out = 4;
+        return 1;
+    }
+    return c_u64(x, out);
+}
+#define c_u64 broken_c_u64
+
+""",
+}
+FALLBACK_SECTION = "/* --- arguments and the _pure fallback"
+
+
+@pytest.mark.parametrize(
+    "name,which,broken", BROKEN_MAPS, ids=[m[0] for m in BROKEN_MAPS]
+)
+def test_compiled_covering_chain_reports_a_broken_embedding(
+    tmp_path, name, which, broken
+):
+    # The compiled step helpers are inline C that no test can swap, so this
+    # builds a copy of the source with one of them broken.
+    source = FAST_SOURCE.read_text()
+    assert source.count(FALLBACK_SECTION) == 1
+    patched = tmp_path / FAST_SOURCE.name
+    patched.write_text(
+        source.replace(FALLBACK_SECTION, BROKEN_C_STEPS[name] + FALLBACK_SECTION)
+    )
+    broken_fast = build_fast(patched, tmp_path)
+    steps = [oracles.collatz_step, oracles.terras_step, oracles.apt_step_by_iteration]
+    steps[which] = broken
+    oks = set()
+    for n in range(1, 200):
+        for budget in (3, 8, 100_000):
+            want = oracles.covering_chain_by_iteration(n, budget, steps)
+            assert broken_fast.covering_chain(n, budget) == want, (n, budget)
             oks.add(want[3])
     assert oks == {-1, 0, 1}
 
