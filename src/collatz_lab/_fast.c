@@ -312,23 +312,25 @@ static PyObject *covering_chain_u64(const u64 *n, long long budget)
                          a == 1 ? sa + 1 : -1, ok);
 }
 
-/* Parity runs from n to 1, or -1 once the budget runs out. */
+/* Parity runs from n to 1, or -1 once the budget runs out.  A start of 0
+   goes to _pure, which raises ValueError whatever the budget. */
 static PyObject *apt_stopping_u64(const u64 *n, long long budget)
 {
     u64 x = *n;
     long long steps = 0;
-    if (walk(&x, 1, &steps, budget, apt_u64) < 0)
+    if (x == 0 || walk(&x, 1, &steps, budget, apt_u64) < 0)
         return NULL;
     return PyLong_FromLongLong(x == 1 ? steps : -1);
 }
 
 /* pq steps from an even u to 2.  An odd u goes to _pure, which counts
-   (R + 1) / 2 of its runs, not its pq steps. */
+   (R + 1) / 2 of its runs, not its pq steps; so does 0, which _pure
+   rejects. */
 static PyObject *emapt_stopping_u64(const u64 *u, long long budget)
 {
     u64 x = *u;
     long long steps = 0;
-    if ((x & 1) || walk(&x, 2, &steps, budget, emapt_pq_u64) < 0)
+    if (x == 0 || (x & 1) || walk(&x, 2, &steps, budget, emapt_pq_u64) < 0)
         return NULL;
     return PyLong_FromLongLong(x == 2 ? steps : -1);
 }

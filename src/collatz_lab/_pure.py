@@ -20,6 +20,8 @@ the tests compare each span with the literal checker loop over them
 
 from __future__ import annotations
 
+import operator
+
 
 def ruler(n):
     """Position of the lowest set bit of n, counted from one.
@@ -113,6 +115,7 @@ def covering_chain(n, budget):
     walk that reaches 1 or its budget unmatched breaks the embedding; then
     each walk finishes on its own to count its length.
     """
+    budget = operator.index(budget)   # a float raises TypeError, as in _fast
     if n < 1:
         raise ValueError(f"orbits start at n >= 1, got {n}")
     c = t = a = n
@@ -223,6 +226,7 @@ def orbit_lengths(n, budget):
     so once the runs pass the budget every orbit has.  n = 1 gives (1, 1, 1)
     whatever the budget; n < 1 raises ValueError.
     """
+    budget = operator.index(budget)   # a float raises TypeError, as in _fast
     if n < 1:
         raise ValueError(f"orbits start at n >= 1, got {n}")
     blocks, runs_of, steps_of = _STOP_TABLES or _stop_tables()
@@ -270,6 +274,7 @@ def emapt_stopping(u, budget):
     accelerated count.  One even-only step covers an even run and the odd run
     after it, so the count is j + 1 = (R + 1) / 2.  u = 2 gives 0.
     """
+    budget = operator.index(budget)   # before the shortcut, so u = 2 checks it too
     if u == 2:
         return 0
     runs = apt_stopping(u, 2 * budget - 1)

@@ -10,7 +10,6 @@ the result object: wall-clock time is deliberately absent.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import TYPE_CHECKING, Callable
 
@@ -309,6 +308,8 @@ def emit(result, fmt: str, sink) -> None:
     if fmt == "json":
         _write_json(out, sink)
     elif fmt == "csv":
+        import csv
+
         csv.writer(sink, lineterminator="\n").writerows(out)
     else:
         sink.write("\n".join(out) + "\n")

@@ -9,16 +9,14 @@ nothing is fetched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from collatz_lab import arith, reverse_tree
 from collatz_lab.errors import BFileParseError, ConfigurationError, require_int
 from collatz_lab.verify import DEFAULT_VIOLATION_CAP, TheoremReport, build_report
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     generator: Callable[[int], int]
     first_index: int
     oeis_id: str

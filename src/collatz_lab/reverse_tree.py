@@ -27,42 +27,44 @@ the exponent form here is the consistent one.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from collatz_lab import kernels
 from collatz_lab.errors import DomainError, require_int
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class AffineStep:
-    """One inverse step, determined by the exponent pair (alpha, beta)."""
 
-    alpha: int
-    beta: int
+class AffineStep(NamedTuple("AffineStep", [("alpha", int), ("beta", int)])):
+    """One inverse step, determined by the exponent pair (alpha, beta);
+    `apply` holds its formula, and the slope and intercept are read off it."""
 
-    def __post_init__(self) -> None:
-        require_int(self.alpha, "alpha", 1)
-        require_int(self.beta, "beta", 1)
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int) -> AffineStep:
+        require_int(alpha, "alpha", 1)
+        require_int(beta, "beta", 1)
+        return super().__new__(cls, alpha, beta)
 
     @property
     def slope(self) -> Fraction:
-        return Fraction(2 ** (self.alpha + self.beta), 3**self.alpha)
+        return self.apply(1) - self.intercept
 
     @property
     def intercept(self) -> Fraction:
-        a, b = self.alpha, self.beta
-        return -Fraction(2**b * (3**a - 2**a), 3**a)
+        return self.apply(0)
 
     def apply(self, z) -> Fraction:
-        # slope * z + intercept over the one denominator 3^alpha.
+        # slope * z + intercept over the one denominator 3^alpha.  A plain
+        # import: on Python 3.11 the from-form costs about 1 us a call.
+        import fractions
+
         a, b = self.alpha, self.beta
-        return Fraction(2 ** (a + b) * z - 2**b * (3**a - 2**a), 3**a)
+        return fractions.Fraction(2 ** (a + b) * z - 2**b * (3**a - 2**a), 3**a)
 
 
-@dataclass(frozen=True)
-class PathComposition:
+class PathComposition(NamedTuple):
     """Affine composition of a sequence of inverse steps."""
 
     slope: Fraction
@@ -87,8 +89,7 @@ class Orphan(NamedTuple):
     parent: int
 
 
-@dataclass(frozen=True)
-class WZTree:
+class WZTree(NamedTuple):
     root: WZNode
     candidate_bound: int
     depth_bound: int
@@ -99,8 +100,7 @@ class WZTree:
     orphans: tuple[Orphan, ...]
 
 
-@dataclass(frozen=True)
-class CycleScanReport:
+class CycleScanReport(NamedTuple):
     candidate_bound: int
     step_budget: int
     cycles: tuple[tuple[int, ...], ...]
@@ -149,12 +149,11 @@ def reverse_affine_step(z, alpha: int, beta: int) -> Fraction:
 
 def compose_path(steps) -> PathComposition:
     """Fold inverse steps (applied first-to-last) into one affine map."""
-    steps = [s if isinstance(s, AffineStep) else AffineStep(*s) for s in steps]
+    steps = [AffineStep(*s) for s in steps]
     if not steps:
         raise DomainError("compose_path requires at least one step")
-    slope = Fraction(1)
-    intercept = Fraction(0)
-    for s in steps:
+    slope, intercept = steps[0].slope, steps[0].intercept
+    for s in steps[1:]:
         slope = s.slope * slope
         intercept = s.slope * intercept + s.intercept
     return PathComposition(slope, intercept, len(steps))

@@ -21,7 +21,6 @@ never treats budget exhaustion as an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,34 +44,30 @@ DEFAULT_TARGETS = {
 TRACE_KINDS = tuple(DEFAULT_TARGETS)
 
 
-@dataclass(frozen=True)
-class GParams:
+class GParams(NamedTuple("GParams", [("a", int), ("b", int)])):
     """Parameters (a, b) of the generalized odd step (an + b) / 2.
 
     Both must be odd, a >= 3, b >= 1, and a - 2 must divide b so that the
     translation constant c = b / (a - 2) is a positive odd integer.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_int(self.a, "a", 3, ConfigurationError)
-        require_int(self.b, "b", 1, ConfigurationError)
-        if self.a % 2 == 0 or self.b % 2 == 0:
-            raise ConfigurationError(f"a and b must be odd, got {self.a}, {self.b}")
-        if self.b % (self.a - 2) != 0:
-            raise ConfigurationError(
-                f"a - 2 = {self.a - 2} must divide b = {self.b}"
-            )
+    def __new__(cls, a: int, b: int) -> GParams:
+        require_int(a, "a", 3, ConfigurationError)
+        require_int(b, "b", 1, ConfigurationError)
+        if a % 2 == 0 or b % 2 == 0:
+            raise ConfigurationError(f"a and b must be odd, got {a}, {b}")
+        if b % (a - 2) != 0:
+            raise ConfigurationError(f"a - 2 = {a - 2} must divide b = {b}")
+        return super().__new__(cls, a, b)
 
     @property
     def c(self) -> int:
         return self.b // (self.a - 2)
 
 
-@dataclass(frozen=True)
-class ParityFlip:
+class ParityFlip(NamedTuple):
     """Result of collapsing one parity run: landing value and run length."""
 
     input: int
@@ -86,8 +81,7 @@ class Outcome(str, Enum):
     DOMAIN_STOP = "domain-stop"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     kind: str
     start: int
     elements: tuple[int, ...]
@@ -105,8 +99,7 @@ class StatsRow(NamedTuple):
     exhausted: bool
 
 
-@dataclass(frozen=True)
-class StatsTable:
+class StatsTable(NamedTuple):
     lo: int
     hi: int
     budget: int

@@ -509,22 +509,28 @@ def _cli_code(argv: list[str]) -> str:
 
 
 POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+#: Loaded by none of these runs: no result type is a dataclass, none of the
+#: runs builds a Fraction, and none writes CSV.
+NEVER = {"dataclasses", "inspect", "fractions", "csv"}
 
 # What each run must not load: a command imports only its own modules, and
 # the pool's modules load only when a pool starts.
 IMPORT_BUDGETS = {
     "trace": (_cli_code(["trace", "--kind", "A", "--start", "7"]),
-              {"collatz_lab.verify", "collatz_lab.reverse_tree", "collatz_lab.oeis",
-               "fractions"}),
+              {"collatz_lab.verify", "collatz_lab.reverse_tree", "collatz_lab.oeis"}
+              | NEVER),
     "tree": (_cli_code(["tree", "--candidates", "20"]),
-             {"collatz_lab.sequences", "collatz_lab.verify"}),
+             {"collatz_lab.sequences", "collatz_lab.verify"} | NEVER),
     "verify": (_cli_code(["verify", "--theorem", "p3n", "--lo", "0", "--hi", "99",
                           "--workers", "1"]),
-               POOL_MODULES),
-    "stats": (_cli_code(["stats", "--lo", "1", "--hi", "50"]), POOL_MODULES),
+               POOL_MODULES | NEVER),
+    "stats": (_cli_code(["stats", "--lo", "1", "--hi", "50"]), POOL_MODULES | NEVER),
+    "oeis-check": (_cli_code(["oeis-check", "--generator", "w_candidate", "--count", "50",
+                              "--bfile", str(ROOT / "tests/data/b007310.txt")]),
+                   {"collatz_lab.sequences"} | NEVER),
     "kernels": ("import collatz_lab.kernels",
-                {"collatz_lab.reverse_tree", "collatz_lab.verify", "collatz_lab.oeis",
-                 "fractions"}),
+                {"collatz_lab.reverse_tree", "collatz_lab.verify", "collatz_lab.oeis"}
+                | NEVER),
 }
 
 
@@ -546,6 +552,22 @@ def test_package_exports_resolve_to_their_home_objects():
     with pytest.raises(AttributeError):
         collatz_lab.no_such_export
     assert not hasattr(collatz_lab, "no_such_export")
+
+
+def test_records_are_immutable_tuples():
+    # Every result and parameter type is a NamedTuple: no instance dict, and
+    # setting a field raises AttributeError.
+    g = sequences.GParams(a=5, b=3)
+    records = [
+        g, sequences.parity_flip(7, g), sequences.trace("A", 7, 10),
+        sequences.stopping_stats(1, 3, 10), reverse_tree.AffineStep(alpha=1, beta=2),
+        reverse_tree.compose_path([(1, 1)]), reverse_tree.build_tree(5, 2),
+        reverse_tree.cycle_scan(5, 5), oeis.GENERATORS["ruler"],
+    ]
+    for record in records:
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__"), record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
 
 
 # --- documentation examples -----------------------------------------------------

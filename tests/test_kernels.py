@@ -80,7 +80,8 @@ def test_zero_matches_pure(impl, name):
 
 #: Calls outside the kernels' domain, where `_pure` once hung (a negative odd
 #: p argument halves to -1 forever) or indexed its tables with 0, and where
-#: the uint64 formulas gave values of their own.
+#: the uint64 formulas gave values of their own; and float budgets on the
+#: starts that `_pure` answers without a walk.
 OUT_OF_DOMAIN = [
     ("interleave_p", -1),
     ("interleave_p", -6),
@@ -93,10 +94,16 @@ OUT_OF_DOMAIN = [
     ("scan_p3n", -5, 10),
     ("apt_stopping", 0, 5),
     ("apt_stopping", -3, 5),
+    ("apt_stopping", 0, 0),
+    ("apt_stopping", 0, -1),
+    ("apt_stopping", 1, 10.5),
     ("covering_chain", 0, 5),
     ("covering_chain", 0, 0),
     ("covering_chain", -3, 5),
     ("emapt_stopping", 0, 5),
+    ("emapt_stopping", 0, 0),
+    ("emapt_stopping", 0, -1),
+    ("emapt_stopping", 2, 10.5),
     ("emapt_stopping", 1, 5),
     ("emapt_stopping", 7, 5),
 ]
@@ -127,11 +134,11 @@ IN_DOMAIN_CALLS = [
 
 @pytest.mark.parametrize("call", IN_DOMAIN_CALLS, ids=[c[0] for c in IN_DOMAIN_CALLS])
 def test_bad_arguments_match_pure(impl, call):
-    # One argument short, one extra, and a str or None in each place.
+    # One argument short, one extra, and a str, None or float in each place.
     name, *args = call
     bad_calls = [args[:-1], [*args, 5]]
     for i in range(len(args)):
-        bad_calls += [[*args[:i], wrong, *args[i + 1:]] for wrong in ("7", None)]
+        bad_calls += [[*args[:i], wrong, *args[i + 1:]] for wrong in ("7", None, 10.5)]
     for bad in bad_calls:
         outcome = _outcome(getattr(impl, name), *bad)
         assert outcome == _outcome(getattr(_pure, name), *bad) == TypeError, bad
