@@ -1,16 +1,23 @@
 """Compare the compiled kernels against the pure-Python reference.
 
-Times each workload once per backend and prints a table with speedups.
+Times each workload 5 times per backend, the two backends interleaved, and
+prints the median and interquartile range of each with the speedup of the
+medians.  Every row is sized so that the compiled backend takes at least
+5 ms on a 2-vCPU host: a compiled row of a millisecond or less moves by
+±20% with code layout alone.
+
 The stopping rows time the reach sweeps' counters at the sizes the
 benchmark's `sweep` and `frontier` workloads use (near 8.5e6 and 2**68).
 The stats row times the pure `orbit_lengths` block walk against the compiled
-lock-step `covering_chain`, which gives the same three lengths: about 3.0
-against 1.6 us per start (medians of 5 runs on 2 vCPUs).  `kernels` binds
-the pure walk on both backends all the same; its comment says why.
-The span rows time the checker span kernels on windows from 8.5e6 at the
-sizes the benchmark's `checkers` workload gives each checker.
-Sizes are chosen so the pure backend finishes in a few seconds; pass
---scale N to multiply every workload size by N.
+lock-step `covering_chain`, which gives the same three lengths; `kernels`
+binds the pure walk on both backends all the same, and its comment says why.
+The span rows time the checker span kernels on windows from 8.5e6.  The edge
+rows time the ranges where the compiled kernels hand work to `_pure`: the
+`dual-forms` window up to 2**41 - 1, where only that last element does not
+fit in uint64; `u-residues` seeds from 2**61, some of whose walks pass 2**64;
+and windows across the limit past which a compiled range goes to `_pure` in
+one call (2**62 for `scan_index_reps`, (2**64 - 2) / 3 for `scan_x_residues`
+and `span_parity_runs`).  Pass --scale N to multiply every size by N.
 
 The compiled column needs `collatz_lab._fast` to import, so build it in
 place first with the gcc line in README "Install":
@@ -19,6 +26,7 @@ place first with the gcc line in README "Install":
 """
 
 import argparse
+import statistics
 import time
 
 from collatz_lab import _pure
@@ -27,6 +35,9 @@ try:
     from collatz_lab import _fast
 except ImportError:
     _fast = None
+
+REPEATS = 5
+SAFE3 = (2**64 - 2) // 3
 
 
 def bench_scalar_sweep(mod, n):
@@ -59,11 +70,12 @@ def bench_stats_lengths(mod, n):
         lengths(k, 100_000)
 
 
-def bench_span(name, budgeted):
+def bench_range(name, lo, budgeted=False, centred=False):
+    """The range kernel `name` over n inputs from lo, or centred on lo."""
     def run(mod, n):
-        span = getattr(mod, name)
-        lo, hi = 8_500_000, 8_500_000 + n - 1
-        return span(lo, hi, 100_000) if budgeted else span(lo, hi)
+        first = lo - n // 2 if centred else lo
+        args = (first, first + n - 1, *((100_000,) if budgeted else ()))
+        return getattr(mod, name)(*args)
     return run
 
 
@@ -74,23 +86,40 @@ WORKLOADS = [
     ("apt_stopping from 2**68", lambda m, n: bench_apt_stopping(m, 2**68, n), 20_000),
     ("emapt_stopping of 6n+2 from 8.5e6", bench_emapt_stopping, 50_000),
     ("stats lengths from 8.5e6", bench_stats_lengths, 20_000),
-    ("scan_index_reps", lambda m, n: m.scan_index_reps(0, n), 1_000_000),
-    ("scan_ruler_identities", lambda m, n: m.scan_ruler_identities(0, n), 1_000_000),
-    ("scan_p3n", lambda m, n: m.scan_p3n(0, n), 1_000_000),
-    ("scan_x_residues", lambda m, n: m.scan_x_residues(0, n), 200_000),
-    ("scan_emapt_forms", lambda m, n: m.scan_emapt_forms(2, n), 200_000),
-    ("span_u_residues from 8.5e6", bench_span("span_u_residues", True), 25_000),
-    ("span_u_residues_odd from 8.5e6", bench_span("span_u_residues_odd", True), 25_000),
-    ("span_parity_runs from 8.5e6", bench_span("span_parity_runs", False), 100_000),
-    ("span_dual_forms from 8.5e6", bench_span("span_dual_forms", False), 100_000),
+    ("scan_index_reps", bench_range("scan_index_reps", 0), 5_000_000),
+    ("scan_ruler_identities", bench_range("scan_ruler_identities", 0), 4_000_000),
+    ("scan_p3n", bench_range("scan_p3n", 0), 5_000_000),
+    ("scan_x_residues", bench_range("scan_x_residues", 0), 2_500_000),
+    ("scan_emapt_forms", bench_range("scan_emapt_forms", 2), 3_000_000),
+    ("span_u_residues from 8.5e6", bench_range("span_u_residues", 8_500_000, True), 50_000),
+    ("span_u_residues_odd from 8.5e6",
+     bench_range("span_u_residues_odd", 8_500_000, True), 50_000),
+    ("span_parity_runs from 8.5e6", bench_range("span_parity_runs", 8_500_000), 2_000_000),
+    ("span_dual_forms from 8.5e6", bench_range("span_dual_forms", 8_500_000), 1_000_000),
+    ("edge: span_dual_forms up to 2**41 - 1",
+     lambda m, n: m.span_dual_forms(2**41 - n, 2**41 - 1), 1_000_000),
+    ("edge: span_u_residues from 2**61", bench_range("span_u_residues", 2**61, True), 20_000),
+    ("edge: span_u_residues_odd from 2**61",
+     bench_range("span_u_residues_odd", 2**61, True), 20_000),
+    ("edge: scan_index_reps across 2**62",
+     bench_range("scan_index_reps", 2**62, centred=True), 25_000),
+    ("edge: scan_x_residues across SAFE3",
+     bench_range("scan_x_residues", SAFE3, centred=True), 20_000),
+    ("edge: span_parity_runs across SAFE3",
+     bench_range("span_parity_runs", SAFE3, centred=True), 20_000),
 ]
 
 
-def run_one(fn, mod, n):
-    fn(mod, 1)   # lazy set-up, such as the stopping tables, stays untimed
+def time_once(fn, mod, n):
     t0 = time.perf_counter()
     fn(mod, n)
     return time.perf_counter() - t0
+
+
+def summary(times):
+    """Median and interquartile range, in ms."""
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return median * 1e3, (q3 - q1) * 1e3
 
 
 def main():
@@ -98,26 +127,36 @@ def main():
     parser.add_argument("--scale", type=int, default=1)
     args = parser.parse_args()
 
+    backends = [_pure] if _fast is None else [_pure, _fast]
     if _fast is None:
         print('compiled backend not built (see README "Install"); '
               "showing pure-python times only")
 
     name_w = max(len(name) for name, _, _ in WORKLOADS)
-    header = f"{'workload':<{name_w}}  {'size':>9}  {'pure (s)':>9}"
+    header = f"{'workload':<{name_w}}  {'size':>9}  {'pure ms (IQR)':>17}"
     if _fast is not None:
-        header += f"  {'fast (s)':>9}  {'speedup':>8}"
+        header += f"  {'fast ms (IQR)':>17}  {'speedup':>8}"
+    print(f"median and IQR of {REPEATS} runs per backend, interleaved")
     print(header)
     print("-" * len(header))
 
     for name, fn, base_n in WORKLOADS:
         n = base_n * args.scale
-        t_pure = run_one(fn, _pure, n)
-        row = f"{name:<{name_w}}  {n:>9}  {t_pure:>9.4f}"
+        times = {mod: [] for mod in backends}
+        for mod in backends:
+            fn(mod, 1)   # lazy set-up, such as the stopping tables, stays untimed
+        for _ in range(REPEATS):
+            for mod in backends:
+                times[mod].append(time_once(fn, mod, n))
+        medians = []
+        row = f"{name:<{name_w}}  {n:>9}"
+        for mod in backends:
+            median, iqr = summary(times[mod])
+            medians.append(median)
+            row += f"  {median:>9.2f} ({iqr:>5.2f})"
         if _fast is not None:
-            t_fast = run_one(fn, _fast, n)
-            ratio = t_pure / t_fast if t_fast > 0 else float("inf")
-            row += f"  {t_fast:>9.4f}  {ratio:>7.1f}x"
-        print(row)
+            row += f"  {medians[0] / medians[1]:>7.1f}x"
+        print(row, flush=True)
 
 
 if __name__ == "__main__":

@@ -4,17 +4,18 @@
    `collatz_lab.kernels` then binds these functions in place of _pure's.
 
    One rule keeps every result equal to _pure's: a kernel runs on uint64 and
-   hands the call, with the caller's arguments, to the _pure function of the
-   same name whenever a value might not fit, or lies below the kernel's
-   domain, where _pure raises ValueError or gives its own formula's value.
-   The rule has three doors, each a call of pure_call:
-   - KERNEL, for the multi-argument kernels, when call_args finds an argument
-     that does not fit, or when the kernel's uint64 body returns NULL with no
-     exception set; the whole call then runs again in _pure, even when a
-     product passed 2^64 mid-orbit or mid-span;
+   hands to the _pure function of the same name whatever might not fit, or
+   lies below the kernel's domain, where _pure raises ValueError or gives its
+   own formula's value.  The rule has three doors, each a call of pure_call:
+   - KERNEL, for the multi-argument kernels, hands over the whole call, with
+     the caller's arguments, when call_args finds one that does not fit, or
+     when the kernel's uint64 body returns NULL with no exception set: an
+     orbit whose value passed 2^64, or a range whose first element lies below
+     its domain;
    - SCALAR, for the one-argument kernels, likewise;
-   - pure_flags, for the one element of a range scan that does not fit; the
-     rest of the range stays on uint64.
+   - pure_range, for the scans and checker spans, whose one range loop
+     checks an element at a time: one that does not fit goes alone to _pure
+     over [v, v], and the elements past the kernel's uint64 limit go in one.
    Only OverflowError is taken as "does not fit"; any other conversion
    error, or a wrong argument count, propagates.
 
@@ -22,9 +23,9 @@
    run (or one step) at a time, not block jumps, so comparing them with
    _pure's block walk tests the Terras and (R + 1) / 2 identities.
    covering_chain is _pure's lock-step walk of the three orbits, so it
-   stores none of them and allocates nothing.  The checker spans at the end
-   are _pure's span_* loops on uint64, with the step helpers below in place
-   of the inlined formulas. */
+   stores none of them and allocates nothing.  The range checks at the end
+   are _pure's scan and span loop bodies on uint64, with the step helpers
+   below in place of the inlined formulas. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -339,157 +340,176 @@ KERNEL(covering_chain, 1, 1)
 KERNEL(apt_stopping, 1, 1)
 KERNEL(emapt_stopping, 1, 1)
 
-/* --- range scans; each returns the list of violating inputs --------------- */
+/* --- ranges: scans and checker spans, one element at a time -------------- */
 
-/* Whether _pure's scan `name` flags the single value v; -1 on error. */
-static int pure_flags(const char *name, u64 v)
-{
-    PyObject *obj = PyLong_FromUnsignedLongLong(v);
-    if (obj == NULL)
-        return -1;
-    PyObject *args[2] = {obj, obj};
-    PyObject *bad = pure_call(name, args, 2);
-    Py_DECREF(obj);
-    if (bad == NULL)
-        return -1;
-    int flagged = PyObject_IsTrue(bad);
-    Py_DECREF(bad);
-    return flagged;
-}
-
-/* The values lo, lo + stride, ... <= hi for which flag (1 bad, 0 good, -1
-   error) says bad.  Never steps past hi, so never wraps. */
-static inline __attribute__((always_inline)) PyObject *
-scan(u64 lo, u64 hi, u64 stride, int (*flag)(u64))
-{
-    PyObject *bad = PyList_New(0);
-    if (bad == NULL || lo > hi)
-        return bad;
-    for (u64 v = lo, left = (hi - lo) / stride;; v += stride, left--) {
-        int f = flag(v);
-        if (f) {
-            PyObject *obj = f < 0 ? NULL : PyLong_FromUnsignedLongLong(v);
-            int failed = obj == NULL || PyList_Append(bad, obj) < 0;
-            Py_XDECREF(obj);
-            if (failed) {
-                Py_DECREF(bad);
-                return NULL;
-            }
-        }
-        if (left == 0)
-            return bad;
-    }
-}
-
-/* (2 p(n) + 1) 2^q(n) must rebuild 2(n + 1), and its predecessor 2n + 1. */
-static int index_rep_bad(u64 n)
-{
-    u64 e = (2 * p_u64(n) + 1) << q_u64(n);
-    return e != 2 * (n + 1) || e - 1 != 2 * n + 1;
-}
-
-/* The ruler of e / 2 must equal q(n). */
-static int ruler_identity_bad(u64 n)
-{
-    int q = q_u64(n);
-    u64 e = (2 * p_u64(n) + 1) << q;
-    return ctz(e >> 1) + 1 != q;
-}
-
-static int p3n_bad(u64 n) { return p_u64(3 * n) % 3 == 1; }
-
-static int x_residue_bad(u64 x)
-{
-    u64 out;
-    if (!x_u64(x, &out))
-        return pure_flags("scan_x_residues", x);
-    return out % 3 == 2;
-}
-
-static int emapt_forms_bad(u64 u)
-{
-    u64 via_pq, via_ruler;
-    if (!emapt_pq_u64(u, &via_pq) || !emapt_ruler_u64(u, &via_ruler))
-        return pure_flags("scan_emapt_forms", u);
-    return via_pq != via_ruler;
-}
-
-/* Scans [first, hi] in steps of stride; _pure takes the call when hi reaches
-   the scan's cutoff. */
-#define SCAN(name, cutoff, first, stride, flag)                              \
-    static PyObject *name##_u64(const u64 *u, long long Py_UNUSED(budget))   \
-    {                                                                        \
-        u64 lo = u[0], hi = u[1];                                            \
-        return (cutoff) ? NULL : scan(first, hi, stride, flag);              \
-    }                                                                        \
-    KERNEL(name, 2, 0)
-
-SCAN(scan_index_reps, hi >= SAFE_N, lo, 1, index_rep_bad)
-SCAN(scan_ruler_identities, hi >= SAFE_N, lo, 1, ruler_identity_bad)
-SCAN(scan_p3n, hi > SAFE3, lo, 1, p3n_bad)
-SCAN(scan_x_residues, 0, lo, 1, x_residue_bad)
-/* Even u from 2 on.  Rounding lo up to even must not wrap 2^64 - 1 to 0; a
-   lo past hi gives no values either way. */
-SCAN(scan_emapt_forms, hi >= U64_MAX - 1,
-     lo < 2 ? 2 : lo + ((lo & 1) && lo <= hi), 2, emapt_forms_bad)
-
-/* --- checker spans; each returns (checked, violations, exhausted) -------- */
-
-/* A span's violations, as (input, detail) pairs, its exhausted inputs, and
-   how many inputs it checked. */
+/* What a range found: a scan's violating inputs, or a span's (input, detail)
+   violations, its exhausted inputs and how many inputs it checked. */
 typedef struct {
     PyObject *violations, *exhausted;
     u64 checked;
 } Findings;
 
-/* How a span body ends, then how the pq-form walk of a u-residues seed
-   ends. */
+/* How an element's check ends, then how the pq-form walk of a u-residues
+   seed ends. */
 enum { DONE, FAILED, NO_FIT, REACHED_2, EXHAUSTED, NOT_2_MOD_6, NOT_2_OR_8_MOD_18 };
 
-/* Appends (n, detail) to the violations and drops detail; DONE or FAILED. */
-static int violation(Findings *f, u64 n, PyObject *detail)
+/* What a range kernel returns: a scan the list of violating inputs, a span
+   the triple (checked, violations, exhausted). */
+enum { LIST, TRIPLE };
+
+/* Out of line, so that a range loop keeps no list in a register. */
+#define COLD __attribute__((cold, noinline))
+
+/* Appends item to list and drops it: DONE, or FAILED when item is NULL (its
+   error is set) or the append fails. */
+static COLD int append(PyObject *list, PyObject *item)
 {
-    PyObject *key = PyLong_FromUnsignedLongLong(n);
-    PyObject *item = key && detail ? PyTuple_Pack(2, key, detail) : NULL;
-    Py_XDECREF(key);
-    Py_XDECREF(detail);
-    int failed = item == NULL || PyList_Append(f->violations, item) < 0;
+    int failed = item == NULL || PyList_Append(list, item) < 0;
     Py_XDECREF(item);
     return failed ? FAILED : DONE;
 }
 
-static int exhausted(Findings *f, u64 n)
+static COLD int flagged(Findings *f, u64 n)
 {
-    PyObject *key = PyLong_FromUnsignedLongLong(n);
-    int failed = key == NULL || PyList_Append(f->exhausted, key) < 0;
-    Py_XDECREF(key);
-    return failed ? FAILED : DONE;
+    return append(f->violations, PyLong_FromUnsignedLongLong(n));
 }
 
-/* body's (checked, violations, exhausted) over [u[0], u[1]], or NULL: when
-   body says NO_FIT, _pure takes the call; when FAILED, an error is set.
-   Each body says NO_FIT for a first element outside its checker's domain
-   (where _pure raises), an empty span, and a hi so close to 2^64 that
-   stepping past it would wrap. */
-static PyObject *
-span(const u64 *u, long long budget, int (*body)(Findings *, u64, u64, long long))
+/* Appends (n, detail), dropping detail; a NULL detail is an error set. */
+static COLD int violation(Findings *f, u64 n, PyObject *detail)
 {
-    Findings f = {PyList_New(0), PyList_New(0), 0};
-    PyObject *result = NULL;
-    if (f.violations && f.exhausted && body(&f, u[0], u[1], budget) == DONE)
-        result = Py_BuildValue("(KOO)", (unsigned long long)f.checked,
-                               f.violations, f.exhausted);
-    Py_XDECREF(f.violations);
-    Py_XDECREF(f.exhausted);
-    return result;
+    return append(f->violations, Py_BuildValue("(KN)", (unsigned long long)n, detail));
 }
 
-#define SPAN(name, budgeted)                                                 \
+/* Appends what _pure's range kernel `name` returns over [lo, hi]: a scan's
+   list, or a span's (checked, violations, exhausted).  DONE or FAILED. */
+static int pure_range(Findings *f, const char *name, u64 lo, u64 hi,
+                      long long budget, int budgeted)
+{
+    PyObject *args[3] = {PyLong_FromUnsignedLongLong(lo), PyLong_FromUnsignedLongLong(hi),
+                         PyLong_FromLongLong(budget)};
+    PyObject *got = args[0] && args[1] && args[2] ? pure_call(name, args, 2 + budgeted) : NULL;
+    for (int i = 0; i < 3; i++)
+        Py_XDECREF(args[i]);
+    unsigned long long checked = 0;
+    PyObject *violations = got, *more_exhausted = NULL;
+    int ok = got && (PyList_Check(got) || PyArg_ParseTuple(got, "KOO", &checked, &violations,
+                                                           &more_exhausted));
+    ok = ok && PyList_SetSlice(f->violations, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, violations) == 0
+         && (more_exhausted == NULL
+             || PyList_SetSlice(f->exhausted, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX,
+                                more_exhausted) == 0);
+    f->checked += checked;
+    Py_XDECREF(got);
+    return ok ? DONE : FAILED;
+}
+
+/* An element's check: it records what it finds at v and returns DONE, or
+   FAILED with an error set, or NO_FIT, having recorded nothing, when a value
+   does not fit in uint64. */
+typedef int (*Check)(Findings *, u64, long long);
+
+/* After element v's check said end, not DONE: FAILED, or DONE once _pure's
+   `name` over [v, v] has taken an element that did not fit (and counted it
+   in place of the range loop). */
+static COLD int
+settle(Findings *f, const char *name, u64 v, int end, long long budget, int budgeted)
+{
+    if (end == FAILED || pure_range(f, name, v, v, budget, budgeted) != DONE)
+        return FAILED;
+    f->checked--;
+    return DONE;
+}
+
+/* Checks v, v + stride, ... <= last, each element counted as one checked
+   input.  Never steps past last, so never wraps. */
+static inline __attribute__((always_inline)) int
+range(Findings *f, const char *name, u64 v, u64 last, u64 stride, long long budget,
+      int budgeted, Check check)
+{
+    f->checked += (last - v) / stride + 1;
+    for (;; v += stride) {
+        int end = check(f, v, budget);
+        if (end != DONE && settle(f, name, v, end, budget, budgeted) != DONE)
+            return FAILED;
+        if (last - v < stride)
+            return DONE;
+    }
+}
+
+/* The range kernel `name` over the elements first, first + stride, ... <=
+   hi, each checked by name##_check; it returns a LIST or a TRIPLE.  A first
+   element below least hands the whole call to _pure, which raises, or finds
+   nothing when rounding lo up to first wrapped past 2^64; the elements past
+   limit go to _pure in one call. */
+#define RANGE(name, result, budgeted, first, stride, least, limit)           \
     static PyObject *name##_u64(const u64 *u, long long budget)              \
     {                                                                        \
-        return span(u, budget, name##_body);                                 \
+        u64 lo = u[0], hi = u[1], v = (first), min = (least);                \
+        if (v < min)                                                         \
+            return NULL;                                                     \
+        Findings f = {PyList_New(0), PyList_New(0), 0};                      \
+        int end = f.violations && f.exhausted ? DONE : FAILED;               \
+        if (end == DONE && v <= hi && v <= (limit))                          \
+            end = range(&f, #name, v, hi < (limit) ? hi : (limit), stride,   \
+                        budget, budgeted, name##_check);                     \
+        if (end == DONE && v <= hi && hi > (limit))                          \
+            end = pure_range(&f, #name, v > (limit) ? v : (limit) + 1, hi,   \
+                             budget, budgeted);                              \
+        PyObject *out = NULL;                                                \
+        if (end == DONE)                                                     \
+            out = (result) == LIST ? Py_BuildValue("O", f.violations)        \
+                  : Py_BuildValue("(KOO)", (unsigned long long)f.checked,    \
+                                  f.violations, f.exhausted);                \
+        Py_XDECREF(f.violations);                                            \
+        Py_XDECREF(f.exhausted);                                             \
+        return out;                                                          \
     }                                                                        \
     KERNEL(name, 2, budgeted)
+
+/* (2 p(n) + 1) 2^q(n) must rebuild 2(n + 1), and its predecessor 2n + 1.
+   Both tests run, unshortened, so that gcc folds them into one compare. */
+static int scan_index_reps_check(Findings *f, u64 n, long long Py_UNUSED(budget))
+{
+    u64 e = (2 * p_u64(n) + 1) << q_u64(n);
+    return (e != 2 * (n + 1)) | (e - 1 != 2 * n + 1) ? flagged(f, n) : DONE;
+}
+
+/* The ruler of e / 2 must equal q(n). */
+static int scan_ruler_identities_check(Findings *f, u64 n, long long Py_UNUSED(budget))
+{
+    int q = q_u64(n);
+    u64 e = (2 * p_u64(n) + 1) << q;
+    return ctz(e >> 1) + 1 != q ? flagged(f, n) : DONE;
+}
+
+static int scan_p3n_check(Findings *f, u64 n, long long Py_UNUSED(budget))
+{
+    return p_u64(3 * n) % 3 == 1 ? flagged(f, n) : DONE;
+}
+
+static int scan_x_residues_check(Findings *f, u64 x, long long Py_UNUSED(budget))
+{
+    u64 out;
+    if (!x_u64(x, &out))
+        return NO_FIT;
+    return out % 3 == 2 ? flagged(f, x) : DONE;
+}
+
+/* Whether the pq and ruler forms of the even step from u differ: 1 or 0, or
+   -1 when one does not fit. */
+static inline int emapt_forms_differ(u64 u)
+{
+    u64 via_pq, via_ruler;
+    if (!emapt_pq_u64(u, &via_pq) || !emapt_ruler_u64(u, &via_ruler))
+        return -1;
+    return via_pq != via_ruler;
+}
+
+static int scan_emapt_forms_check(Findings *f, u64 u, long long Py_UNUSED(budget))
+{
+    int differ = emapt_forms_differ(u);
+    return differ < 0 ? NO_FIT : differ ? flagged(f, u) : DONE;
+}
 
 /* Walks *x under the pq form for at most budget steps, leaving the last
    image in *x.  Each image must be 2 mod 6 when mod6 is set, and 2 or 8
@@ -514,127 +534,101 @@ static int residue_walk(u64 *x, long long budget, int mod6, long long from18)
 static int record_walk(Findings *f, u64 seed, int end, u64 x)
 {
     unsigned long long image = x;
+    if (end == NO_FIT)
+        return NO_FIT;
     if (end == EXHAUSTED)
-        return exhausted(f, seed);
+        return append(f->exhausted, PyLong_FromUnsignedLongLong(seed));
     if (end == NOT_2_MOD_6)
         return violation(f, seed, PyUnicode_FromFormat(
                              "element %llu is not 2 mod 6", image));
     if (end == NOT_2_OR_8_MOD_18)
         return violation(f, seed, PyUnicode_FromFormat(
                              "element %llu is not 2 or 8 mod 18", image));
-    return end == NO_FIT ? NO_FIT : DONE;
-}
-
-static int span_u_residues_body(Findings *f, u64 lo, u64 hi, long long budget)
-{
-    u64 first = lo + (lo & 1);
-    if (first < 2 || first > hi || hi > U64_MAX - 2)
-        return NO_FIT;
-    for (u64 u = first; u <= hi; u += 2) {
-        u64 x = u;
-        int end = residue_walk(&x, budget, 1, 2);
-        if ((end = record_walk(f, u, end, x)) != DONE)
-            return end;
-    }
-    f->checked = (hi - first) / 2 + 1;
     return DONE;
 }
 
-/* One ruler-form step from each odd seed, then the pq form. */
-static int span_u_residues_odd_body(Findings *f, u64 lo, u64 hi, long long budget)
+static int span_u_residues_check(Findings *f, u64 u, long long budget)
 {
-    u64 first = lo | 1;
-    if (first > hi || hi > U64_MAX - 2)
+    u64 x = u;
+    int end = residue_walk(&x, budget, 1, 2);
+    return record_walk(f, u, end, x);
+}
+
+/* One ruler-form step from the odd seed, then the pq form. */
+static int span_u_residues_odd_check(Findings *f, u64 seed, long long budget)
+{
+    u64 x;
+    if (!emapt_ruler_u64(seed, &x))
         return NO_FIT;
-    for (u64 seed = first; seed <= hi; seed += 2) {
-        u64 x;
-        if (!emapt_ruler_u64(seed, &x))
-            return NO_FIT;
-        int end = residue_walk(&x, budget, 0, 1);
-        if ((end = record_walk(f, seed, end, x)) != DONE)
-            return end;
-    }
-    f->checked = (hi - first) / 2 + 1;
-    return DONE;
+    int end = residue_walk(&x, budget, 0, 1);
+    return record_walk(f, seed, end, x);
 }
 
 /* The literal parity run from n against its closed-form length and apt_step. */
-static int span_parity_runs_body(Findings *f, u64 lo, u64 hi,
-                                 long long Py_UNUSED(budget))
+static int span_parity_runs_check(Findings *f, u64 n, long long Py_UNUSED(budget))
 {
-    if (lo < 1 || lo > hi || hi > U64_MAX - 2)
-        return NO_FIT;
-    for (u64 n = lo; n <= hi; n++) {
-        u64 x = n, landing;
-        int run = 0, expected;
-        if ((n & 1) == 0) {
-            for (; (x & 1) == 0; run++)
-                x >>= 1;
-            expected = ctz(n >> 1) + 1;
-        } else {
-            for (; x & 1; run++)
-                if (!t_u64(x, &x))
-                    return NO_FIT;
-            expected = ctz((n + 1) >> 1) + 1;
-        }
-        if (!apt_u64(n, &landing))
-            return NO_FIT;
-        PyObject *detail = NULL;
-        if (run != expected)
-            detail = PyUnicode_FromFormat("run length %d, expected %d", run, expected);
-        else if (x != landing)
-            detail = PyUnicode_FromFormat("run lands on %llu, not the accelerated step",
-                                          (unsigned long long)x);
-        else
-            continue;
-        if (violation(f, n, detail) != DONE)
-            return FAILED;
+    u64 x = n, landing;
+    int run = 0, expected;
+    if ((n & 1) == 0) {
+        for (; (x & 1) == 0; run++)
+            x >>= 1;
+        expected = ctz(n >> 1) + 1;
+    } else {
+        for (; x & 1; run++)
+            if (!t_u64(x, &x))
+                return NO_FIT;
+        expected = ctz((n + 1) >> 1) + 1;
     }
-    f->checked = hi - lo + 1;
+    if (!apt_u64(n, &landing))
+        return NO_FIT;
+    if (run != expected)
+        return violation(f, n, PyUnicode_FromFormat("run length %d, expected %d",
+                                                    run, expected));
+    if (x != landing)
+        return violation(f, n, PyUnicode_FromFormat(
+                             "run lands on %llu, not the accelerated step",
+                             (unsigned long long)x));
     return DONE;
 }
 
-/* scan_emapt_forms, then both index maps from p(n) and q(n) against apt_step.
-   Below SAFE_N the even value 2(n + 1) fits. */
-static int span_dual_forms_body(Findings *f, u64 lo, u64 hi,
-                                long long Py_UNUSED(budget))
+/* For even n >= 2, the pq and ruler forms of the even step; then both index
+   maps from p(n) and q(n) against apt_step.  Below SAFE_N the even value
+   2(n + 1) fits. */
+static int span_dual_forms_check(Findings *f, u64 n, long long Py_UNUSED(budget))
 {
-    if (lo > hi || hi >= SAFE_N)
+    int even_step = n >= 2 && (n & 1) == 0;
+    int differ = even_step ? emapt_forms_differ(n) : 0;
+    u64 odd = 2 * p_u64(n) + 1, even_landing, odd_landing;
+    int q = q_u64(n);
+    u64 even = odd << q, succ = mul_pow3(odd, q);
+    if (differ < 0 || succ == 0 || !apt_u64(even, &even_landing)
+        || !apt_u64(even - 1, &odd_landing))
         return NO_FIT;
-    u64 evens = lo < 2 ? 2 : lo + (lo & 1);
-    for (u64 u = evens; u <= hi; u += 2) {
-        int bad = emapt_forms_bad(u);
-        if (bad < 0 || (bad && violation(f, u, PyUnicode_FromString(
-                                             "pq and ruler forms disagree")) != DONE))
-            return FAILED;
-    }
-    for (u64 n = lo; n <= hi; n++) {
-        u64 odd = 2 * p_u64(n) + 1, landing;
-        int q = q_u64(n);
-        u64 even = odd << q, succ = mul_pow3(odd, q);
-        if (succ == 0)
-            return NO_FIT;
-        if (!apt_u64(even, &landing))
-            return NO_FIT;
-        if (landing != odd
-            && violation(f, n, PyUnicode_FromString(
-                             "even index map disagrees with accelerated step")) != DONE)
-            return FAILED;
-        if (!apt_u64(even - 1, &landing))
-            return NO_FIT;
-        if (landing != succ - 1
-            && violation(f, n, PyUnicode_FromString(
-                             "odd index map disagrees with accelerated step")) != DONE)
-            return FAILED;
-    }
-    f->checked = (evens > hi ? 0 : (hi - evens) / 2 + 1) + hi - lo + 1;
-    return DONE;
+    f->checked += even_step;   /* the even step is one more input */
+    if (!differ && even_landing == odd && odd_landing == succ - 1)
+        return DONE;
+    int end = DONE;
+    if (differ)
+        end = violation(f, n, PyUnicode_FromString("pq and ruler forms disagree"));
+    if (end == DONE && even_landing != odd)
+        end = violation(f, n, PyUnicode_FromString(
+                            "even index map disagrees with accelerated step"));
+    if (end == DONE && odd_landing != succ - 1)
+        end = violation(f, n, PyUnicode_FromString(
+                            "odd index map disagrees with accelerated step"));
+    return end;
 }
 
-SPAN(span_u_residues, 1)
-SPAN(span_u_residues_odd, 1)
-SPAN(span_parity_runs, 0)
-SPAN(span_dual_forms, 0)
+/*    name                   result  budgeted  first  stride  least  limit */
+RANGE(scan_index_reps,       LIST,   0, lo, 1, 0, SAFE_N - 1)
+RANGE(scan_ruler_identities, LIST,   0, lo, 1, 0, SAFE_N - 1)
+RANGE(scan_p3n,              LIST,   0, lo, 1, 0, SAFE3)
+RANGE(scan_x_residues,       LIST,   0, lo, 1, 0, SAFE3)
+RANGE(scan_emapt_forms,      LIST,   0, lo < 2 ? 2 : lo + (lo & 1), 2, 2, U64_MAX)
+RANGE(span_u_residues,       TRIPLE, 1, lo + (lo & 1), 2, 2, U64_MAX)
+RANGE(span_u_residues_odd,   TRIPLE, 1, lo | 1, 2, 1, U64_MAX)
+RANGE(span_parity_runs,      TRIPLE, 0, lo, 1, 1, SAFE3)
+RANGE(span_dual_forms,       TRIPLE, 0, lo, 1, 0, SAFE_N - 1)
 
 /* --- module ---------------------------------------------------------------- */
 

@@ -453,19 +453,34 @@ def span_parity_runs(lo, hi):
             violations.append((n, f"run length {run}, expected {expected}"))
         elif x != landing:
             violations.append((n, f"run lands on {x}, not the accelerated step"))
-    return hi - lo + 1, violations, []
+    return len(range(lo, hi + 1)), violations, []
 
 
 def span_dual_forms(lo, hi):
-    """The pq and ruler forms of the even step agree on even u in [lo, hi]
-    (scan_emapt_forms), and for each n in [lo, hi] both index maps built
-    from p(n) and q(n) agree with the ruler-form accelerated step: the even
-    value (2 p + 1) 2^q runs to its odd part 2 p + 1, and the odd value
-    (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
+    """For each n in [lo, hi]: when n is even and at least 2, the pq and
+    ruler forms of the even step agree on it (scan_emapt_forms); and both
+    index maps built from p(n) and q(n) agree with the ruler-form
+    accelerated step: the even value (2 p + 1) 2^q runs to its odd part
+    2 p + 1, and the odd value (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
     if lo < 0:
         raise ValueError(f"index maps start at 0, got lo = {lo}")
-    violations = [(u, "pq and ruler forms disagree") for u in scan_emapt_forms(lo, hi)]
+    violations = []
     for n in range(lo, hi + 1):
+        if n & 1 == 0 and n >= 2:
+            # emapt_step_pq(n): m = p((n - 2) / 2), then (2 p(m) + 1) 3^q(m) - 1
+            p = (n - 2) >> 1
+            while p & 1:
+                p >>= 1
+            m = p = p >> 1
+            while p & 1:
+                p >>= 1
+            m += 1
+            via_pq = (2 * (p >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
+            # emapt_step_ruler(n): apt_step of the odd part o, 3^e (o + 1) / 2^e - 1
+            m = (n >> ((n & -n).bit_length() - 1)) + 1
+            e = (m & -m).bit_length() - 1
+            if via_pq != 3**e * (m >> e) - 1:
+                violations.append((n, "pq and ruler forms disagree"))
         p = n
         while p & 1:
             p >>= 1
@@ -482,4 +497,4 @@ def span_dual_forms(lo, hi):
         if odd * 3**q - 1 != 3**r * (even >> r) - 1:
             violations.append((n, "odd index map disagrees with accelerated step"))
     evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
-    return len(evens) + hi - lo + 1, violations, []
+    return len(evens) + len(range(lo, hi + 1)), violations, []

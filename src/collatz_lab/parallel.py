@@ -2,8 +2,9 @@
 
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
-or how many processes ran.  workers=1 stays in-process; a pool never holds
-more processes than there are CPUs or spans, and gets four spans per process.
+or how many processes ran.  A pool never holds more processes than there are
+CPUs or spans, and gets four spans per process; where that leaves one
+process, the range runs in-process.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     """Apply fn(a, b, *args) over spans of [lo, hi]; return results in order."""
     if hi < lo:
         return []
-    total = hi - lo + 1
-    if workers <= 1:
-        return [fn(lo, hi, *args)]
-    pool_size = min(workers, os.cpu_count() or 1)
-    chunk = max(1, -(-total // (pool_size * 4)))
-    spans = split_range(lo, hi, chunk)
-    if len(spans) == 1:
+    pool_size = max(1, min(workers, os.cpu_count() or 1))
+    spans = split_range(lo, hi, -(-(hi - lo + 1) // (pool_size * 4)))
+    if pool_size == 1 or len(spans) == 1:
         return [fn(lo, hi, *args)]
     # Loads concurrent.futures.process and multiprocessing: paid only here.
     from concurrent.futures import ProcessPoolExecutor

@@ -327,7 +327,10 @@ def _around(cutoff):
     return [(cutoff - 64, cutoff - 1), (cutoff - 64, cutoff + 64), (cutoff, cutoff + 64)]
 
 
-#: Windows on each side of the cutoff where a scan hands its range to `_pure`.
+#: Windows on each side of each scan's uint64 limit, past which the compiled
+#: scan hands the rest of its range to `_pure` in one call; `scan_emapt_forms`
+#: has none, and its windows at the top of uint64 hand over one element at a
+#: time.  Below a limit, an element that does not fit goes to `_pure` alone.
 CUTOFF_WINDOWS = {
     "scan_index_reps": _around(SAFE_N),
     "scan_ruler_identities": _around(SAFE_N),
@@ -353,6 +356,29 @@ def test_scans_agree(fast, name, lo):
     windows = [(lo, 3000), *CUTOFF_WINDOWS[name], (U64_MAX - 64, U64_MAX + 64), (U64_MAX, 5)]
     for a, b in windows:
         assert getattr(fast, name)(a, b) == getattr(_pure, name)(a, b), (a, b)
+
+
+#: A compiled range kernel, a window, and the one `_pure` call it makes there:
+#: the one element that does not fit in uint64, or everything past the limit.
+FALLBACKS = [
+    ("span_dual_forms", (2**41 - 64, 2**41 + 64), (2**41 - 1, 2**41 - 1)),
+    ("scan_index_reps", (2**62 - 8, 2**62 + 8), (2**62, 2**62 + 8)),
+]
+
+
+@pytest.mark.parametrize("name,window,handed", FALLBACKS, ids=[c[0] for c in FALLBACKS])
+def test_range_hands_pure_only_what_does_not_fit(fast, monkeypatch, name, window, handed):
+    # The compiled module looks the `_pure` kernel up on every fallback.
+    pure_fn = getattr(_pure, name)
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return pure_fn(*args)
+
+    monkeypatch.setattr(_pure, name, recorder)
+    assert getattr(fast, name)(*window) == pure_fn(*window)
+    assert calls == [handed]
 
 
 @given(st.integers(min_value=1, max_value=10**40))

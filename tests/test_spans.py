@@ -2,10 +2,12 @@
 
 Each `span_*` kernel runs a whole `verify` span with the step formulas
 inlined; `oracles` keeps the loops they replaced, one standalone `_pure`
-kernel call per step.  The windows cover the checkers' small ranges, ±64
-around 2**63 and 2**64, where the compiled spans hand the call to `_pure`,
-and bigint seeds past 2**68.  The budgeted spans also run one seed at a time
-at budgets 1, 2, 3 and at each seed's exact step count - 1, itself and + 1.
+kernel call per step.  The windows cover the checkers' small ranges; ±64
+around 2**41, SAFE3, 2**62, 2**63 and 2**64, where a compiled span hands
+`_pure` an element that does not fit in uint64 (2**41 - 1 in `dual-forms`)
+or everything past its limit; and bigint seeds past 2**68.  The budgeted
+spans also run one seed at a time at budgets 1, 2, 3 and at each seed's
+exact step count - 1, itself and + 1.
 No input in a checker's domain reaches a violation, so the violation details
 are compared as source literals across the two backends and the loops.
 """
@@ -21,11 +23,12 @@ from collatz_lab import _pure, verify
 from conftest import FAST_SOURCE
 
 BIG_BUDGET = 10**6
+SAFE3 = (2**64 - 2) // 3   # the compiled parity-runs span stops here
 
 
 def _windows(first):
     out = [(first, 3000)]
-    for c in (2**63, 2**64):
+    for c in (2**41, SAFE3, 2**62, 2**63, 2**64):
         out += [(c - 64, c - 1), (c - 64, c + 64), (c, c + 64)]
     return out + [(2**68, 2**68 + 300)]
 
@@ -76,6 +79,16 @@ def test_span_matches_literal_loop(impl, name, oracle, first):
     span = getattr(impl, name)
     for lo, hi in _windows(first):
         assert span(lo, hi) == oracle(lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize(
+    "name,first,budget",
+    [(c[0], c[2], (5,)) for c in BUDGETED] + [(c[0], c[2], ()) for c in UNBUDGETED],
+    ids=[c[0] for c in BUDGETED + UNBUDGETED],
+)
+def test_empty_span_checks_nothing(impl, name, first, budget):
+    for lo in (first, 10, 2**41, 2**64 + 1):
+        assert getattr(impl, name)(lo, lo - 1, *budget) == (0, [], []), lo
 
 
 BELOW_DOMAIN = [

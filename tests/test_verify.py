@@ -243,9 +243,11 @@ def _span_items(lo, hi):
 
 @pytest.mark.parametrize(
     "cpus,workers,hi,expected",
-    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1)],
+    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1),
+     (1, 4, 100, 1), (8, 4, 1, 1)],
 )
 def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
+    # expected processes; one runs in-process, with no pool.
     sizes, spans = [], []
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
     # run_chunked imports the pool class from concurrent.futures when it starts one.
@@ -255,9 +257,9 @@ def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, exp
         lambda max_workers: _RecordingPool(sizes, spans, max_workers),
     )
     parts = parallel.run_chunked(_span_items, 1, hi, workers)
-    assert sizes == [expected]
+    assert sizes == ([expected] if expected > 1 else [])
     # Spans follow the clamped pool, not the requested worker count.
-    assert len(spans) <= 4 * expected
+    assert len(spans) <= (4 * expected if expected > 1 else 0)
     assert [n for part in parts for n in part] == list(range(1, hi + 1))
 
 
