@@ -11,7 +11,11 @@ benchmark's `sweep` and `frontier` workloads use (near 8.5e6 and 2**68).
 The stats row times the pure `orbit_lengths` block walk against the compiled
 lock-step `covering_chain`, which gives the same three lengths; `kernels`
 binds the pure walk on both backends all the same, and its comment says why.
-The span rows time the checker span kernels on windows from 8.5e6.  The edge
+The span rows time the checker span kernels on windows from 8.5e6, and the
+three orbit-walk spans (`covering` and the two reach sweeps) from 8.5e6 and
+from 2**68 too: there `_pure` shares finished tails between the starts of a
+span, and the compiled span hands the whole bigint window to `_pure`, so
+the compiled column should read the same as the pure one.  The edge
 rows time the ranges where the compiled kernels hand work to `_pure`: the
 `dual-forms` window up to 2**41 - 1, where only that last element does not
 fit in uint64; `u-residues` seeds from 2**61, some of whose walks pass 2**64;
@@ -96,6 +100,15 @@ WORKLOADS = [
      bench_range("span_u_residues_odd", 8_500_000, True), 50_000),
     ("span_parity_runs from 8.5e6", bench_range("span_parity_runs", 8_500_000), 2_000_000),
     ("span_dual_forms from 8.5e6", bench_range("span_dual_forms", 8_500_000), 1_000_000),
+    ("span_covering from 8.5e6", bench_range("span_covering", 8_500_000, True), 20_000),
+    ("span_covering from 2**68", bench_range("span_covering", 2**68, True), 5_000),
+    ("span_conjecture_apt from 8.5e6",
+     bench_range("span_conjecture_apt", 8_500_000, True), 50_000),
+    ("span_conjecture_apt from 2**68", bench_range("span_conjecture_apt", 2**68, True), 20_000),
+    ("span_conjecture_emapt from 8.5e6",
+     bench_range("span_conjecture_emapt", 8_500_000, True), 50_000),
+    ("span_conjecture_emapt from 2**68",
+     bench_range("span_conjecture_emapt", 2**68, True), 20_000),
     ("edge: span_dual_forms up to 2**41 - 1",
      lambda m, n: m.span_dual_forms(2**41 - n, 2**41 - 1), 1_000_000),
     ("edge: span_u_residues from 2**61", bench_range("span_u_residues", 2**61, True), 20_000),

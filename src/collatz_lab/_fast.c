@@ -25,7 +25,9 @@
    covering_chain is _pure's lock-step walk of the three orbits, so it
    stores none of them and allocates nothing.  The range checks at the end
    are _pure's scan and span loop bodies on uint64, with the step helpers
-   below in place of the inlined formulas. */
+   below in place of the inlined formulas; the orbit-walk spans check each
+   start with those literal loops, without _pure's memo of finished tails,
+   which pays where the values are bigints. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -276,41 +278,52 @@ walk(u64 *x, u64 target, long long *steps, long long budget, int (*step)(u64, u6
     return 0;
 }
 
-/* _pure's lock-step walk: each accelerated value steps the half-step walk
-   until it is equal, and each half-step value the plain walk. */
-static PyObject *covering_chain_u64(const u64 *n, long long budget)
+/* _pure's lock-step walk from n >= 1: each accelerated value steps the
+   half-step walk until it is equal, and each half-step value the plain walk.
+   Sets the element counts len (plain, half-step, accelerated; -1 past the
+   budget) and *ok as _pure does, or returns 0 when a value does not fit. */
+static int cover(u64 n, long long budget, long long len[3], int *ok)
 {
-    if (*n == 0)   /* _pure raises ValueError for n < 1 */
-        return NULL;
-    u64 c = *n, t = *n, a = *n;
+    u64 c = n, t = n, a = n;
     long long sc = 0, st = 0, sa = 0;
-    int ok = 1;
+    *ok = 1;
     while (a != 1 && sa < budget) {
         if (!apt_u64(a, &a))
-            return NULL;
+            return 0;
         sa++;
         while (t != a && t != 1 && st < budget) {
             if (!t_u64(t, &t))
-                return NULL;
+                return 0;
             st++;
             if (walk(&c, t, &sc, budget, c_u64) < 0)
-                return NULL;
+                return 0;
             if (c != t)
                 break;
         }
         if (t != a || c != t) {
-            ok = 0;
+            *ok = 0;
             break;
         }
     }
     /* Each walk on its own to 1, to count its length. */
     if (walk(&c, 1, &sc, budget, c_u64) < 0 || walk(&t, 1, &st, budget, t_u64) < 0
         || walk(&a, 1, &sa, budget, apt_u64) < 0)
-        return NULL;
+        return 0;
     if (c != 1 || t != 1 || a != 1)
-        ok = -1;
-    return Py_BuildValue("(LLLi)", c == 1 ? sc + 1 : -1, t == 1 ? st + 1 : -1,
-                         a == 1 ? sa + 1 : -1, ok);
+        *ok = -1;
+    len[0] = c == 1 ? sc + 1 : -1;
+    len[1] = t == 1 ? st + 1 : -1;
+    len[2] = a == 1 ? sa + 1 : -1;
+    return 1;
+}
+
+static PyObject *covering_chain_u64(const u64 *n, long long budget)
+{
+    long long len[3];
+    int ok;
+    if (*n == 0 || !cover(*n, budget, len, &ok))   /* _pure raises for n < 1 */
+        return NULL;
+    return Py_BuildValue("(LLLi)", len[0], len[1], len[2], ok);
 }
 
 /* Parity runs from n to 1, or -1 once the budget runs out.  A start of 0
@@ -372,6 +385,11 @@ static COLD int append(PyObject *list, PyObject *item)
 static COLD int flagged(Findings *f, u64 n)
 {
     return append(f->violations, PyLong_FromUnsignedLongLong(n));
+}
+
+static COLD int exhaust(Findings *f, u64 n)
+{
+    return append(f->exhausted, PyLong_FromUnsignedLongLong(n));
 }
 
 /* Appends (n, detail), dropping detail; a NULL detail is an error set. */
@@ -537,7 +555,7 @@ static int record_walk(Findings *f, u64 seed, int end, u64 x)
     if (end == NO_FIT)
         return NO_FIT;
     if (end == EXHAUSTED)
-        return append(f->exhausted, PyLong_FromUnsignedLongLong(seed));
+        return exhaust(f, seed);
     if (end == NOT_2_MOD_6)
         return violation(f, seed, PyUnicode_FromFormat(
                              "element %llu is not 2 mod 6", image));
@@ -619,6 +637,43 @@ static int span_dual_forms_check(Findings *f, u64 n, long long Py_UNUSED(budget)
     return end;
 }
 
+/* The orbit-walk spans, each start walked on its own: the checks of
+   covering_chain, apt_stopping and emapt_stopping of 6n + 2.  _pure's spans
+   share finished tails between starts; these walk each start in full. */
+static int span_covering_check(Findings *f, u64 n, long long budget)
+{
+    long long len[3];
+    int ok;
+    if (!cover(n, budget, len, &ok))
+        return NO_FIT;
+    if (ok == 0)
+        return violation(f, n, PyUnicode_FromString("orbit containment failed"));
+    if (ok < 0)
+        return exhaust(f, n);
+    if (len[2] > len[1] || len[1] > len[0])
+        return violation(f, n, PyUnicode_FromFormat("length chain broken: %lld, %lld, %lld",
+                                                    len[2], len[1], len[0]));
+    return DONE;
+}
+
+static int span_conjecture_apt_check(Findings *f, u64 n, long long budget)
+{
+    u64 x = n;
+    long long steps = 0;
+    if (walk(&x, 1, &steps, budget, apt_u64) < 0)
+        return NO_FIT;
+    return x == 1 ? DONE : exhaust(f, n);
+}
+
+static int span_conjecture_emapt_check(Findings *f, u64 n, long long budget)
+{
+    u64 x = 6 * n + 2;
+    long long steps = 0;
+    if (walk(&x, 2, &steps, budget, emapt_pq_u64) < 0)
+        return NO_FIT;
+    return x == 2 ? DONE : exhaust(f, n);
+}
+
 /*    name                   result  budgeted  first  stride  least  limit */
 RANGE(scan_index_reps,       LIST,   0, lo, 1, 0, SAFE_N - 1)
 RANGE(scan_ruler_identities, LIST,   0, lo, 1, 0, SAFE_N - 1)
@@ -629,6 +684,9 @@ RANGE(span_u_residues,       TRIPLE, 1, lo + (lo & 1), 2, 2, U64_MAX)
 RANGE(span_u_residues_odd,   TRIPLE, 1, lo | 1, 2, 1, U64_MAX)
 RANGE(span_parity_runs,      TRIPLE, 0, lo, 1, 1, SAFE3)
 RANGE(span_dual_forms,       TRIPLE, 0, lo, 1, 0, SAFE_N - 1)
+RANGE(span_covering,         TRIPLE, 1, lo, 1, 1, U64_MAX)
+RANGE(span_conjecture_apt,   TRIPLE, 1, lo, 1, 1, U64_MAX)
+RANGE(span_conjecture_emapt, TRIPLE, 1, lo, 1, 0, (U64_MAX - 2) / 6)   /* 6n + 2 fits */
 
 /* --- module ---------------------------------------------------------------- */
 
@@ -657,6 +715,9 @@ static PyMethodDef methods[] = {
     MANY(span_u_residues_odd),
     MANY(span_parity_runs),
     MANY(span_dual_forms),
+    MANY(span_covering),
+    MANY(span_conjecture_apt),
+    MANY(span_conjecture_emapt),
     {NULL, NULL, 0, NULL},
 };
 

@@ -11,11 +11,13 @@ orbit start below 1 raises ValueError rather than loop or index the
 tables.  Everything is plain-int arithmetic, so arbitrarily large values
 are handled natively.
 
-The checker spans at the end run a whole `verify` span in one call, with
-the step formulas written out inline so that no element pays a function
-call.  The standalone kernels above stay the reference for those formulas:
-the tests compare each span with the literal checker loop over them
-(`tests/oracles.py`).
+The checker spans at the end run a whole `verify` span in one call.  The
+residue and identity spans write the step formulas out inline, so that no
+element pays a function call; the standalone kernels above stay the
+reference for those formulas.  The three orbit-walk spans run the
+stopping walk or the covering walk per start, with a memo of the tails
+that earlier starts finished.  The tests compare each span with the
+literal checker loop (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -107,6 +109,15 @@ def covering_chain(n, budget):
     the half-step orbit embeds in the plain orbit (ordered subsequences),
     0 when an embedding fails, -1 when any orbit is unfinished.  n < 1
     raises ValueError.
+    """
+    budget = operator.index(budget)   # a float raises TypeError, as in _fast
+    if n < 1:
+        raise ValueError(f"orbits start at n >= 1, got {n}")
+    return _lock_step(n, budget, None)
+
+
+def _lock_step(n, budget, tails):
+    """`covering_chain(n, budget)`, with a span's memo `tails` or None.
 
     The three walks advance together and store nothing: each accelerated
     value steps the half-step walk until equal, and each half-step value the
@@ -114,13 +125,17 @@ def covering_chain(n, budget):
     map fixes the value a walk stands on, so each steps at least once).  A
     walk that reaches 1 or its budget unmatched breaks the embedding; then
     each walk finishes on its own to count its length.
+
+    After each accelerated step the three walks stand on one value x, as at
+    the start of the walk from x, so what is left is that walk.  `tails`
+    maps such an x to the plain, half-step and accelerated step counts from
+    x to 1 of a walk that embedded; a known x ends the walk, and a walk that
+    reaches 1 with ok = 1 stores the tail of every x it passed.
     """
-    budget = operator.index(budget)   # a float raises TypeError, as in _fast
-    if n < 1:
-        raise ValueError(f"orbits start at n >= 1, got {n}")
     c = t = a = n
     c_steps = t_steps = a_steps = 0
     ok = 1
+    path = []
     while a != 1 and a_steps < budget:
         a = apt_step(a)
         a_steps += 1
@@ -135,14 +150,32 @@ def covering_chain(n, budget):
         if t != a or c != t:
             ok = 0
             break
+        if tails is not None and a != 1:
+            tail = tails.get(a)
+            if tail is not None:
+                c_steps += tail[0]
+                t_steps += tail[1]
+                a_steps += tail[2]
+                c = t = a = 1
+                break
+            path.append((a, c_steps, t_steps, a_steps))
     lengths = []
     walks = ((_c_step, c, c_steps), (_t_step, t, t_steps), (apt_step, a, a_steps))
     for step, x, steps in walks:
         while x != 1 and steps < budget:
             x = step(x)
             steps += 1
-        lengths.append(steps + 1 if x == 1 else -1)
-    return (*lengths, -1 if -1 in lengths else ok)
+        # Only a splice passes the budget; n = 1 counts 1 whatever the budget.
+        lengths.append(steps + 1 if x == 1 and steps <= max(budget, 0) else -1)
+    if -1 in lengths:
+        return (*lengths, -1)
+    if ok == 1:
+        c_len, t_len, a_len = lengths
+        for x, c_steps, t_steps, a_steps in path:
+            if len(tails) >= _TAILS_CAP:
+                tails.clear()
+            tails[x] = (c_len - 1 - c_steps, t_len - 1 - t_steps, a_len - 1 - a_steps)
+    return (*lengths, ok)
 
 
 # --- stopping counts by 2^k block jumps --------------------------------------
@@ -162,9 +195,12 @@ _K = 12
 _BLOCK = 1 << _K
 _MASK = _BLOCK - 1
 
-#: (block table, small runs, small (T-steps, odd T-steps)); built on the
-#: first stopping call.
+#: (block table, small tails); built on the first stopping call.
 _STOP_TABLES = None
+
+#: Entries a span's tail memo holds before it is cleared: a constant, so a
+#: span's memory does not grow with its window.
+_TAILS_CAP = 1 << 14
 
 
 def _block_table():
@@ -186,13 +222,13 @@ def _block_table():
     return table
 
 
-def _small_tables():
-    """Per start m < 2^k: the parity runs, and the T-steps and odd T-steps,
-    of its T-orbit before 1.  Smallest m first: accelerated steps take m
-    below itself to x, then add x's counts.  An accelerated step from x is
-    e T-steps, all odd when x is, where 2^e exactly divides x or x + 1."""
-    runs_of = [None, 0]
-    steps_of = [None, (0, 0)]
+def _small_tails():
+    """Per start m < 2^k, its tail: the parity runs, T-steps and odd T-steps
+    of its T-orbit before 1, m opening the first run.  Smallest m first:
+    accelerated steps take m below itself to x, then add x's counts.  An
+    accelerated step from x is e T-steps, all odd when x is, where 2^e
+    exactly divides x or x + 1."""
+    tails = [None, (0, 0, 0)]
     for m in range(2, _BLOCK):
         x = m
         runs = steps = odd = 0
@@ -203,51 +239,70 @@ def _small_tables():
             odd += e * p
             x = apt_step(x)
             runs += 1
-        runs_of.append(runs + runs_of[x])
-        x_steps, x_odd = steps_of[x]
-        steps_of.append((steps + x_steps, odd + x_odd))
-    return runs_of, steps_of
+        x_runs, x_steps, x_odd = tails[x]
+        tails.append((runs + x_runs, steps + x_steps, odd + x_odd))
+    return tails
 
 
 def _stop_tables():
     global _STOP_TABLES
     if _STOP_TABLES is None:
-        _STOP_TABLES = (_block_table(), *_small_tables())
+        _STOP_TABLES = (_block_table(), _small_tails())
     return _STOP_TABLES
 
 
-def orbit_lengths(n, budget):
+def orbit_lengths(n, budget, tails=None):
     """Element counts (c_len, t_len, a_len) of the plain, half-step and
     accelerated orbits from n down to 1, each -1 when its own orbit needs
     more than budget steps; equal to `covering_chain(n, budget)[:3]`.
 
     One block walk, k = 12 half-steps per table lookup, counts the parity
     runs, the T-steps and the odd T-steps.  Runs <= T-steps <= plain steps,
-    so once the runs pass the budget every orbit has.  n = 1 gives (1, 1, 1)
+    so once the runs pass the budget every orbit has.  Below 2^k the walk
+    splices on the small table's tail of the value it stands on, less one
+    run when that value continues the last run.  n = 1 gives (1, 1, 1)
     whatever the budget; n < 1 raises ValueError.
+
+    `tails`, a reach span's memo, extends the small table past 2^k: it maps
+    a value that a walk reached at a block boundary to that value's tail,
+    spliced on alike.  A walk that reaches 1 stores the tail of every
+    boundary value it passed.
     """
     budget = operator.index(budget)   # a float raises TypeError, as in _fast
     if n < 1:
         raise ValueError(f"orbits start at n >= 1, got {n}")
-    blocks, runs_of, steps_of = _STOP_TABLES or _stop_tables()
+    blocks, small = _STOP_TABLES or _stop_tables()
     runs = steps = odd = 0
     last = ~n & 1   # so that n opens a run
+    path = []
     while n >= _BLOCK:
         b = n & _MASK
-        mult, tail, changes, end, c = blocks[b]
+        mult, image, changes, end, c = blocks[b]
         runs += changes + ((b ^ last) & 1)
         if runs > budget:
             return -1, -1, -1
         steps += _K
         odd += c
         last = end
-        n = mult * (n >> _K) + tail
-    runs += runs_of[n] - ((n & 1) == last)
+        n = mult * (n >> _K) + image
+        if tails is not None and n >= _BLOCK:
+            tail = tails.get(n)
+            if tail is not None:
+                break
+            path.append((n, runs, steps, odd, last))
+    else:
+        tail = small[n]
+    tail_runs, tail_steps, tail_odd = tail
+    runs += tail_runs - ((n & 1) == last)
+    steps += tail_steps
+    odd += tail_odd
+    for x, x_runs, x_steps, x_odd, x_last in path:
+        if len(tails) >= _TAILS_CAP:
+            tails.clear()
+        tails[x] = (runs - x_runs + ((x & 1) == x_last), steps - x_steps, odd - x_odd)
     if not runs:   # n = 1 is there already, whatever the budget
         return 1, 1, 1
-    small_steps, small_odd = steps_of[n]
-    steps += small_steps
-    plain = steps + odd + small_odd
+    plain = steps + odd
     return (
         plain + 1 if plain <= budget else -1,
         steps + 1 if steps <= budget else -1,
@@ -498,3 +553,61 @@ def span_dual_forms(lo, hi):
             violations.append((n, "odd index map disagrees with accelerated step"))
     evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
     return len(evens) + len(range(lo, hi + 1)), violations, []
+
+
+# --- orbit-walk spans: each start walks to 1, sharing finished tails ----------
+#
+# The orbits of consecutive starts merge early, so each span keeps a memo of
+# the tails its walks finished (see `orbit_lengths` and `_lock_step`), and
+# most walks end at a value an earlier start of the span already walked to
+# 1.  The memo lives for one call and is cleared at _TAILS_CAP entries.
+
+
+def span_conjecture_apt(lo, hi, budget):
+    """Starts n in [lo, hi] whose accelerated orbit needs more than budget
+    steps to reach 1 are exhausted; as `apt_stopping(n, budget) < 0`."""
+    budget = operator.index(budget)
+    if lo < 1:
+        raise ValueError(f"orbits start at n >= 1, got lo = {lo}")
+    tails = {}
+    starts = range(lo, hi + 1)
+    exhausted = [n for n in starts if orbit_lengths(n, budget, tails)[2] < 0]
+    return len(starts), [], exhausted
+
+
+def span_conjecture_emapt(lo, hi, budget):
+    """Indices n in [lo, hi] whose even-only orbit from u = 6n + 2 needs more
+    than budget steps to reach 2 are exhausted; as `emapt_stopping(u, budget)
+    < 0`, by its (R + 1) / 2 count of the accelerated runs R."""
+    budget = operator.index(budget)
+    if lo < 0:
+        raise ValueError(f"even-only orbits start at 6n + 2 >= 2, got lo = {lo}")
+    tails = {}
+    starts = range(lo, hi + 1)
+    exhausted = [   # n = 0 is u = 2, there already
+        n for n in starts if n and orbit_lengths(6 * n + 2, 2 * budget - 1, tails)[2] < 0
+    ]
+    return len(starts), [], exhausted
+
+
+def span_covering(lo, hi, budget):
+    """Starts n in [lo, hi]: the accelerated orbit embeds in the half-step
+    orbit embeds in the plain orbit, with lengths in that order, for every
+    start whose orbits reach 1 within budget steps; the others are
+    exhausted.  As `covering_chain(n, budget)`."""
+    budget = operator.index(budget)
+    if lo < 1:
+        raise ValueError(f"orbits start at n >= 1, got lo = {lo}")
+    violations = []
+    exhausted = []
+    tails = {}
+    starts = range(lo, hi + 1)
+    for n in starts:
+        c_len, t_len, a_len, ok = _lock_step(n, budget, tails)
+        if ok == 0:
+            violations.append((n, "orbit containment failed"))
+        elif ok < 0:
+            exhausted.append(n)
+        elif not (a_len <= t_len <= c_len):
+            violations.append((n, f"length chain broken: {a_len}, {t_len}, {c_len}"))
+    return len(starts), violations, exhausted

@@ -4,10 +4,11 @@ One rule: the compiled kernels when the `collatz_lab._fast` extension
 imports, otherwise the pure-Python reference module.  `BACKEND` names the
 one that imported.
 
-The `span_*` kernels run a whole `verify` checker span in one call, with
-the step formulas inlined; the standalone step kernels stay the reference
-for those formulas, and the tests compare each span kernel, on both
-backends, with the literal checker loop over them.
+The seven `span_*` kernels run a whole `verify` checker span in one call:
+four with the step formulas inlined, for which the standalone step kernels
+stay the reference, and three orbit walks (`covering` and the two reach
+sweeps).  The tests compare each span kernel, on both backends, with the
+literal checker loop.
 """
 
 from __future__ import annotations
@@ -50,3 +51,6 @@ span_u_residues = _impl.span_u_residues
 span_u_residues_odd = _impl.span_u_residues_odd
 span_parity_runs = _impl.span_parity_runs
 span_dual_forms = _impl.span_dual_forms
+span_covering = _impl.span_covering
+span_conjecture_apt = _impl.span_conjecture_apt
+span_conjecture_emapt = _impl.span_conjecture_emapt

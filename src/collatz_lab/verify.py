@@ -69,27 +69,16 @@ def build_report(
 
 # --- span workers (top-level so process pools can pickle them) ---------------
 #
-# Four checkers run each span as one kernel call (parity-runs, u-residues,
-# u-residues-odd-starts, dual-forms); their functions here stay the CHECKERS
-# entries, so a span is still named after this module.
+# Seven checkers run each span as one kernel call (covering, parity-runs,
+# u-residues, u-residues-odd-starts, dual-forms and the two reach sweeps);
+# their functions here stay the CHECKERS entries, so a span is still named
+# after this module.
 
 
 def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
     """Accelerated orbit embeds in half-step orbit embeds in plain orbit,
     with the matching length chain, for every n in range that finishes."""
-    violations = []
-    exhausted = []
-    for n in range(lo, hi + 1):
-        c_len, t_len, a_len, ok = kernels.covering_chain(n, budget)
-        if ok == 0:
-            violations.append((n, "orbit containment failed"))
-        elif ok < 0:
-            exhausted.append(n)
-        elif not (a_len <= t_len <= c_len):
-            violations.append(
-                (n, f"length chain broken: {a_len}, {t_len}, {c_len}")
-            )
-    return hi - lo + 1, violations, exhausted
+    return kernels.span_covering(lo, hi, budget)
 
 
 def _span_parity_runs(lo: int, hi: int, budget: int) -> ScanPart:
@@ -153,21 +142,13 @@ def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
 def _span_conjecture_apt(lo: int, hi: int, budget: int) -> ScanPart:
     """Reach sweep: does the accelerated orbit of n reach 1 within budget.
     Non-reaching starts are reported as budget-exhausted, not violations."""
-    exhausted = [
-        n for n in range(lo, hi + 1) if kernels.apt_stopping(n, budget) < 0
-    ]
-    return hi - lo + 1, [], exhausted
+    return kernels.span_conjecture_apt(lo, hi, budget)
 
 
 def _span_conjecture_emapt(lo: int, hi: int, budget: int) -> ScanPart:
     """Reach sweep: does the even engine reach 2 from 6n + 2 within budget.
     Non-reaching starts are reported as budget-exhausted, not violations."""
-    exhausted = [
-        n
-        for n in range(lo, hi + 1)
-        if kernels.emapt_stopping(6 * n + 2, budget) < 0
-    ]
-    return hi - lo + 1, [], exhausted
+    return kernels.span_conjecture_emapt(lo, hi, budget)
 
 
 class CheckerSpec(NamedTuple):

@@ -302,6 +302,38 @@ def dual_forms_span(lo: int, hi: int):
     return len(evens) + len(range(lo, hi + 1)), violations, []
 
 
+
+def covering_span(lo: int, hi: int, budget: int):
+    violations = []
+    exhausted = []
+    for n in range(lo, hi + 1):
+        c_len, t_len, a_len, ok = _pure.covering_chain(n, budget)
+        if ok == 0:
+            violations.append((n, "orbit containment failed"))
+        elif ok < 0:
+            exhausted.append(n)
+        elif not (a_len <= t_len <= c_len):
+            violations.append(
+                (n, f"length chain broken: {a_len}, {t_len}, {c_len}")
+            )
+    return len(range(lo, hi + 1)), violations, exhausted
+
+
+def conjecture_apt_span(lo: int, hi: int, budget: int):
+    exhausted = [
+        n for n in range(lo, hi + 1) if _pure.apt_stopping(n, budget) < 0
+    ]
+    return len(range(lo, hi + 1)), [], exhausted
+
+
+def conjecture_emapt_span(lo: int, hi: int, budget: int):
+    exhausted = [
+        n
+        for n in range(lo, hi + 1)
+        if _pure.emapt_stopping(6 * n + 2, budget) < 0
+    ]
+    return len(range(lo, hi + 1)), [], exhausted
+
 if __name__ == "__main__":
     # Scratch area: recompute the frozen constants used in the test suite.
     for m in (9, 11, 23):

@@ -214,6 +214,21 @@ def test_covering_chain_budget_sentinels_agree(fast):
         assert fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
 
 
+def test_lock_step_with_a_memo_matches_without():
+    # One memo across consecutive starts, as `span_covering` keeps it: each
+    # walk ends on a tail an earlier one stored, at budgets one step short
+    # of each orbit's count and at the count.
+    tails = {}
+    for n in [*range(1, 3000), *range(2**68, 2**68 + 100)]:
+        full = _pure.covering_chain(n, 100_000)
+        for budget in (100_000, *(length + d for length in full[:3] for d in (-2, -1))):
+            assert _pure._lock_step(n, budget, tails) == _pure.covering_chain(n, budget), (
+                n,
+                budget,
+            )
+    assert tails
+
+
 #: Broken maps that still reach 1, for the path no start takes: a half-step
 #: map that visits 8 before 16 from 5 (the plain orbit has 16 first), and a
 #: plain map that skips 8 after 16.
@@ -239,6 +254,10 @@ def test_pure_covering_chain_reports_a_broken_embedding(
             assert _pure.covering_chain(n, budget) == want, (n, budget)
             oks.add(want[3])
     assert oks == {-1, 0, 1}
+    # The span walks share finished tails: a walk that did not embed, or did
+    # not finish, must store none, or a later start ending on it goes wrong.
+    for budget in (3, 8, 100_000):
+        assert _pure.span_covering(1, 199, budget) == oracles.covering_span(1, 199, budget)
 
 
 #: The same broken maps in C, each defined in place of the step helper it
@@ -296,6 +315,15 @@ def test_compiled_covering_chain_reports_a_broken_embedding(
             assert broken_fast.covering_chain(n, budget) == want, (n, budget)
             oks.add(want[3])
     assert oks == {-1, 0, 1}
+    # The compiled span's check reports the same broken embeddings.
+    for budget in (3, 8, 100_000):
+        got = broken_fast.span_covering(1, 199, budget)
+        lengths = [oracles.covering_chain_by_iteration(n, budget, steps) for n in range(1, 200)]
+        assert got == (
+            199,
+            [(n, "orbit containment failed") for n, (*_, ok) in enumerate(lengths, 1) if ok == 0],
+            [n for n, (*_, ok) in enumerate(lengths, 1) if ok < 0],
+        ), budget
 
 
 def test_stopping_agrees_at_big_budgets(fast):
@@ -363,6 +391,8 @@ def test_scans_agree(fast, name, lo):
 FALLBACKS = [
     ("span_dual_forms", (2**41 - 64, 2**41 + 64), (2**41 - 1, 2**41 - 1)),
     ("scan_index_reps", (2**62 - 8, 2**62 + 8), (2**62, 2**62 + 8)),
+    # A bigint window goes whole, so its starts share the `_pure` memo.
+    ("span_conjecture_apt", (2**68, 2**68 + 64, 1000), (2**68, 2**68 + 64, 1000)),
 ]
 
 

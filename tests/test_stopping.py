@@ -73,10 +73,10 @@ def test_emapt_stopping_matches_literal_loop(impl):
 
 
 def test_small_stopping_table_matches_literal_loop():
-    _, runs_of, _ = _pure._stop_tables()
-    assert len(runs_of) == 2**12
+    _, small = _pure._stop_tables()
+    assert len(small) == 2**12
     for m in range(1, 2**12):
-        assert runs_of[m] == oracles.apt_stopping_by_iteration(m, BIG_BUDGET), m
+        assert small[m][0] == oracles.apt_stopping_by_iteration(m, BIG_BUDGET), m
 
 
 def _assert_lengths(n, every_orbit=True):
@@ -108,6 +108,20 @@ def test_orbit_lengths_match_literal_orbits():
 @given(st.integers(min_value=1, max_value=2**300))
 def test_orbit_lengths_match_literal_orbits_on_bigints(n):
     _assert_lengths(n, every_orbit=False)
+
+
+def test_orbit_lengths_with_a_memo_match_without():
+    # One memo across consecutive starts, as a reach span keeps it: each
+    # walk ends on a tail an earlier one stored, at budgets one step short
+    # of each orbit's count and at the count.
+    tails = {}
+    for n in [*range(4000, 7000), *range(2**68, 2**68 + 300)]:
+        full = _pure.orbit_lengths(n, BIG_BUDGET)
+        for budget in (BIG_BUDGET, *(length + d for length in full for d in (-2, -1))):
+            assert _pure.orbit_lengths(n, budget, tails) == _pure.orbit_lengths(
+                n, budget
+            ), (n, budget)
+    assert tails
 
 
 def test_stopping_targets_cost_nothing(impl):
