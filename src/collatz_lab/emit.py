@@ -1,7 +1,9 @@
 """Serialization of results to JSON, CSV, DOT and plain text.
 
 JSON carries every integer as a decimal string so consumers never face
-precision loss on large orbit elements; field order is fixed.  CSV holds the
+precision loss on large orbit elements.  Each result type has one fixed JSON
+shape, written from one template, byte for byte what the standard library
+writes at indent=2 for the result's field-ordered dict form.  CSV holds the
 tabular heart of a result (trace steps, stats rows, report violations and
 budget-exhausted inputs).
 DOT exists only for trees.  All emitted bytes are deterministic functions of
@@ -10,7 +12,6 @@ the result object: wall-clock time is deliberately absent.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Callable
 
 from collatz_lab.errors import ConfigurationError
@@ -23,18 +24,30 @@ if TYPE_CHECKING:
 FORMATS = ("json", "csv", "dot", "text")
 
 
-def _s(value) -> str | None:
-    return None if value is None else str(value)
+def _n(value: int | None) -> str:
+    """An int as a JSON decimal string, None as null."""
+    return "null" if value is None else f'"{value}"'
 
 
-def _trace_json(result: Trace) -> dict:
-    return {
-        "kind": result.kind,
-        "start": _s(result.start),
-        "elements": [str(x) for x in result.elements],
-        "outcome": result.outcome.value,
-        "stopping_time": _s(result.stopping_time),
-    }
+def _items(pieces, indent: str = "\n  "):
+    """A JSON list of written items, opening on the line break and `indent`."""
+    inner = indent + "  "
+    sep = "[" + inner
+    for piece in pieces:
+        yield sep + piece
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else indent + "]"
+
+
+# The JSON writers yield text pieces, one per item of a top-level list.  kind
+# and outcome come from TRACE_KINDS and Outcome, fixed ASCII strings that JSON
+# writes as they are; only theorem ids and violation details need escaping.
+def _trace_json(result: Trace):
+    yield (f'{{\n  "kind": "{result.kind}",\n  "start": "{result.start}",\n'
+           '  "elements": ')
+    yield from _items(f'"{x}"' for x in result.elements)
+    yield (f',\n  "outcome": "{result.outcome.value}",\n'
+           f'  "stopping_time": {_n(result.stopping_time)}\n}}')
 
 
 def _trace_csv(result: Trace):
@@ -52,20 +65,19 @@ def _trace_text(result: Trace) -> list[str]:
     return lines
 
 
-def _report_json(result: TheoremReport) -> dict:
-    return {
-        "theorem_id": result.theorem_id,
-        "lo": _s(result.lo),
-        "hi": _s(result.hi),
-        "checked": _s(result.checked),
-        "violation_count": _s(result.violation_count),
-        "violations": [
-            {"input": _s(v.input), "detail": v.detail}
-            for v in result.violations
-        ],
-        "budget_exhausted": [str(n) for n in result.budget_exhausted],
-        "observational": result.observational,
-    }
+def _report_json(result: TheoremReport):
+    from json.encoder import encode_basestring_ascii as esc
+
+    yield (f'{{\n  "theorem_id": {esc(result.theorem_id)},\n'
+           f'  "lo": "{result.lo}",\n  "hi": "{result.hi}",\n'
+           f'  "checked": "{result.checked}",\n'
+           f'  "violation_count": "{result.violation_count}",\n  "violations": ')
+    yield from _items(
+        f'{{\n      "input": "{v.input}",\n      "detail": {esc(v.detail)}\n    }}'
+        for v in result.violations)
+    yield ',\n  "budget_exhausted": '
+    yield from _items(f'"{n}"' for n in result.budget_exhausted)
+    yield f',\n  "observational": {"true" if result.observational else "false"}\n}}'
 
 
 def _report_csv(result: TheoremReport):
@@ -93,22 +105,15 @@ def _report_text(result: TheoremReport) -> list[str]:
     return lines
 
 
-def _stats_json(result: StatsTable) -> dict:
-    return {
-        "lo": _s(result.lo),
-        "hi": _s(result.hi),
-        "budget": _s(result.budget),
-        "rows": [
-            {
-                "n": _s(r.n),
-                "c_len": _s(r.c_len),
-                "t_len": _s(r.t_len),
-                "a_len": _s(r.a_len),
-                "exhausted": r.exhausted,
-            }
-            for r in result.rows
-        ],
-    }
+def _stats_json(result: StatsTable):
+    yield (f'{{\n  "lo": "{result.lo}",\n  "hi": "{result.hi}",\n'
+           f'  "budget": "{result.budget}",\n  "rows": ')
+    yield from _items(
+        f'{{\n      "n": "{r.n}",\n      "c_len": {_n(r.c_len)},\n'
+        f'      "t_len": {_n(r.t_len)},\n      "a_len": {_n(r.a_len)},\n'
+        f'      "exhausted": {"true" if r.exhausted else "false"}\n    }}'
+        for r in result.rows)
+    yield "\n}"
 
 
 def _stats_csv(result: StatsTable):
@@ -131,26 +136,23 @@ def _stats_text(result: StatsTable) -> list[str]:
     return lines
 
 
-def _tree_json(result: WZTree) -> dict:
-    return {
-        "root": {"w": _s(result.root.w), "z": _s(result.root.z)},
-        "candidate_bound": _s(result.candidate_bound),
-        "depth_bound": _s(result.depth_bound),
-        "nodes": [
-            {
-                "w": _s(node.w),
-                "z": _s(node.z),
-                "depth": _s(result.depths[node.w]),
-                "children": [
-                    str(c) for c in result.children.get(node.w, ())
-                ],
-            }
-            for node in result.nodes
-        ],
-        "orphans": [
-            {"w": _s(o.w), "parent": _s(o.parent)} for o in result.orphans
-        ],
-    }
+def _tree_json(result: WZTree):
+    depths, children = result.depths, result.children
+    yield (f'{{\n  "root": {{\n    "w": "{result.root.w}",\n'
+           f'    "z": "{result.root.z}"\n  }},\n'
+           f'  "candidate_bound": "{result.candidate_bound}",\n'
+           f'  "depth_bound": "{result.depth_bound}",\n  "nodes": ')
+    yield from _items(
+        f'{{\n      "w": "{node.w}",\n      "z": "{node.z}",\n'
+        f'      "depth": "{depths[node.w]}",\n      "children": '
+        + "".join(_items((f'"{c}"' for c in children.get(node.w, ())), "\n      "))
+        + "\n    }"
+        for node in result.nodes)
+    yield ',\n  "orphans": '
+    yield from _items(
+        f'{{\n      "w": "{o.w}",\n      "parent": "{o.parent}"\n    }}'
+        for o in result.orphans)
+    yield "\n}"
 
 
 def _tree_dot(result: WZTree) -> list[str]:
@@ -192,9 +194,9 @@ def _tree_text(result: WZTree) -> list[str]:
 
 
 #: Per result class name, the formats it can be written in, "text" first:
-#: json builds a dict, csv yields the header row and then the data rows, text
-#: and dot return lines.  DOT exists only for trees and CSV for all but trees.
-#: Keyed by name so that emit imports none of the result modules.
+#: json yields text pieces, csv yields the header row and then the data rows,
+#: text and dot return lines.  DOT exists only for trees and CSV for all but
+#: trees.  Keyed by name so that emit imports none of the result modules.
 _WRITERS: dict[str, dict[str, Callable]] = {
     "Trace": {"text": _trace_text, "json": _trace_json, "csv": _trace_csv},
     "TheoremReport": {"text": _report_text, "json": _report_json, "csv": _report_csv},
@@ -218,86 +220,9 @@ def _writer(result, fmt: str) -> Callable:
     return by_format[fmt]
 
 
-def to_jsonable(result) -> dict:
-    """Fixed-field-order dict form of a result, integers as decimal strings."""
-    return _writer(result, "json")(result)
-
-
 #: Characters per JSON write: big enough that a megabyte of JSON takes about
 #: sixteen writes, small enough that the document is never held as one string.
 _JSON_BATCH = 1 << 16
-
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _json_text(value, indent: str) -> str:
-    """json.dumps(value, indent=2) of a dict, list, str, bool or None, its
-    lines after the first indented by `indent` ("\n" and spaces)."""
-    if type(value) is str:
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    inner = indent + "  "
-    if type(value) is dict:
-        if not value:
-            return "{}"
-        items = [_escape(k) + ": " + _json_text(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if type(value) is list:
-        if not value:
-            return "[]"
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
-def _write_json(out: dict, sink) -> None:
-    """json.dump(out, sink, indent=2) and a newline, in writes of about
-    _JSON_BATCH characters.
-
-    The top-level dict and the lists and dicts directly inside it are walked
-    item by item, so no piece held at once is bigger than one of their items
-    (a stats row, a tree node, an orbit element); deeper values are encoded
-    whole.  The stdlib encoder cannot do this fast: with indent set, Python
-    3.11 runs its pure-Python iterencode.
-    """
-    batch: list[str] = []
-    size = 0
-
-    def put(text: str) -> None:
-        nonlocal size
-        batch.append(text)
-        size += len(text)
-        if size >= _JSON_BATCH:
-            sink.write("".join(batch))
-            batch.clear()
-            size = 0
-
-    def walk(value, indent: str, depth: int) -> None:
-        if depth == 2 or type(value) not in (dict, list) or not value:
-            put(_json_text(value, indent))
-            return
-        inner = indent + "  "
-        if type(value) is dict:
-            items = ((_escape(k) + ": ", v) for k, v in value.items())
-            opener, closer = "{", "}"
-        else:
-            items = (("", v) for v in value)
-            opener, closer = "[", "]"
-        sep = opener + inner
-        for key, v in items:
-            put(sep + key)
-            walk(v, inner, depth + 1)
-            sep = "," + inner
-        put(indent + closer)
-
-    walk(out, "\n", 0)
-    batch.append("\n")
-    sink.write("".join(batch))
 
 
 def emit(result, fmt: str, sink) -> None:
@@ -306,7 +231,17 @@ def emit(result, fmt: str, sink) -> None:
         raise ConfigurationError(f"unknown format {fmt!r}")
     out = _writer(result, fmt)(result)
     if fmt == "json":
-        _write_json(out, sink)
+        batch: list[str] = []
+        size = 0
+        for piece in out:
+            batch.append(piece)
+            size += len(piece)
+            if size >= _JSON_BATCH:
+                sink.write("".join(batch))
+                batch.clear()
+                size = 0
+        batch.append("\n")
+        sink.write("".join(batch))
     elif fmt == "csv":
         import csv
 

@@ -3,8 +3,8 @@
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
 or how many processes ran.  A pool never holds more processes than there are
-CPUs or spans, and gets four spans per process; where that leaves one
-process, the range runs in-process.
+spans or CPUs this process may run on, and gets four spans per process; where
+that leaves one process, the range runs in-process.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     """Apply fn(a, b, *args) over spans of [lo, hi]; return results in order."""
     if hi < lo:
         return []
-    pool_size = max(1, min(workers, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    pool_size = max(1, min(workers, cpus))
     spans = split_range(lo, hi, -(-(hi - lo + 1) // (pool_size * 4)))
     if pool_size == 1 or len(spans) == 1:
         return [fn(lo, hi, *args)]

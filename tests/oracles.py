@@ -334,6 +334,75 @@ def conjecture_emapt_span(lo: int, hi: int, budget: int):
     ]
     return len(range(lo, hi + 1)), [], exhausted
 
+
+# --- JSON: the dict form that json.dumps(indent=2) turns into emit's bytes ----
+
+
+def _s(value):
+    return None if value is None else str(value)
+
+
+def to_jsonable(result) -> dict:
+    """Fixed-field-order dict form of a result, integers as decimal strings."""
+    name = type(result).__name__
+    if name == "Trace":
+        return {
+            "kind": result.kind,
+            "start": _s(result.start),
+            "elements": [str(x) for x in result.elements],
+            "outcome": result.outcome.value,
+            "stopping_time": _s(result.stopping_time),
+        }
+    if name == "TheoremReport":
+        return {
+            "theorem_id": result.theorem_id,
+            "lo": _s(result.lo),
+            "hi": _s(result.hi),
+            "checked": _s(result.checked),
+            "violation_count": _s(result.violation_count),
+            "violations": [
+                {"input": _s(v.input), "detail": v.detail} for v in result.violations
+            ],
+            "budget_exhausted": [str(n) for n in result.budget_exhausted],
+            "observational": result.observational,
+        }
+    if name == "StatsTable":
+        return {
+            "lo": _s(result.lo),
+            "hi": _s(result.hi),
+            "budget": _s(result.budget),
+            "rows": [
+                {
+                    "n": _s(r.n),
+                    "c_len": _s(r.c_len),
+                    "t_len": _s(r.t_len),
+                    "a_len": _s(r.a_len),
+                    "exhausted": r.exhausted,
+                }
+                for r in result.rows
+            ],
+        }
+    if name == "WZTree":
+        return {
+            "root": {"w": _s(result.root.w), "z": _s(result.root.z)},
+            "candidate_bound": _s(result.candidate_bound),
+            "depth_bound": _s(result.depth_bound),
+            "nodes": [
+                {
+                    "w": _s(node.w),
+                    "z": _s(node.z),
+                    "depth": _s(result.depths[node.w]),
+                    "children": [str(c) for c in result.children.get(node.w, ())],
+                }
+                for node in result.nodes
+            ],
+            "orphans": [
+                {"w": _s(o.w), "parent": _s(o.parent)} for o in result.orphans
+            ],
+        }
+    raise TypeError(f"no JSON form for {name}")
+
+
 if __name__ == "__main__":
     # Scratch area: recompute the frozen constants used in the test suite.
     for m in (9, 11, 23):

@@ -9,10 +9,13 @@ import shlex
 import shutil
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 
 import pytest
+from hypothesis import given, strategies as st
 
 import collatz_lab
+import oracles
 from collatz_lab import cli, emit, oeis, parallel, reverse_tree, sequences, verify
 from collatz_lab.errors import ConfigurationError
 from collatz_lab.cli import main, parse_cli
@@ -370,7 +373,7 @@ class _CountingSink(io.StringIO):
 def test_emit_json_bytes(result):
     sink = io.StringIO()
     emit.emit(result, "json", sink)
-    assert sink.getvalue() == json.dumps(emit.to_jsonable(result), indent=2) + "\n"
+    assert sink.getvalue() == json.dumps(oracles.to_jsonable(result), indent=2) + "\n"
 
 
 def test_emit_json_batches_writes():
@@ -379,33 +382,94 @@ def test_emit_json_batches_writes():
     emit.emit(tree, "json", sink)
     size = len(sink.getvalue())
     assert size > 1_000_000
-    assert sink.getvalue() == json.dumps(emit.to_jsonable(tree), indent=2) + "\n"
+    assert sink.getvalue() == json.dumps(oracles.to_jsonable(tree), indent=2) + "\n"
     assert sink.writes <= -(-size // 65536) + 1
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        {"a": [], "b": {}, "c": [[], {}], "d": {"e": {}}},
-        {"s": ["", "quote \" backslash \\ slash /", "tab\tnewline\n\x00\x1f\x7f"]},
-        {"s": "caf\u00e9 \u2028 \U0001f600", "k\u00e9y \"x\"": "v"},
-        {"t": True, "f": False, "n": None, "l": [True, False, None]},
-        {"deep": [{"x": [{"y": ["z", []]}], "w": {}}, [["a", "b"], {}]]},
-        {"top": "only"},
-    ],
-    ids=["empty", "nested-empty", "escapes", "non-ascii", "constants", "deep", "flat"],
-)
-def test_write_json_matches_json_dumps(doc):
+# Integers past 2**64, as orbit elements and bigint windows have.
+_INTS = st.integers(min_value=0, max_value=2**300)
+_LENGTHS = st.none() | _INTS
+
+
+def _tuples(elements):
+    return st.lists(elements, max_size=5).map(tuple)
+
+
+@st.composite
+def _trees(draw):
+    ws = draw(st.lists(_INTS, min_size=1, max_size=6, unique=True))
+    nodes = tuple(reverse_tree.WZNode(w, draw(_INTS)) for w in ws)
+    return reverse_tree.WZTree(
+        root=nodes[0],
+        candidate_bound=draw(_INTS),
+        depth_bound=draw(_INTS),
+        nodes=nodes,
+        depths={w: draw(st.integers(0, 60)) for w in ws},
+        # a node missing from children and one with no children both write []
+        children={w: draw(_tuples(_INTS)) for w in ws if draw(st.booleans())},
+        parents={},
+        orphans=draw(_tuples(st.builds(reverse_tree.Orphan, _INTS, _INTS))),
+    )
+
+
+RESULTS = {
+    "trace": st.builds(
+        sequences.Trace, st.sampled_from(sequences.TRACE_KINDS), _INTS,
+        _tuples(_INTS), st.sampled_from(sequences.Outcome), _LENGTHS,
+    ),
+    "report": st.builds(
+        verify.TheoremReport, st.text(), _INTS, _INTS, _INTS,
+        _tuples(st.builds(verify.Violation, _INTS, st.text())), _INTS,
+        _tuples(_INTS), st.booleans(),
+    ),
+    "stats": st.builds(
+        sequences.StatsTable, _INTS, _INTS, _INTS,
+        _tuples(st.builds(sequences.StatsRow, _INTS, _LENGTHS, _LENGTHS,
+                          _LENGTHS, st.booleans())),
+    ),
+    "tree": _trees(),
+}
+
+
+def _json_bytes(result) -> str:
     sink = io.StringIO()
-    emit._write_json(doc, sink)
-    assert sink.getvalue() == json.dumps(doc, indent=2) + "\n"
+    emit.emit(result, "json", sink)
+    return sink.getvalue()
 
 
-@pytest.mark.parametrize("value", [1, 1.5, (1, 2), {"deep": [{"x": 3}]}, {1: "a"}])
-def test_write_json_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        emit._write_json({"v": value}, io.StringIO())
+@pytest.mark.parametrize("kind", RESULTS)
+@given(data=st.data())
+def test_json_writer_matches_oracle(kind, data):
+    result = data.draw(RESULTS[kind])
+    assert _json_bytes(result) == json.dumps(oracles.to_jsonable(result), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        'quote " backslash \\ slash /',
+        "".join(map(chr, range(0x20))),
+        "\x7f",
+        "caf\u00e9 na\u00efve \u00ff\u0100",
+        "line \u2028 paragraph \u2029",
+        "astral \U0001f600 \U0010ffff",
+    ],
+    ids=["empty", "escapes", "controls", "del", "non-ascii", "line-separator", "astral"],
+)
+def test_json_writer_escapes_strings(text):
+    report = verify.TheoremReport(
+        text, 1, 2**70, 3, (verify.Violation(2**70, text),), 1, (), False
+    )
+    out = _json_bytes(report)
+    assert out == json.dumps(oracles.to_jsonable(report), indent=2) + "\n"
+    assert out.isascii()
+
+
+def test_fixed_strings_need_no_json_escaping():
+    # The writers put trace kinds and outcomes between quotes as they are.
+    for text in sequences.TRACE_KINDS + tuple(o.value for o in sequences.Outcome):
+        assert encode_basestring_ascii(text) == f'"{text}"'
 
 
 def test_unwritable_sink_exits_two(tmp_path, capsys):
@@ -510,8 +574,8 @@ def _cli_code(argv: list[str]) -> str:
 
 POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
 #: Loaded by none of these runs: no result type is a dataclass, none of the
-#: runs builds a Fraction, and none writes CSV.
-NEVER = {"dataclasses", "inspect", "fractions", "csv"}
+#: runs builds a Fraction, none writes CSV, and none writes a report as JSON.
+NEVER = {"dataclasses", "inspect", "fractions", "csv", "json"}
 
 # What each run must not load: a command imports only its own modules, and
 # the pool's modules load only when a pool starts.

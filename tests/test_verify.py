@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from collatz_lab import parallel, verify
-from collatz_lab.emit import to_jsonable
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
 from collatz_lab.oeis import GENERATORS, check_oeis, parse_bfile
 
@@ -137,11 +136,10 @@ def test_reports_identical_across_worker_counts():
     reference = None
     for workers in (1, 2, 8):
         report = verify.run_check("covering", 1, 400, budget=10_000, workers=workers)
-        snapshot = to_jsonable(report)
         if reference is None:
-            reference = snapshot
+            reference = report
         else:
-            assert snapshot == reference
+            assert report == reference
 
 
 @pytest.mark.parametrize(
@@ -241,15 +239,17 @@ def _span_items(lo, hi):
     return list(range(lo, hi + 1))
 
 
-@pytest.mark.parametrize(
-    "cpus,workers,hi,expected",
-    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1),
-     (1, 4, 100, 1), (8, 4, 1, 1)],
-)
-def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
-    # expected processes; one runs in-process, with no pool.
+def _run_recording_pool(monkeypatch, installed, allowed, workers, hi):
+    """run_chunked over 1..hi with `installed` CPUs, `allowed` of them open to
+    this process (None: a platform without sched_getaffinity), and a recording
+    pool; returns the pool sizes and spans it asked for."""
     sizes, spans = [], []
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: installed)
+    if allowed is None:
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: set(range(allowed)), raising=False)
     # run_chunked imports the pool class from concurrent.futures when it starts one.
     monkeypatch.setattr(
         concurrent.futures,
@@ -257,10 +257,27 @@ def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, exp
         lambda max_workers: _RecordingPool(sizes, spans, max_workers),
     )
     parts = parallel.run_chunked(_span_items, 1, hi, workers)
+    assert [n for part in parts for n in part] == list(range(1, hi + 1))
+    return sizes, spans
+
+
+@pytest.mark.parametrize(
+    "cpus,workers,hi,expected",
+    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1),
+     (1, 4, 100, 1), (8, 4, 1, 1)],
+)
+def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
+    # expected processes; one runs in-process, with no pool.  cpus is both
+    # the installed count and the affinity, or None where neither is known.
+    sizes, spans = _run_recording_pool(monkeypatch, cpus, cpus, workers, hi)
     assert sizes == ([expected] if expected > 1 else [])
     # Spans follow the clamped pool, not the requested worker count.
     assert len(spans) <= (4 * expected if expected > 1 else 0)
-    assert [n for part in parts for n in part] == list(range(1, hi + 1))
+
+
+def test_pool_size_bounded_by_cpu_affinity(monkeypatch):
+    # Two CPUs installed, but this process may run on one: no pool.
+    assert _run_recording_pool(monkeypatch, 2, 1, 4, 100) == ([], [])
 
 
 # --- OEIS cross-checks -------------------------------------------------------
