@@ -6,22 +6,20 @@ medians.  Every row is sized so that the compiled backend takes at least
 5 ms on a 2-vCPU host: a compiled row of a millisecond or less moves by
 ±20% with code layout alone.
 
-The stopping rows time the reach sweeps' counters at the sizes the
-benchmark's `sweep` and `frontier` workloads use (near 8.5e6 and 2**68).
-The stats row times the pure `orbit_lengths` block walk against the compiled
-lock-step `covering_chain`, which gives the same three lengths; `kernels`
-binds the pure walk on both backends all the same, and its comment says why.
-The span rows time the checker span kernels on windows from 8.5e6, and the
-three orbit-walk spans (`covering` and the two reach sweeps) from 8.5e6 and
-from 2**68 too: there `_pure` shares finished tails between the starts of a
-span, and the compiled span hands the whole bigint window to `_pure`, so
-the compiled column should read the same as the pure one.  The edge
-rows time the ranges where the compiled kernels hand work to `_pure`: the
-`dual-forms` window up to 2**41 - 1, where only that last element does not
-fit in uint64; `u-residues` seeds from 2**61, some of whose walks pass 2**64;
-and windows across the limit past which a compiled range goes to `_pure` in
-one call (2**62 for `scan_index_reps`, (2**64 - 2) / 3 for `scan_x_residues`
-and `span_parity_runs`).  Pass --scale N to multiply every size by N.
+Only the kernels with a compiled twin have a row; `kernels` binds the
+others, such as the stopping counters and `orbit_lengths`, to `_pure` on
+both backends.  The scan and span rows time what the checkers run, on
+windows from 0 or 8.5e6, the size the benchmark's `sweep` workload uses;
+the three orbit-walk spans (`covering` and the two reach sweeps) run from
+2**68 too, as in its `frontier` workload: there `_pure` shares finished
+tails between the starts of a span, and the compiled span hands the whole
+bigint window to `_pure`, so the compiled column should read the same as
+the pure one.  The edge rows time the ranges where the compiled kernels
+hand work to `_pure`: the `dual-forms` window up to 2**41 - 1, where only
+that last element does not fit in uint64; `u-residues` seeds from 2**61,
+some of whose walks pass 2**64; and windows across (2**64 - 2) / 3, past
+which the compiled `scan_x_residues` and `span_parity_runs` go to `_pure`
+in one call.  Pass --scale N to multiply every size by N.
 
 The compiled column needs `collatz_lab._fast` to import, so build it in
 place first with the gcc line in README "Install":
@@ -51,29 +49,6 @@ def bench_scalar_sweep(mod, n):
         mod.apt_step(k)
 
 
-def bench_covering(mod, n):
-    for k in range(1, n):
-        mod.covering_chain(k, 100_000)
-
-
-def bench_apt_stopping(mod, base, n):
-    for k in range(base, base + n):
-        mod.apt_stopping(k, 100_000)
-
-
-def bench_emapt_stopping(mod, n):
-    for k in range(8_500_000, 8_500_000 + n):
-        mod.emapt_stopping(6 * k + 2, 100_000)
-
-
-def bench_stats_lengths(mod, n):
-    # What `stats` would call per start on each side: the compiled module has
-    # no block walk, so its row is the literal covering_chain.
-    lengths = _pure.orbit_lengths if mod is _pure else mod.covering_chain
-    for k in range(8_500_000, 8_500_000 + n):
-        lengths(k, 100_000)
-
-
 def bench_range(name, lo, budgeted=False, centred=False):
     """The range kernel `name` over n inputs from lo, or centred on lo."""
     def run(mod, n):
@@ -85,16 +60,8 @@ def bench_range(name, lo, budgeted=False, centred=False):
 
 WORKLOADS = [
     ("scalar sweep (ruler+p+apt)", bench_scalar_sweep, 200_000),
-    ("covering_chain", bench_covering, 20_000),
-    ("apt_stopping from 8.5e6", lambda m, n: bench_apt_stopping(m, 8_500_000, n), 50_000),
-    ("apt_stopping from 2**68", lambda m, n: bench_apt_stopping(m, 2**68, n), 20_000),
-    ("emapt_stopping of 6n+2 from 8.5e6", bench_emapt_stopping, 50_000),
-    ("stats lengths from 8.5e6", bench_stats_lengths, 20_000),
-    ("scan_index_reps", bench_range("scan_index_reps", 0), 5_000_000),
-    ("scan_ruler_identities", bench_range("scan_ruler_identities", 0), 4_000_000),
     ("scan_p3n", bench_range("scan_p3n", 0), 5_000_000),
     ("scan_x_residues", bench_range("scan_x_residues", 0), 2_500_000),
-    ("scan_emapt_forms", bench_range("scan_emapt_forms", 2), 3_000_000),
     ("span_u_residues from 8.5e6", bench_range("span_u_residues", 8_500_000, True), 50_000),
     ("span_u_residues_odd from 8.5e6",
      bench_range("span_u_residues_odd", 8_500_000, True), 50_000),
@@ -114,8 +81,6 @@ WORKLOADS = [
     ("edge: span_u_residues from 2**61", bench_range("span_u_residues", 2**61, True), 20_000),
     ("edge: span_u_residues_odd from 2**61",
      bench_range("span_u_residues_odd", 2**61, True), 20_000),
-    ("edge: scan_index_reps across 2**62",
-     bench_range("scan_index_reps", 2**62, centred=True), 25_000),
     ("edge: scan_x_residues across SAFE3",
      bench_range("scan_x_residues", SAFE3, centred=True), 20_000),
     ("edge: span_parity_runs across SAFE3",

@@ -2,32 +2,31 @@
 
    Built only on request, in place, with the gcc line in README "Install";
    `collatz_lab.kernels` then binds these functions in place of _pure's.
+   Only the kernels that a command reaches have a twin here: the step
+   kernels, and the scans and checker spans that `verify` runs.  `kernels`
+   binds the rest to _pure on both backends, and its comment says which.
 
    One rule keeps every result equal to _pure's: a kernel runs on uint64 and
    hands to the _pure function of the same name whatever might not fit, or
    lies below the kernel's domain, where _pure raises ValueError or gives its
    own formula's value.  The rule has three doors, each a call of pure_call:
-   - KERNEL, for the multi-argument kernels, hands over the whole call, with
+   - RANGE, for the scans and checker spans, hands over the whole call, with
      the caller's arguments, when call_args finds one that does not fit, or
-     when the kernel's uint64 body returns NULL with no exception set: an
-     orbit whose value passed 2^64, or a range whose first element lies below
-     its domain;
+     when the range's first element lies below its domain;
    - SCALAR, for the one-argument kernels, likewise;
-   - pure_range, for the scans and checker spans, whose one range loop
-     checks an element at a time: one that does not fit goes alone to _pure
-     over [v, v], and the elements past the kernel's uint64 limit go in one.
+   - pure_range, behind RANGE's one range loop, which checks an element at
+     a time: one that does not fit goes alone to _pure over [v, v], and the
+     elements past the kernel's uint64 limit go in one.
    Only OverflowError is taken as "does not fit"; any other conversion
    error, or a wrong argument count, propagates.
 
-   The stopping counters and covering_chain are literal loops, one parity
-   run (or one step) at a time, not block jumps, so comparing them with
-   _pure's block walk tests the Terras and (R + 1) / 2 identities.
-   covering_chain is _pure's lock-step walk of the three orbits, so it
-   stores none of them and allocates nothing.  The range checks at the end
-   are _pure's scan and span loop bodies on uint64, with the step helpers
-   below in place of the inlined formulas; the orbit-walk spans check each
-   start with those literal loops, without _pure's memo of finished tails,
-   which pays where the values are bigints. */
+   The range checks at the end are _pure's scan and span loop bodies on
+   uint64, with the step helpers below in place of the inlined formulas.
+   The orbit-walk spans walk each start with literal loops, one parity run
+   (or one step) at a time, without _pure's block jumps or its memo of
+   finished tails, which pays where the values are bigints; covering's is
+   _pure's lock-step walk of the three orbits, so it stores none of them and
+   allocates nothing. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -203,43 +202,25 @@ static int to_ll(PyObject *o, long long *v)
     return fitted(*v == -1 && PyErr_Occurred());
 }
 
-/* A kernel's nu uint64 arguments into u and, when budgeted, the budget after
+/* A range kernel's lo and hi into u and, when budgeted, the budget after
    them into *budget: 1 when all fit, 0 when one does not (_pure takes the
    call), -1 on any other error, a wrong argument count included. */
 static inline __attribute__((always_inline)) int
-call_args(const char *name, PyObject *const *args, Py_ssize_t nargs, int nu,
-          int budgeted, u64 *u, long long *budget)
+call_args(const char *name, PyObject *const *args, Py_ssize_t nargs, int budgeted,
+          u64 u[2], long long *budget)
 {
-    if (nargs != nu + budgeted) {
+    if (nargs != 2 + budgeted) {
         PyErr_Format(PyExc_TypeError, "%s() takes exactly %d arguments (%zd given)",
-                     name, nu + budgeted, nargs);
+                     name, 2 + budgeted, nargs);
         return -1;
     }
-    for (int i = 0; i < nu; i++) {
+    for (int i = 0; i < 2; i++) {
         int fits = to_u64(args[i], &u[i]);
         if (fits <= 0)
             return fits;
     }
-    return budgeted ? to_ll(args[nu], budget) : 1;
+    return budgeted ? to_ll(args[2], budget) : 1;
 }
-
-/* The multi-argument kernel `name`: its body name##_u64(u, budget) returns
-   the result, or NULL, which is an error when an exception is set and hands
-   the call to _pure when none is. */
-#define KERNEL(name, nu, budgeted)                                           \
-    static PyObject *name(PyObject *Py_UNUSED(self), PyObject *const *args, \
-                          Py_ssize_t nargs)                                  \
-    {                                                                        \
-        u64 u[nu];                                                           \
-        long long budget = 0;                                                \
-        int fits = call_args(#name, args, nargs, nu, budgeted, u, &budget);  \
-        if (fits < 0)                                                        \
-            return NULL;                                                     \
-        PyObject *result = fits ? name##_u64(u, budget) : NULL;              \
-        if (result == NULL && !PyErr_Occurred())                             \
-            return pure_call(#name, args, nargs);                            \
-        return result;                                                       \
-    }
 
 /* --- one-argument kernels -------------------------------------------------- */
 
@@ -316,42 +297,6 @@ static int cover(u64 n, long long budget, long long len[3], int *ok)
     len[2] = a == 1 ? sa + 1 : -1;
     return 1;
 }
-
-static PyObject *covering_chain_u64(const u64 *n, long long budget)
-{
-    long long len[3];
-    int ok;
-    if (*n == 0 || !cover(*n, budget, len, &ok))   /* _pure raises for n < 1 */
-        return NULL;
-    return Py_BuildValue("(LLLi)", len[0], len[1], len[2], ok);
-}
-
-/* Parity runs from n to 1, or -1 once the budget runs out.  A start of 0
-   goes to _pure, which raises ValueError whatever the budget. */
-static PyObject *apt_stopping_u64(const u64 *n, long long budget)
-{
-    u64 x = *n;
-    long long steps = 0;
-    if (x == 0 || walk(&x, 1, &steps, budget, apt_u64) < 0)
-        return NULL;
-    return PyLong_FromLongLong(x == 1 ? steps : -1);
-}
-
-/* pq steps from an even u to 2.  An odd u goes to _pure, which counts
-   (R + 1) / 2 of its runs, not its pq steps; so does 0, which _pure
-   rejects. */
-static PyObject *emapt_stopping_u64(const u64 *u, long long budget)
-{
-    u64 x = *u;
-    long long steps = 0;
-    if (x == 0 || (x & 1) || walk(&x, 2, &steps, budget, emapt_pq_u64) < 0)
-        return NULL;
-    return PyLong_FromLongLong(x == 2 ? steps : -1);
-}
-
-KERNEL(covering_chain, 1, 1)
-KERNEL(apt_stopping, 1, 1)
-KERNEL(emapt_stopping, 1, 1)
 
 /* --- ranges: scans and checker spans, one element at a time -------------- */
 
@@ -455,16 +400,22 @@ range(Findings *f, const char *name, u64 v, u64 last, u64 stride, long long budg
 }
 
 /* The range kernel `name` over the elements first, first + stride, ... <=
-   hi, each checked by name##_check; it returns a LIST or a TRIPLE.  A first
-   element below least hands the whole call to _pure, which raises, or finds
-   nothing when rounding lo up to first wrapped past 2^64; the elements past
-   limit go to _pure in one call. */
+   hi, each checked by name##_check; it returns a LIST or a TRIPLE.  An
+   argument that does not fit, or a first element below least, hands the
+   whole call to _pure, which raises, or finds nothing when rounding lo up to
+   first wrapped past 2^64; the elements past limit go to _pure in one call. */
 #define RANGE(name, result, budgeted, first, stride, least, limit)           \
-    static PyObject *name##_u64(const u64 *u, long long budget)              \
+    static PyObject *name(PyObject *Py_UNUSED(self), PyObject *const *args, \
+                          Py_ssize_t nargs)                                  \
     {                                                                        \
-        u64 lo = u[0], hi = u[1], v = (first), min = (least);                \
-        if (v < min)                                                         \
+        u64 u[2] = {0, 0};                                                   \
+        long long budget = 0;                                                \
+        int fits = call_args(#name, args, nargs, budgeted, u, &budget);      \
+        if (fits < 0)                                                        \
             return NULL;                                                     \
+        u64 lo = u[0], hi = u[1], v = (first), min = (least);                \
+        if (!fits || v < min)                                                \
+            return pure_call(#name, args, nargs);                            \
         Findings f = {PyList_New(0), PyList_New(0), 0};                      \
         int end = f.violations && f.exhausted ? DONE : FAILED;               \
         if (end == DONE && v <= hi && v <= (limit))                          \
@@ -481,24 +432,7 @@ range(Findings *f, const char *name, u64 v, u64 last, u64 stride, long long budg
         Py_XDECREF(f.violations);                                            \
         Py_XDECREF(f.exhausted);                                             \
         return out;                                                          \
-    }                                                                        \
-    KERNEL(name, 2, budgeted)
-
-/* (2 p(n) + 1) 2^q(n) must rebuild 2(n + 1), and its predecessor 2n + 1.
-   Both tests run, unshortened, so that gcc folds them into one compare. */
-static int scan_index_reps_check(Findings *f, u64 n, long long Py_UNUSED(budget))
-{
-    u64 e = (2 * p_u64(n) + 1) << q_u64(n);
-    return (e != 2 * (n + 1)) | (e - 1 != 2 * n + 1) ? flagged(f, n) : DONE;
-}
-
-/* The ruler of e / 2 must equal q(n). */
-static int scan_ruler_identities_check(Findings *f, u64 n, long long Py_UNUSED(budget))
-{
-    int q = q_u64(n);
-    u64 e = (2 * p_u64(n) + 1) << q;
-    return ctz(e >> 1) + 1 != q ? flagged(f, n) : DONE;
-}
+    }
 
 static int scan_p3n_check(Findings *f, u64 n, long long Py_UNUSED(budget))
 {
@@ -521,12 +455,6 @@ static inline int emapt_forms_differ(u64 u)
     if (!emapt_pq_u64(u, &via_pq) || !emapt_ruler_u64(u, &via_ruler))
         return -1;
     return via_pq != via_ruler;
-}
-
-static int scan_emapt_forms_check(Findings *f, u64 u, long long Py_UNUSED(budget))
-{
-    int differ = emapt_forms_differ(u);
-    return differ < 0 ? NO_FIT : differ ? flagged(f, u) : DONE;
 }
 
 /* Walks *x under the pq form for at most budget steps, leaving the last
@@ -638,8 +566,9 @@ static int span_dual_forms_check(Findings *f, u64 n, long long Py_UNUSED(budget)
 }
 
 /* The orbit-walk spans, each start walked on its own: the checks of
-   covering_chain, apt_stopping and emapt_stopping of 6n + 2.  _pure's spans
-   share finished tails between starts; these walk each start in full. */
+   _pure's covering_chain, apt_stopping and emapt_stopping of 6n + 2.
+   _pure's spans share finished tails between starts; these walk each start
+   in full. */
 static int span_covering_check(Findings *f, u64 n, long long budget)
 {
     long long len[3];
@@ -675,11 +604,8 @@ static int span_conjecture_emapt_check(Findings *f, u64 n, long long budget)
 }
 
 /*    name                   result  budgeted  first  stride  least  limit */
-RANGE(scan_index_reps,       LIST,   0, lo, 1, 0, SAFE_N - 1)
-RANGE(scan_ruler_identities, LIST,   0, lo, 1, 0, SAFE_N - 1)
 RANGE(scan_p3n,              LIST,   0, lo, 1, 0, SAFE3)
 RANGE(scan_x_residues,       LIST,   0, lo, 1, 0, SAFE3)
-RANGE(scan_emapt_forms,      LIST,   0, lo < 2 ? 2 : lo + (lo & 1), 2, 2, U64_MAX)
 RANGE(span_u_residues,       TRIPLE, 1, lo + (lo & 1), 2, 2, U64_MAX)
 RANGE(span_u_residues_odd,   TRIPLE, 1, lo | 1, 2, 1, U64_MAX)
 RANGE(span_parity_runs,      TRIPLE, 0, lo, 1, 1, SAFE3)
@@ -703,14 +629,8 @@ static PyMethodDef methods[] = {
     ONE(emapt_step_ruler),
     ONE(omapt_step),
     ONE(x_step),
-    MANY(covering_chain),
-    MANY(apt_stopping),
-    MANY(emapt_stopping),
-    MANY(scan_index_reps),
-    MANY(scan_ruler_identities),
     MANY(scan_p3n),
     MANY(scan_x_residues),
-    MANY(scan_emapt_forms),
     MANY(span_u_residues),
     MANY(span_u_residues_odd),
     MANY(span_parity_runs),

@@ -2,14 +2,17 @@
 
 Reference implementations of the hot inner loops.  `collatz_lab.kernels`
 uses the compiled twins from `collatz_lab._fast` when that extension
-imports; both modules expose the same functions, bar `orbit_lengths`,
-which has no compiled twin, and must agree on every input (the tests run
-the stopping and oracle suites on both).  Functions here
-assume validated arguments (the checked public surface lives in `arith`,
-`sequences` and `reverse_tree`); a negative `interleave_p` argument or an
-orbit start below 1 raises ValueError rather than loop or index the
-tables.  Everything is plain-int arithmetic, so arbitrarily large values
-are handled natively.
+imports, and each twin must agree with its function here on every input
+(the tests run the step, scan and span suites on both).  Seven functions
+have no compiled twin, and `kernels` binds them from here on both
+backends: `orbit_lengths`, `covering_chain`, `apt_stopping`,
+`emapt_stopping`, `scan_index_reps`, `scan_ruler_identities` and
+`scan_emapt_forms`; the tests check them against literal loops.
+Functions here assume validated arguments (the checked public surface
+lives in `arith`, `sequences` and `reverse_tree`); a negative
+`interleave_p` argument or an orbit start below 1 raises ValueError rather
+than loop or index the tables.  Everything is plain-int arithmetic, so
+arbitrarily large values are handled natively.
 
 The checker spans at the end run a whole `verify` span in one call.  The
 residue and identity spans write the step formulas out inline, so that no

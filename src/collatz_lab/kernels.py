@@ -2,7 +2,8 @@
 
 One rule: the compiled kernels when the `collatz_lab._fast` extension
 imports, otherwise the pure-Python reference module.  `BACKEND` names the
-one that imported.
+one that imported.  Seven kernels have no compiled twin and are bound to
+the pure module on both backends; the comment at their bindings says why.
 
 The seven `span_*` kernels run a whole `verify` checker span in one call:
 four with the step formulas inlined, for which the standalone step kernels
@@ -34,19 +35,8 @@ emapt_step_pq = _impl.emapt_step_pq
 emapt_step_ruler = _impl.emapt_step_ruler
 omapt_step = _impl.omapt_step
 x_step = _impl.x_step
-covering_chain = _impl.covering_chain
-apt_stopping = _impl.apt_stopping
-emapt_stopping = _impl.emapt_stopping
-# The pure block walk on both backends, though near 8.5e6 the compiled
-# lock-step covering_chain gives the same lengths in about half the time
-# (benchmarks/bench_kernels.py): the walk, and the Terras identity in it, is
-# what the tests check against those compiled literal loops.
-orbit_lengths = _pure.orbit_lengths
-scan_index_reps = _impl.scan_index_reps
-scan_ruler_identities = _impl.scan_ruler_identities
 scan_p3n = _impl.scan_p3n
 scan_x_residues = _impl.scan_x_residues
-scan_emapt_forms = _impl.scan_emapt_forms
 span_u_residues = _impl.span_u_residues
 span_u_residues_odd = _impl.span_u_residues_odd
 span_parity_runs = _impl.span_parity_runs
@@ -54,3 +44,17 @@ span_dual_forms = _impl.span_dual_forms
 span_covering = _impl.span_covering
 span_conjecture_apt = _impl.span_conjecture_apt
 span_conjecture_emapt = _impl.span_conjecture_emapt
+# The pure kernels on both backends, with no compiled twin.  `stats` walks
+# `orbit_lengths`, the block walk that the tests check against the literal
+# orbits in tests/oracles.py; a compiled one would start from the lock-step
+# walk `cover()` in _fast.c.  No command reaches the other six: the
+# acceptance criteria 2, 3 and 5 call them, the test oracles build the
+# literal checker loops from them, and perfbench's bare-loop probes time
+# them.
+orbit_lengths = _pure.orbit_lengths
+covering_chain = _pure.covering_chain
+apt_stopping = _pure.apt_stopping
+emapt_stopping = _pure.emapt_stopping
+scan_index_reps = _pure.scan_index_reps
+scan_ruler_identities = _pure.scan_ruler_identities
+scan_emapt_forms = _pure.scan_emapt_forms

@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import random
 import shutil
 import subprocess
 import sysconfig
@@ -13,6 +14,21 @@ DATA_DIR = TESTS_DIR / "data"
 FAST_SOURCE = TESTS_DIR.parent / "src" / "collatz_lab" / "_fast.c"
 #: The flags of the build line in README "Install"; a C warning is an error.
 GCC_FLAGS = ["-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC"]
+
+SAFE3 = (2**64 - 2) // 3       # 3n + 1 fits for n up to this
+#: Starts on each side of the compiled kernels' uint64 cutoffs, and bigints.
+BOUNDARY = [
+    1, 2, 3, 63, 64, 65,
+    2**31 - 1, 2**32, 2**62 - 1, 2**62, 2**63 - 1, 2**63,
+    SAFE3 - 1, SAFE3, SAFE3 + 1,
+    2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1,
+    3**40, 3**50, 2**200 - 1, 2**200,
+]
+#: Random starts that cross 2**64 on purpose.
+_rng = random.Random(20260814)
+RANDOMS = [_rng.randrange(1, 2**70) for _ in range(400)]
+#: Budgets below, at and past the long long range the compiled module takes.
+BIG_BUDGETS = (2**63 - 1, 2**63, 2**64, -(2**63) - 1)
 
 
 @pytest.fixture

@@ -6,15 +6,17 @@ boundary; the random sweep crosses it on purpose, and the scans and budgets
 below straddle each cutoff where the compiled module hands a call to
 `_pure`.  The ``fast`` fixture (tests/conftest.py) builds the compiled module
 from its committed C source with README's gcc line, and ``impl`` runs a test
-on each backend in turn.  `covering_chain` is checked on both backends
-against the literal orbits in `oracles`, and the stopping counters against
-literal loops in tests/test_stopping.py.
+on each backend in turn.  The kernels in `PURE_ONLY` have no compiled twin:
+`covering_chain` is checked against the literal orbits in `oracles`, and
+the stopping counters against literal loops in tests/test_stopping.py; the
+compiled orbit walks they share with the spans are checked through
+`span_covering`, `span_conjecture_apt` and `span_conjecture_emapt`.
 """
 
 import functools
 import inspect
 import pathlib
-import random
+import re
 import sys
 
 import pytest
@@ -22,25 +24,38 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
-from conftest import FAST_SOURCE, GCC_FLAGS, build_fast
+from conftest import BIG_BUDGETS, BOUNDARY, FAST_SOURCE, GCC_FLAGS, RANDOMS, SAFE3, build_fast
 
 U64_MAX = 2**64 - 1
-SAFE_N = 2**62                 # the index scans' fast path stays below this
-SAFE3 = (2**64 - 2) // 3       # 3n + 1 fits for n up to this
 
-BOUNDARY = [
-    1, 2, 3, 63, 64, 65,
-    2**31 - 1, 2**32, 2**62 - 1, 2**62, 2**63 - 1, 2**63,
-    SAFE3 - 1, SAFE3, SAFE3 + 1,
-    2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1,
-    3**40, 3**50, 2**200 - 1, 2**200,
-]
+#: The kernels with no compiled twin, which `kernels` binds from `_pure` on
+#: both backends: `stats` walks `orbit_lengths`, and no command reaches the
+#: other six.
+PURE_ONLY = {
+    "orbit_lengths",
+    "covering_chain",
+    "apt_stopping",
+    "emapt_stopping",
+    "scan_index_reps",
+    "scan_ruler_identities",
+    "scan_emapt_forms",
+}
 
-#: Budgets below, at and past the long long range the compiled module takes.
-BIG_BUDGETS = (2**63 - 1, 2**63, 2**64, -(2**63) - 1)
 
-rng = random.Random(20260814)
-RANDOMS = [rng.randrange(1, 2**70) for _ in range(400)]
+def on_backends(calls, call_id, both=()):
+    """Parametrizes ``impl, call`` with each call on `_pure`, and on the
+    compiled module where its kernel has a twin or the call is in `both`."""
+    return pytest.mark.parametrize(
+        "impl,call",
+        [
+            pytest.param(backend, call, id=f"{backend}-{call_id(call)}")
+            for backend in ("pure", "compiled")
+            for call in [*calls, *both]
+            if backend == "pure" or call in both or call[0] not in PURE_ONLY
+        ],
+        indirect=["impl"],
+    )
+
 
 SCALAR_CASES = [
     ("ruler", lambda n: n >= 1),
@@ -80,8 +95,7 @@ def test_zero_matches_pure(impl, name):
 
 #: Calls outside the kernels' domain, where `_pure` once hung (a negative odd
 #: p argument halves to -1 forever) or indexed its tables with 0, and where
-#: the uint64 formulas gave values of their own; and float budgets on the
-#: starts that `_pure` answers without a walk.
+#: the uint64 formulas gave values of their own.
 OUT_OF_DOMAIN = [
     ("interleave_p", -1),
     ("interleave_p", -6),
@@ -96,23 +110,31 @@ OUT_OF_DOMAIN = [
     ("apt_stopping", -3, 5),
     ("apt_stopping", 0, 0),
     ("apt_stopping", 0, -1),
-    ("apt_stopping", 1, 10.5),
     ("covering_chain", 0, 5),
     ("covering_chain", 0, 0),
     ("covering_chain", -3, 5),
     ("emapt_stopping", 0, 5),
     ("emapt_stopping", 0, 0),
     ("emapt_stopping", 0, -1),
-    ("emapt_stopping", 2, 10.5),
     ("emapt_stopping", 1, 5),
     ("emapt_stopping", 7, 5),
 ]
 
 
-@pytest.mark.parametrize("call", OUT_OF_DOMAIN, ids=[str(c) for c in OUT_OF_DOMAIN])
+#: Float budgets on the starts that `_pure` answers without a walk.  The
+#: compiled module has no stopping counter, so there the same start and
+#: budget go to its reach span, which must reject the float as `_pure` does.
+FLOAT_BUDGETS = {
+    ("apt_stopping", 1, 10.5): ("span_conjecture_apt", 1, 1, 10.5),
+    ("emapt_stopping", 2, 10.5): ("span_conjecture_emapt", 0, 0, 10.5),   # 6n + 2 = 2
+}
+
+
+@on_backends(OUT_OF_DOMAIN, str, both=list(FLOAT_BUDGETS))
 def test_out_of_domain_matches_pure(impl, call):
     name, *args = call
-    assert _outcome(getattr(impl, name), *args) == _outcome(getattr(_pure, name), *args)
+    door, *door_args = call if hasattr(impl, name) else FLOAT_BUDGETS[call]
+    assert _outcome(getattr(impl, door), *door_args) == _outcome(getattr(_pure, name), *args)
 
 
 #: Each multi-argument kernel with arguments in its domain.
@@ -129,10 +151,13 @@ IN_DOMAIN_CALLS = [
     ("span_u_residues_odd", 1, 50, 100),
     ("span_parity_runs", 1, 50),
     ("span_dual_forms", 0, 50),
+    ("span_covering", 1, 50, 100),
+    ("span_conjecture_apt", 1, 50, 100),
+    ("span_conjecture_emapt", 0, 50, 100),
 ]
 
 
-@pytest.mark.parametrize("call", IN_DOMAIN_CALLS, ids=[c[0] for c in IN_DOMAIN_CALLS])
+@on_backends(IN_DOMAIN_CALLS, lambda c: c[0])
 def test_bad_arguments_match_pure(impl, call):
     # One argument short, one extra, and a str, None or float in each place.
     name, *args = call
@@ -155,6 +180,10 @@ def test_pure_rejects_what_it_cannot_walk():
     with pytest.raises(ValueError, match="orbits start at n >= 1"):
         _pure.covering_chain(0, 10**6)
     assert _pure.emapt_stopping(1, 5) == 0
+    # A float budget, even on a start that needs no walk.
+    for name, start in [("apt_stopping", 1), ("emapt_stopping", 2)]:
+        with pytest.raises(TypeError):
+            getattr(_pure, name)(start, 10.5)
 
 
 #: Budgets for every covering start: none, one and three steps, and the
@@ -173,10 +202,15 @@ _literal_covering = functools.cache(oracles.covering_chain_by_iteration)
 
 
 def _assert_covering(impl, n, budgets):
+    """`covering_chain` against the literal orbits, and the backend's covering
+    span, whose lock-step walk is the same, from n alone."""
     for budget in sorted(budgets):
-        assert impl.covering_chain(n, budget) == _literal_covering(
+        assert _pure.covering_chain(n, budget) == _literal_covering(
             n, budget
         ), f"covering_chain({n}, {budget})"
+        assert impl.span_covering(n, n, budget) == oracles.covering_span(
+            n, n, budget
+        ), f"span_covering({n}, {n}, {budget})"
 
 
 def _length_budgets(n):
@@ -188,10 +222,9 @@ def _length_budgets(n):
 
 
 def test_covering_chain_matches_literal_orbits(impl):
+    # The length budgets keep `cover()` tested across 2**63 and 2**64.
     for n in [*range(1, 5001), *range(8_500_000, 8_501_000), *COVERING_EDGES]:
         _assert_covering(impl, n, COVERING_BUDGETS)
-    for n in [*range(1, 500), *COVERING_EDGES]:
-        _assert_covering(impl, n, BIG_BUDGETS)
     for n in [*range(1, 1001), *COVERING_EDGES]:
         _assert_covering(impl, n, _length_budgets(n))
 
@@ -202,16 +235,17 @@ def test_covering_chain_matches_literal_orbits_on_bigints(impl, n):
 
 
 def test_covering_chain_agrees(fast):
-    for n in list(range(1, 500)) + [2**63 - 1, 2**64 + 5, 3**45]:
-        for budget in (100_000, *BIG_BUDGETS):
-            assert fast.covering_chain(n, budget) == _pure.covering_chain(
-                n, budget
-            ), f"covering_chain({n}, {budget})"
+    # A budget past long long hands the compiled span to `_pure` whole.
+    for n in [*range(1, 500), *COVERING_EDGES]:
+        _assert_covering(fast, n, BIG_BUDGETS)
 
 
 def test_covering_chain_budget_sentinels_agree(fast):
+    # Budget 3 leaves these orbits unfinished: the compiled span flags each
+    # exhausted, alone and inside a window whose memo holds finished tails.
     for n in (7, 27, 97):
-        assert fast.covering_chain(n, 3) == _pure.covering_chain(n, 3)
+        assert fast.span_covering(n, n, 3) == oracles.covering_span(n, n, 3) == (1, [], [n])
+    assert fast.span_covering(1, 100, 3) == oracles.covering_span(1, 100, 3)
 
 
 def test_lock_step_with_a_memo_matches_without():
@@ -309,44 +343,51 @@ def test_compiled_covering_chain_reports_a_broken_embedding(
     steps = [oracles.collatz_step, oracles.terras_step, oracles.apt_step_by_iteration]
     steps[which] = broken
     oks = set()
-    for n in range(1, 200):
-        for budget in (3, 8, 100_000):
-            want = oracles.covering_chain_by_iteration(n, budget, steps)
-            assert broken_fast.covering_chain(n, budget) == want, (n, budget)
-            oks.add(want[3])
-    assert oks == {-1, 0, 1}
-    # The compiled span's check reports the same broken embeddings.
     for budget in (3, 8, 100_000):
         got = broken_fast.span_covering(1, 199, budget)
         lengths = [oracles.covering_chain_by_iteration(n, budget, steps) for n in range(1, 200)]
+        oks |= {ok for *_, ok in lengths}
         assert got == (
             199,
             [(n, "orbit containment failed") for n, (*_, ok) in enumerate(lengths, 1) if ok == 0],
             [n for n, (*_, ok) in enumerate(lengths, 1) if ok < 0],
         ), budget
+    assert oks == {-1, 0, 1}
 
 
 def test_stopping_agrees_at_big_budgets(fast):
-    for n in list(range(1, 500)) + BOUNDARY:
+    # The compiled reach spans from one start, at budgets below, at and past
+    # long long, against the pure stopping counters.
+    for n in [*range(1, 500), *BOUNDARY]:
         for budget in BIG_BUDGETS:
-            assert fast.apt_stopping(n, budget) == _pure.apt_stopping(n, budget)
-            if n % 2 == 0:
-                assert fast.emapt_stopping(n, budget) == _pure.emapt_stopping(
-                    n, budget
-                ), f"emapt_stopping({n}, {budget})"
+            assert fast.span_conjecture_apt(n, n, budget) == oracles.conjecture_apt_span(
+                n, n, budget
+            ), f"span_conjecture_apt({n}, {n}, {budget})"
+            if n % 6 == 2:
+                m = (n - 2) // 6
+                assert fast.span_conjecture_emapt(m, m, budget) == oracles.conjecture_emapt_span(
+                    m, m, budget
+                ), f"span_conjecture_emapt({m}, {m}, {budget})"
+
+
+def _covering_from_lengths(n, budget):
+    """The covering span of n alone, read from `orbit_lengths`: n is exhausted
+    exactly when one of its three orbits needs more than the budget."""
+    return (1, [], [n] if -1 in _pure.orbit_lengths(n, budget) else [])
 
 
 def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):
-    # The block walk against the compiled literal loops, across 2**63 / 2**64.
+    # The block walk against the compiled literal orbits of `cover()`, across
+    # 2**63 / 2**64, and at budgets where an orbit just does or does not fit.
     for n in BOUNDARY + RANDOMS:
         for budget in (100_000, 3):
-            assert fast.covering_chain(n, budget)[:3] == _pure.orbit_lengths(
+            assert fast.span_covering(n, n, budget) == _covering_from_lengths(
                 n, budget
             ), f"orbit_lengths({n}, {budget})"
     for n in range(1, 400):
-        lengths = fast.covering_chain(n, 100_000)[:3]
+        lengths = _pure.orbit_lengths(n, 100_000)
         for budget in {length + d for length in lengths for d in (-2, -1, 0)}:
-            assert fast.covering_chain(n, budget)[:3] == _pure.orbit_lengths(
+            assert fast.span_covering(n, n, budget) == _covering_from_lengths(
                 n, budget
             ), f"orbit_lengths({n}, {budget})"
 
@@ -356,28 +397,15 @@ def _around(cutoff):
 
 
 #: Windows on each side of each scan's uint64 limit, past which the compiled
-#: scan hands the rest of its range to `_pure` in one call; `scan_emapt_forms`
-#: has none, and its windows at the top of uint64 hand over one element at a
-#: time.  Below a limit, an element that does not fit goes to `_pure` alone.
+#: scan hands the rest of its range to `_pure` in one call.  Below a limit,
+#: an element that does not fit goes to `_pure` alone.
 CUTOFF_WINDOWS = {
-    "scan_index_reps": _around(SAFE_N),
-    "scan_ruler_identities": _around(SAFE_N),
     "scan_p3n": _around(SAFE3),
     "scan_x_residues": _around(SAFE3) + [(U64_MAX - 64, U64_MAX)],
-    "scan_emapt_forms": _around(U64_MAX - 1),
 }
 
 
-@pytest.mark.parametrize(
-    "name,lo",
-    [
-        ("scan_index_reps", 0),
-        ("scan_ruler_identities", 0),
-        ("scan_p3n", 0),
-        ("scan_x_residues", 0),
-        ("scan_emapt_forms", 2),
-    ],
-)
+@pytest.mark.parametrize("name,lo", [("scan_p3n", 0), ("scan_x_residues", 0)])
 def test_scans_agree(fast, name, lo):
     # Plus, for every scan, a window past 2**64 and an empty range whose lo is
     # 2**64 - 1 (rounding that up to even must not wrap).
@@ -390,7 +418,7 @@ def test_scans_agree(fast, name, lo):
 #: the one element that does not fit in uint64, or everything past the limit.
 FALLBACKS = [
     ("span_dual_forms", (2**41 - 64, 2**41 + 64), (2**41 - 1, 2**41 - 1)),
-    ("scan_index_reps", (2**62 - 8, 2**62 + 8), (2**62, 2**62 + 8)),
+    ("scan_p3n", (SAFE3 - 8, SAFE3 + 8), (SAFE3 + 1, SAFE3 + 8)),
     # A bigint window goes whole, so its starts share the `_pure` memo.
     ("span_conjecture_apt", (2**68, 2**68 + 64, 1000), (2**68, 2**68 + 64, 1000)),
 ]
@@ -425,17 +453,24 @@ def test_fast_handles_arbitrary_magnitude(fast, n):
     assert fast.odd_part(n) == _pure.odd_part(n)
 
 
-def test_every_pure_kernel_has_a_compiled_twin(fast):
-    # `kernels` binds each name from the compiled module when it imports, so
+def test_only_kernels_no_command_reaches_lack_a_compiled_twin(fast):
+    # `kernels` binds each twin from the compiled module when it imports, so
     # a missing twin would break `import collatz_lab` on compiled installs.
     names = {
         name
         for name, value in vars(_pure).items()
         if inspect.isfunction(value) and not name.startswith("_")
     }
-    assert {"apt_stopping", "covering_chain", "scan_p3n"} <= names
-    assert sorted(n for n in names - {"orbit_lengths"} if not hasattr(fast, n)) == []
+    assert {n for n in names if not hasattr(fast, n)} == PURE_ONLY
     assert sorted(n for n in names if not hasattr(kernels, n)) == []
+    for name in PURE_ONLY:
+        assert getattr(kernels, name) is getattr(_pure, name), name
+    # No module but `_pure` and `kernels` names the six no command reaches:
+    # the first command that calls one must give it a compiled twin first.
+    six = re.compile(r"\b(%s)\b" % "|".join(sorted(PURE_ONLY - {"orbit_lengths"})))
+    for path in sorted(pathlib.Path(kernels.__file__).parent.glob("*.py")):
+        if path.stem not in ("_pure", "kernels"):
+            assert not six.search(path.read_text()), path.name
     # Loading the fixture's build must not make it the package's backend.
     assert sys.modules.get("collatz_lab._fast") is not fast
 

@@ -9,10 +9,10 @@ everything past its limit; and bigint seeds past 2**68.  The budgeted
 residue spans also run one seed at a time at budgets 1, 2, 3 and at each
 seed's exact step count - 1, itself and + 1.  The orbit-walk spans, whose
 `_pure` kernels share finished tails between the starts of a span, run
-whole windows at budgets 1, 2, 3 and at sampled starts' exact step counts
-- 1, themselves and + 1, so that some starts exhaust right after a walk
-ends on a shared tail; and again with the memo's cap at 2, so that it is
-cleared over and over.
+whole windows at budgets 1, 2, 3, at budgets past the long long range and
+at sampled starts' exact step counts - 1, themselves and + 1, so that some
+starts exhaust right after a walk ends on a shared tail; and again with the
+memo's cap at 2, so that it is cleared over and over.
 No input in a checker's domain reaches a violation, so the violation details
 are compared as source literals across the two backends and the loops.
 """
@@ -25,7 +25,7 @@ import pytest
 
 import oracles
 from collatz_lab import _pure, verify
-from conftest import FAST_SOURCE
+from conftest import BIG_BUDGETS, FAST_SOURCE
 
 BIG_BUDGET = 10**6
 SAFE3 = (2**64 - 2) // 3   # the compiled parity-runs span stops here
@@ -136,9 +136,10 @@ def _orbit_budgets(lo, hi, steps, samples=2):
 
 @pytest.mark.parametrize("name,oracle,first,windows,steps", ORBIT, ids=[c[0] for c in ORBIT])
 def test_orbit_span_matches_literal_loop(impl, name, oracle, first, windows, steps):
+    # A budget past long long hands the whole compiled call to `_pure`.
     span = getattr(impl, name)
     for lo, hi in windows:
-        for budget in _orbit_budgets(lo, hi, steps, 4):
+        for budget in [*_orbit_budgets(lo, hi, steps, 4), *BIG_BUDGETS]:
             assert span(lo, hi, budget) == oracle(lo, hi, budget), (lo, hi, budget)
 
 

@@ -1,13 +1,15 @@
-"""Stopping counters on both backends, against literal loops.
+"""Stopping counters and orbit lengths against literal loops.
 
-The pure stopping counters jump 12 half-steps per table lookup and the
-compiled ones walk uint64 parity runs with a bigint fallback, so every count
-is compared with the literal loops in `oracles`, which walk one parity run
-at a time.  The ``impl`` fixture (tests/conftest.py) runs each suite on
-`_pure` and on the compiled module built from its committed C source.  The
-inputs cover the table edges (2^12 +- 1 and the orbits that cross it
-mid-run), long runs spanning many blocks, the 2**63 / 2**64 edges where the
-compiled backend falls back, and budgets at r - 1, r, r + 1.
+The stopping counters and `orbit_lengths` jump 12 half-steps per table
+lookup, so every count is compared with the literal loops in `oracles`,
+which walk one parity run at a time.  They have no compiled twin: `kernels`
+binds them from `_pure` on both backends.  The ``impl`` fixture
+(tests/conftest.py) runs each backend's reach span from the same start at
+the same budgets (for `emapt`, the starts 6n + 2), so the compiled reach
+walks meet the literal loops at these inputs too.  The inputs cover the
+table edges (2^12 +- 1 and the orbits that cross it mid-run), long runs
+spanning many blocks, the 2**63 / 2**64 edges, and budgets at r - 1, r,
+r + 1.
 """
 
 import subprocess
@@ -17,6 +19,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
+from conftest import BOUNDARY, RANDOMS
 
 BIG_BUDGET = 10**6
 
@@ -36,13 +39,18 @@ def _budget_edges(r):
     return (0, 1, r - 1, r, r + 1)
 
 
+def _reach(start, steps):
+    """A reach span's result for the one start whose walk took `steps`."""
+    return (1, [], [start] if steps < 0 else [])
+
+
 def _assert_apt(impl, n):
     r = oracles.apt_stopping_by_iteration(n, BIG_BUDGET)
     assert r >= 0
     for budget in _budget_edges(r):
-        assert impl.apt_stopping(n, budget) == oracles.apt_stopping_by_iteration(
-            n, budget
-        ), f"apt_stopping({n}, {budget})"
+        steps = oracles.apt_stopping_by_iteration(n, budget)
+        assert _pure.apt_stopping(n, budget) == steps, f"apt_stopping({n}, {budget})"
+        assert impl.span_conjecture_apt(n, n, budget) == _reach(n, steps), (n, budget)
 
 
 def _assert_emapt(impl, u):
@@ -52,9 +60,11 @@ def _assert_emapt(impl, u):
         # Even, odd, ..., even parity runs: one even-only step per two runs.
         assert r == (oracles.apt_stopping_by_iteration(u, BIG_BUDGET) + 1) // 2
     for budget in _budget_edges(r):
-        assert impl.emapt_stopping(u, budget) == oracles.emapt_stopping_by_iteration(
-            u, budget
-        ), f"emapt_stopping({u}, {budget})"
+        steps = oracles.emapt_stopping_by_iteration(u, budget)
+        assert _pure.emapt_stopping(u, budget) == steps, f"emapt_stopping({u}, {budget})"
+        if u % 6 == 2:
+            n = (u - 2) // 6
+            assert impl.span_conjecture_emapt(n, n, budget) == _reach(n, steps), (n, budget)
 
 
 def test_apt_stopping_matches_literal_loop(impl):
@@ -103,6 +113,12 @@ def test_orbit_lengths_match_literal_orbits():
         _assert_lengths(n)
     for n in EDGES:
         _assert_lengths(n, every_orbit=False)
+    # Across 2**63 / 2**64, and at a budget that stops most walks early.
+    for n in BOUNDARY + RANDOMS:
+        for budget in (BIG_BUDGET, 3):
+            assert _pure.orbit_lengths(n, budget) == oracles.orbit_lengths_by_iteration(
+                n, budget
+            ), f"orbit_lengths({n}, {budget})"
 
 
 @given(st.integers(min_value=1, max_value=2**300))
@@ -125,10 +141,14 @@ def test_orbit_lengths_with_a_memo_match_without():
 
 
 def test_stopping_targets_cost_nothing(impl):
-    # Already at the target: zero steps, even when the budget is not positive.
+    # Already at the target: zero steps, even when the budget is not positive;
+    # and the orbit-walk spans, on each backend, find nothing to exhaust.
     for budget in (-1, 0, 1):
-        assert impl.apt_stopping(1, budget) == 0
-        assert impl.emapt_stopping(2, budget) == 0
+        assert _pure.apt_stopping(1, budget) == 0
+        assert _pure.emapt_stopping(2, budget) == 0
+        assert impl.span_conjecture_apt(1, 1, budget) == (1, [], [])
+        assert impl.span_conjecture_emapt(0, 0, budget) == (1, [], [])   # 6n + 2 = 2
+        assert impl.span_covering(1, 1, budget) == (1, [], [])
 
 
 @given(st.integers(min_value=1, max_value=2**300))
