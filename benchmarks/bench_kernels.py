@@ -6,15 +6,14 @@ medians.  Every row is sized so that the compiled backend takes at least
 5 ms on a 2-vCPU host: a compiled row of a millisecond or less moves by
 ±20% with code layout alone.
 
-Only the kernels with a compiled twin have a row; `kernels` binds the
-others, such as the stopping counters and `orbit_lengths`, to `_pure` on
-both backends.  The scan and span rows time what the checkers run, on
-windows from 0 or 8.5e6, the size the benchmark's `sweep` workload uses;
-the three orbit-walk spans (`covering` and the two reach sweeps) run from
-2**68 too, as in its `frontier` workload: there `_pure` shares finished
-tails between the starts of a span, and the compiled span hands the whole
-bigint window to `_pure`, so the compiled column should read the same as
-the pure one.  The edge rows time the ranges where the compiled kernels
+Only the kernels with a compiled twin have a row; the others run pure on
+both backends, and `PURE_ONLY` in tests/test_kernels.py names them.  The
+scan and span rows time what the checkers run, on windows from 0 or 8.5e6,
+the size the benchmark's `sweep` workload uses; the three orbit-walk spans
+(`covering` and the two reach sweeps) run from 2**68 too, as in its
+`frontier` workload: there `_pure` shares finished tails between the starts
+of a span, and the compiled span hands the whole bigint window to `_pure`,
+so the compiled column should read the same as the pure one.  The edge rows time the ranges where the compiled kernels
 hand work to `_pure`: the `dual-forms` window up to 2**41 - 1, where only
 that last element does not fit in uint64; `u-residues` seeds from 2**61,
 some of whose walks pass 2**64; and windows across (2**64 - 2) / 3, past

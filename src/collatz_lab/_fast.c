@@ -1,10 +1,11 @@
 /* Compiled integer kernels: the uint64 twin of collatz_lab._pure.
 
    Built only on request, in place, with the gcc line in README "Install";
-   `collatz_lab.kernels` then binds these functions in place of _pure's.
-   Only the kernels that a command reaches have a twin here: the step
-   kernels, and the scans and checker spans that `verify` runs.  `kernels`
-   binds the rest to _pure on both backends, and its comment says which.
+   `collatz_lab.kernels` then binds each function of the method table at the
+   end in place of _pure's.  Only the kernels that a command reaches have a
+   twin here: the step kernels, and the scans and checker spans that
+   `verify` runs.  The rest run pure on both backends; PURE_ONLY in
+   tests/test_kernels.py names them.
 
    One rule keeps every result equal to _pure's: a kernel runs on uint64 and
    hands to the _pure function of the same name whatever might not fit, or

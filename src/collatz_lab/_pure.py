@@ -1,13 +1,13 @@
 """Pure-Python integer kernels.
 
 Reference implementations of the hot inner loops.  `collatz_lab.kernels`
-uses the compiled twins from `collatz_lab._fast` when that extension
-imports, and each twin must agree with its function here on every input
-(the tests run the step, scan and span suites on both).  Seven functions
-have no compiled twin, and `kernels` binds them from here on both
-backends: `orbit_lengths`, `covering_chain`, `apt_stopping`,
-`emapt_stopping`, `scan_index_reps`, `scan_ruler_identities` and
-`scan_emapt_forms`; the tests check them against literal loops.
+star-imports this module, then `collatz_lab._fast` over it when that
+extension imports: every name here without a leading underscore is a
+kernel, and each compiled twin takes its function's place.  Each twin must
+agree with its function here on every input (the tests run the step, scan
+and span suites on both).  The functions with no twin run from here on
+both backends; `PURE_ONLY` in tests/test_kernels.py names them, and the
+tests check them against literal loops.
 Functions here assume validated arguments (the checked public surface
 lives in `arith`, `sequences` and `reverse_tree`); a negative
 `interleave_p` argument or an orbit start below 1 raises ValueError rather
@@ -16,16 +16,14 @@ arbitrarily large values are handled natively.
 
 The checker spans at the end run a whole `verify` span in one call.  The
 residue and identity spans write the step formulas out inline, so that no
-element pays a function call; the standalone kernels above stay the
-reference for those formulas.  The three orbit-walk spans run the
-stopping walk or the covering walk per start, with a memo of the tails
-that earlier starts finished.  The tests compare each span with the
-literal checker loop (`tests/oracles.py`).
+element pays a function call, and the two residue spans share one walk;
+the standalone kernels above stay the reference for those formulas.  The
+three orbit-walk spans run the stopping walk or the covering walk per
+start, with a memo of the tails that earlier starts finished.  The tests
+compare each span with the literal checker loop (`tests/oracles.py`).
 """
 
-from __future__ import annotations
-
-import operator
+import operator as _operator
 
 
 def ruler(n):
@@ -113,7 +111,7 @@ def covering_chain(n, budget):
     0 when an embedding fails, -1 when any orbit is unfinished.  n < 1
     raises ValueError.
     """
-    budget = operator.index(budget)   # a float raises TypeError, as in _fast
+    budget = _operator.index(budget)   # a float raises TypeError, as in _fast
     if n < 1:
         raise ValueError(f"orbits start at n >= 1, got {n}")
     return _lock_step(n, budget, None)
@@ -271,7 +269,7 @@ def orbit_lengths(n, budget, tails=None):
     spliced on alike.  A walk that reaches 1 stores the tail of every
     boundary value it passed.
     """
-    budget = operator.index(budget)   # a float raises TypeError, as in _fast
+    budget = _operator.index(budget)   # a float raises TypeError, as in _fast
     if n < 1:
         raise ValueError(f"orbits start at n >= 1, got {n}")
     blocks, small = _STOP_TABLES or _stop_tables()
@@ -332,7 +330,7 @@ def emapt_stopping(u, budget):
     accelerated count.  One even-only step covers an even run and the odd run
     after it, so the count is j + 1 = (R + 1) / 2.  u = 2 gives 0.
     """
-    budget = operator.index(budget)   # before the shortcut, so u = 2 checks it too
+    budget = _operator.index(budget)   # before the shortcut, so u = 2 checks it too
     if u == 2:
         return 0
     runs = apt_stopping(u, 2 * budget - 1)
@@ -412,11 +410,35 @@ def span_u_residues(lo, hi, budget):
     first = lo + (lo & 1)
     if first < 2:
         raise ValueError(f"even seeds start at 2, got lo = {lo}")
+    return _residue_walks(range(first, hi + 1, 2), budget, False)
+
+
+def span_u_residues_odd(lo, hi, budget):
+    """Odd seeds in [lo, hi]: one ruler-form step, then every pq-form image
+    is 2 or 8 mod 18; a seed still short of 2 after budget pq steps is
+    exhausted.  Observational: not a proved statement."""
+    first = lo | 1
+    if first < 1:
+        raise ValueError(f"odd seeds start at 1, got lo = {lo}")
+    return _residue_walks(range(first, hi + 1, 2), budget, True)
+
+
+def _residue_walks(seeds, budget, odd):
+    """The walk of each seed to 2 that both residue spans run, as `_fast.c`'s
+    residue_walk: up to budget pq steps, each image 2 mod 6 and, from the
+    second image on, 2 or 8 mod 18.  An `odd` seed first takes one
+    ruler-form step, then has only the mod-18 check, from its first image.
+    An image that is 2 or 8 mod 18 is 2 mod 6, so one remainder passes both."""
     violations = []
     exhausted = []
-    seeds = range(first, hi + 1, 2)
-    for u in seeds:
-        x = u
+    for seed in seeds:
+        x = seed
+        if odd:
+            # x = emapt_step_ruler(seed): an odd seed is its own odd part, so
+            # one parity run, 3^e (seed + 1) / 2^e - 1, 2^e exactly dividing seed + 1
+            m = seed + 1
+            e = (m & -m).bit_length() - 1
+            x = 3**e * (m >> e) - 1
         for step in range(1, budget + 1):
             if x == 2:
                 break
@@ -429,51 +451,15 @@ def span_u_residues(lo, hi, budget):
                 n >>= 1
             m += 1
             x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
-            if x % 6 != 2:
-                violations.append((u, f"element {x} is not 2 mod 6"))
-                break
-            if step >= 2 and x % 18 not in (2, 8):
-                violations.append((u, f"element {x} is not 2 or 8 mod 18"))
-                break
+            if x % 18 not in (2, 8):
+                if not odd and x % 6 != 2:
+                    violations.append((seed, f"element {x} is not 2 mod 6"))
+                    break
+                if odd or step >= 2:
+                    violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
+                    break
         else:
             # The budget ran out with neither a violation nor an early 2.
-            if x != 2:
-                exhausted.append(u)
-    return len(seeds), violations, exhausted
-
-
-def span_u_residues_odd(lo, hi, budget):
-    """Odd seeds in [lo, hi]: one ruler-form step, then every pq-form image
-    is 2 or 8 mod 18; a seed still short of 2 after budget pq steps is
-    exhausted.  Observational: not a proved statement."""
-    first = lo | 1
-    if first < 1:
-        raise ValueError(f"odd seeds start at 1, got lo = {lo}")
-    violations = []
-    exhausted = []
-    seeds = range(first, hi + 1, 2)
-    for seed in seeds:
-        # x = emapt_step_ruler(seed): an odd seed is its own odd part, so one
-        # parity run, 3^e (seed + 1) / 2^e - 1 with 2^e exactly dividing seed + 1
-        m = seed + 1
-        e = (m & -m).bit_length() - 1
-        x = 3**e * (m >> e) - 1
-        for _ in range(budget):
-            if x == 2:
-                break
-            # x = emapt_step_pq(x), as in span_u_residues
-            n = (x - 2) >> 1
-            while n & 1:
-                n >>= 1
-            m = n = n >> 1
-            while n & 1:
-                n >>= 1
-            m += 1
-            x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
-            if x % 18 not in (2, 8):
-                violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
-                break
-        else:
             if x != 2:
                 exhausted.append(seed)
     return len(seeds), violations, exhausted
@@ -569,7 +555,7 @@ def span_dual_forms(lo, hi):
 def span_conjecture_apt(lo, hi, budget):
     """Starts n in [lo, hi] whose accelerated orbit needs more than budget
     steps to reach 1 are exhausted; as `apt_stopping(n, budget) < 0`."""
-    budget = operator.index(budget)
+    budget = _operator.index(budget)
     if lo < 1:
         raise ValueError(f"orbits start at n >= 1, got lo = {lo}")
     tails = {}
@@ -582,7 +568,7 @@ def span_conjecture_emapt(lo, hi, budget):
     """Indices n in [lo, hi] whose even-only orbit from u = 6n + 2 needs more
     than budget steps to reach 2 are exhausted; as `emapt_stopping(u, budget)
     < 0`, by its (R + 1) / 2 count of the accelerated runs R."""
-    budget = operator.index(budget)
+    budget = _operator.index(budget)
     if lo < 0:
         raise ValueError(f"even-only orbits start at 6n + 2 >= 2, got lo = {lo}")
     tails = {}
@@ -598,7 +584,7 @@ def span_covering(lo, hi, budget):
     orbit embeds in the plain orbit, with lengths in that order, for every
     start whose orbits reach 1 within budget steps; the others are
     exhausted.  As `covering_chain(n, budget)`."""
-    budget = operator.index(budget)
+    budget = _operator.index(budget)
     if lo < 1:
         raise ValueError(f"orbits start at n >= 1, got lo = {lo}")
     violations = []

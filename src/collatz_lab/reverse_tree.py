@@ -195,7 +195,7 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
     cands = map(w_candidate, range(1, candidate_bound + 1))
     z_of = {w: kernels.apt_step(w) for w in cands}   # insertion order is m order
     parent_of = {w: kernels.odd_part(z) for w, z in z_of.items()}
-    bucket: dict[int, list[int]] = {}
+    bucket: dict[int, list[int]] = {}   # each ascending: w_candidate grows with m
     for w, parent in parent_of.items():
         bucket.setdefault(parent, []).append(w)
 
@@ -207,7 +207,7 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
         depth += 1
         nxt = []
         for parent in frontier:
-            for child in sorted(bucket.get(parent, ())):
+            for child in bucket.get(parent, ()):
                 if child == parent:
                     continue   # the root self-loop; recorded, not walked
                 depths[child] = depth
@@ -217,7 +217,7 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
 
     in_tree = set(order)
     children = {
-        w: tuple(c for c in sorted(bucket.get(w, ())) if c in in_tree or c == w)
+        w: tuple(c for c in bucket.get(w, ()) if c in in_tree or c == w)
         for w in order
         if bucket.get(w)
     }

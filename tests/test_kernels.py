@@ -14,10 +14,11 @@ compiled orbit walks they share with the spans are checked through
 """
 
 import functools
-import inspect
+import importlib.util
 import pathlib
 import re
 import sys
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,9 +29,9 @@ from conftest import BIG_BUDGETS, BOUNDARY, FAST_SOURCE, GCC_FLAGS, RANDOMS, SAF
 
 U64_MAX = 2**64 - 1
 
-#: The kernels with no compiled twin, which `kernels` binds from `_pure` on
-#: both backends: `stats` walks `orbit_lengths`, and no command reaches the
-#: other six.
+#: The kernels with no compiled twin, which run pure on both backends; the
+#: compiled module's method table is the only other record of the split.
+#: `stats` walks `orbit_lengths`, and no command reaches the other six.
 PURE_ONLY = {
     "orbit_lengths",
     "covering_chain",
@@ -87,38 +88,47 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize("name", ["ruler", "odd_part", "apt_step", "emapt_step_ruler"])
+#: `_pure`'s outcome at 0 of each kernel whose compiled twin takes ctz(0).
+AT_ZERO = {
+    "ruler": 0,
+    "odd_part": ValueError,
+    "apt_step": ValueError,
+    "emapt_step_ruler": ValueError,
+}
+
+
+@pytest.mark.parametrize("name", AT_ZERO)
 def test_zero_matches_pure(impl, name):
     # ctz(0) has no answer; the compiled kernels must not loop on it.
-    assert _outcome(getattr(impl, name), 0) == _outcome(getattr(_pure, name), 0)
+    assert _outcome(getattr(impl, name), 0) == AT_ZERO[name]
 
 
 #: Calls outside the kernels' domain, where `_pure` once hung (a negative odd
 #: p argument halves to -1 forever) or indexed its tables with 0, and where
-#: the uint64 formulas gave values of their own.
-OUT_OF_DOMAIN = [
-    ("interleave_p", -1),
-    ("interleave_p", -6),
-    ("emapt_step_pq", 0),
-    ("emapt_step_pq", 1),
-    ("omapt_step", 0),
-    ("x_step", -1),
-    ("scan_index_reps", -5, 10),
-    ("scan_ruler_identities", -5, 10),
-    ("scan_p3n", -5, 10),
-    ("apt_stopping", 0, 5),
-    ("apt_stopping", -3, 5),
-    ("apt_stopping", 0, 0),
-    ("apt_stopping", 0, -1),
-    ("covering_chain", 0, 5),
-    ("covering_chain", 0, 0),
-    ("covering_chain", -3, 5),
-    ("emapt_stopping", 0, 5),
-    ("emapt_stopping", 0, 0),
-    ("emapt_stopping", 0, -1),
-    ("emapt_stopping", 1, 5),
-    ("emapt_stopping", 7, 5),
-]
+#: the uint64 formulas gave values of their own; each with `_pure`'s outcome.
+OUT_OF_DOMAIN = {
+    ("interleave_p", -1): ValueError,
+    ("interleave_p", -6): ValueError,
+    ("emapt_step_pq", 0): ValueError,
+    ("emapt_step_pq", 1): ValueError,
+    ("omapt_step", 0): ValueError,
+    ("x_step", -1): ValueError,
+    ("scan_index_reps", -5, 10): ValueError,
+    ("scan_ruler_identities", -5, 10): ValueError,
+    ('scan_p3n', -5, 10): ValueError,
+    ("apt_stopping", 0, 5): ValueError,
+    ("apt_stopping", -3, 5): ValueError,
+    ("apt_stopping", 0, 0): ValueError,
+    ("apt_stopping", 0, -1): ValueError,
+    ("covering_chain", 0, 5): ValueError,
+    ("covering_chain", 0, 0): ValueError,
+    ("covering_chain", -3, 5): ValueError,
+    ("emapt_stopping", 0, 5): ValueError,
+    ("emapt_stopping", 0, 0): ValueError,
+    ("emapt_stopping", 0, -1): ValueError,
+    ("emapt_stopping", 1, 5): 0,
+    ("emapt_stopping", 7, 5): 3,
+}
 
 
 #: Float budgets on the starts that `_pure` answers without a walk.  The
@@ -134,7 +144,8 @@ FLOAT_BUDGETS = {
 def test_out_of_domain_matches_pure(impl, call):
     name, *args = call
     door, *door_args = call if hasattr(impl, name) else FLOAT_BUDGETS[call]
-    assert _outcome(getattr(impl, door), *door_args) == _outcome(getattr(_pure, name), *args)
+    expected = OUT_OF_DOMAIN[call] if call in OUT_OF_DOMAIN else TypeError   # a float budget
+    assert _outcome(getattr(impl, door), *door_args) == expected
 
 
 #: Each multi-argument kernel with arguments in its domain.
@@ -453,23 +464,63 @@ def test_fast_handles_arbitrary_magnitude(fast, n):
     assert fast.odd_part(n) == _pure.odd_part(n)
 
 
-def test_only_kernels_no_command_reaches_lack_a_compiled_twin(fast):
-    # `kernels` binds each twin from the compiled module when it imports, so
-    # a missing twin would break `import collatz_lab` on compiled installs.
-    names = {
-        name
-        for name, value in vars(_pure).items()
-        if inspect.isfunction(value) and not name.startswith("_")
-    }
-    assert {n for n in names if not hasattr(fast, n)} == PURE_ONLY
-    assert sorted(n for n in names if not hasattr(kernels, n)) == []
+def _public_functions(module):
+    return {name for name, value in vars(module).items() if callable(value) and name[0] != "_"}
+
+
+def _assert_binds_the_kernels(module):
+    """`module`, a `kernels`, exports each `_pure` kernel and nothing else
+    but `BACKEND` and `DEFAULT_BUDGET`: no import of `_pure` leaks."""
+    public = {name for name in vars(module) if not name.startswith("_")}
+    assert public == _public_functions(_pure) | {"BACKEND", "DEFAULT_BUDGET"}
     for name in PURE_ONLY:
-        assert getattr(kernels, name) is getattr(_pure, name), name
-    # No module but `_pure` and `kernels` names the six no command reaches:
-    # the first command that calls one must give it a compiled twin first.
+        assert getattr(module, name) is getattr(_pure, name), name
+
+
+def _fresh_kernels(monkeypatch, compiled):
+    """A new module run from `kernels`' source, with `compiled` as the
+    extension it finds."""
+    monkeypatch.setitem(sys.modules, "collatz_lab._fast", compiled)
+    spec = importlib.util.spec_from_file_location("collatz_lab.kernels", kernels.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernels_binds_every_compiled_twin(fast, monkeypatch):
+    fresh = _fresh_kernels(monkeypatch, fast)
+    assert fresh.BACKEND == "compiled"
+    twins = _public_functions(fast)
+    assert twins
+    for name in twins:
+        assert getattr(fresh, name) is getattr(fast, name), name
+    _assert_binds_the_kernels(fresh)
+
+
+def test_a_stale_build_runs_its_missing_twins_pure(fast, monkeypatch):
+    stale = types.ModuleType("collatz_lab._fast")
+    vars(stale).update((k, v) for k, v in vars(fast).items() if k != "span_covering")
+    fresh = _fresh_kernels(monkeypatch, stale)
+    assert fresh.BACKEND == "compiled"
+    assert fresh.span_covering is _pure.span_covering
+    assert fresh.span_conjecture_apt is fast.span_conjecture_apt
+
+
+def test_kernels_exports_exactly_the_kernels():
+    _assert_binds_the_kernels(kernels)
+    assert kernels.BACKEND in ("compiled", "pure-python")
+
+
+def test_only_kernels_no_command_reaches_lack_a_compiled_twin(fast):
+    # `kernels` binds each twin the compiled module has over the `_pure`
+    # kernel, so a missing twin would run pure on compiled installs.
+    names = _public_functions(_pure)
+    assert {n for n in names if not hasattr(fast, n)} == PURE_ONLY
+    # No module but `_pure` names the six no command reaches: the first
+    # command that calls one must give it a compiled twin first.
     six = re.compile(r"\b(%s)\b" % "|".join(sorted(PURE_ONLY - {"orbit_lengths"})))
     for path in sorted(pathlib.Path(kernels.__file__).parent.glob("*.py")):
-        if path.stem not in ("_pure", "kernels"):
+        if path.stem != "_pure":
             assert not six.search(path.read_text()), path.name
     # Loading the fixture's build must not make it the package's backend.
     assert sys.modules.get("collatz_lab._fast") is not fast

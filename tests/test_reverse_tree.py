@@ -169,6 +169,14 @@ def test_tree_is_breadth_first():
     assert depths == sorted(depths)
 
 
+def test_tree_children_ascend():
+    # Buckets fill in m order and w_candidate grows with m, so none is sorted.
+    tree = rt.build_tree(20000, 40)
+    assert len(tree.children) > 1000
+    for w, kids in tree.children.items():
+        assert all(a < b for a, b in zip(kids, kids[1:])), w
+
+
 def test_tree_edges_respect_forward_map():
     tree = rt.build_tree(60, 20)
     for node in tree.nodes:

@@ -2,14 +2,14 @@
 
 The stopping counters and `orbit_lengths` jump 12 half-steps per table
 lookup, so every count is compared with the literal loops in `oracles`,
-which walk one parity run at a time.  They have no compiled twin: `kernels`
-binds them from `_pure` on both backends.  The ``impl`` fixture
-(tests/conftest.py) runs each backend's reach span from the same start at
-the same budgets (for `emapt`, the starts 6n + 2), so the compiled reach
-walks meet the literal loops at these inputs too.  The inputs cover the
-table edges (2^12 +- 1 and the orbits that cross it mid-run), long runs
-spanning many blocks, the 2**63 / 2**64 edges, and budgets at r - 1, r,
-r + 1.
+which walk one parity run at a time.  They have no compiled twin, so they
+run pure on both backends (`PURE_ONLY` in tests/test_kernels.py).  The
+``impl`` fixture (tests/conftest.py) runs each backend's reach span from
+the same start at the same budgets (for `emapt`, the starts 6n + 2), so
+the compiled reach walks meet the literal loops at these inputs too.  The
+inputs cover the table edges (2^12 +- 1 and the orbits that cross it
+mid-run), long runs spanning many blocks, the 2**63 / 2**64 edges, and
+budgets at r - 1, r, r + 1.
 """
 
 import subprocess
