@@ -416,7 +416,8 @@ def span_u_residues(lo, hi, budget):
 def span_u_residues_odd(lo, hi, budget):
     """Odd seeds in [lo, hi]: one ruler-form step, then every pq-form image
     is 2 or 8 mod 18; a seed still short of 2 after budget pq steps is
-    exhausted.  Observational: not a proved statement."""
+    exhausted.  The first pq input, 3^e (seed + 1) / 2^e - 1, is 2 mod 6 by
+    construction; only the mod-18 pattern is observed, not proved."""
     first = lo | 1
     if first < 1:
         raise ValueError(f"odd seeds start at 1, got lo = {lo}")

@@ -6,8 +6,10 @@ shape, written from one template, byte for byte what the standard library
 writes at indent=2 for the result's field-ordered dict form.  CSV holds the
 tabular heart of a result (trace steps, stats rows, report violations and
 budget-exhausted inputs).
-DOT exists only for trees.  All emitted bytes are deterministic functions of
-the result object: wall-clock time is deliberately absent.
+DOT exists only for trees.  Every format but CSV is written in batches of
+text pieces, so no document is held whole.  All emitted bytes are
+deterministic functions of the result object: wall-clock time is
+deliberately absent.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ if TYPE_CHECKING:
     from collatz_lab.reverse_tree import WZTree
     from collatz_lab.sequences import StatsTable, Trace
     from collatz_lab.verify import TheoremReport
-
-FORMATS = ("json", "csv", "dot", "text")
-
 
 def _n(value: int | None) -> str:
     """An int as a JSON decimal string, None as null."""
@@ -39,15 +38,16 @@ def _items(pieces, indent: str = "\n  "):
     yield "[]" if sep[0] == "[" else indent + "]"
 
 
-# The JSON writers yield text pieces, one per item of a top-level list.  kind
-# and outcome come from TRACE_KINDS and Outcome, fixed ASCII strings that JSON
-# writes as they are; only theorem ids and violation details need escaping.
+# The JSON writers yield text pieces, one per item of a top-level list, and
+# end on the document's newline.  kind and outcome come from TRACE_KINDS and
+# Outcome, fixed ASCII strings that JSON writes as they are; only theorem ids
+# and violation details need escaping.
 def _trace_json(result: Trace):
     yield (f'{{\n  "kind": "{result.kind}",\n  "start": "{result.start}",\n'
            '  "elements": ')
     yield from _items(f'"{x}"' for x in result.elements)
     yield (f',\n  "outcome": "{result.outcome.value}",\n'
-           f'  "stopping_time": {_n(result.stopping_time)}\n}}')
+           f'  "stopping_time": {_n(result.stopping_time)}\n}}\n')
 
 
 def _trace_csv(result: Trace):
@@ -55,14 +55,12 @@ def _trace_csv(result: Trace):
     yield from enumerate(result.elements)
 
 
-def _trace_text(result: Trace) -> list[str]:
-    lines = [
-        f"kind {result.kind} from {result.start}: {result.outcome.value}",
-        "elements: " + " ".join(str(x) for x in result.elements),
-    ]
+# The text and DOT writers yield one piece per line.
+def _trace_text(result: Trace):
+    yield f"kind {result.kind} from {result.start}: {result.outcome.value}\n"
+    yield "elements: " + " ".join(map(str, result.elements)) + "\n"
     if result.stopping_time is not None:
-        lines.append(f"stopping time: {result.stopping_time}")
-    return lines
+        yield f"stopping time: {result.stopping_time}\n"
 
 
 def _report_json(result: TheoremReport):
@@ -77,7 +75,7 @@ def _report_json(result: TheoremReport):
         for v in result.violations)
     yield ',\n  "budget_exhausted": '
     yield from _items(f'"{n}"' for n in result.budget_exhausted)
-    yield f',\n  "observational": {"true" if result.observational else "false"}\n}}'
+    yield f',\n  "observational": {"true" if result.observational else "false"}\n}}\n'
 
 
 def _report_csv(result: TheoremReport):
@@ -87,22 +85,17 @@ def _report_csv(result: TheoremReport):
         yield (n, "budget exhausted")
 
 
-def _report_text(result: TheoremReport) -> list[str]:
+def _report_text(result: TheoremReport):
     status = "OK" if result.violation_count == 0 else "VIOLATIONS"
-    lines = [
-        f"{result.theorem_id} over [{result.lo}, {result.hi}]: {status}",
-        f"checked {result.checked}, violations {result.violation_count}, "
-        f"budget-exhausted {len(result.budget_exhausted)}",
-    ]
+    yield f"{result.theorem_id} over [{result.lo}, {result.hi}]: {status}\n"
+    yield (f"checked {result.checked}, violations {result.violation_count}, "
+           f"budget-exhausted {len(result.budget_exhausted)}\n")
     if result.observational:
-        lines.append("observational: findings are reported, not asserted")
+        yield "observational: findings are reported, not asserted\n"
     for v in result.violations:
-        lines.append(f"  {v.input}: {v.detail}")
+        yield f"  {v.input}: {v.detail}\n"
     if result.budget_exhausted:
-        lines.append(
-            "  exhausted: " + " ".join(str(n) for n in result.budget_exhausted)
-        )
-    return lines
+        yield "  exhausted: " + " ".join(map(str, result.budget_exhausted)) + "\n"
 
 
 def _stats_json(result: StatsTable):
@@ -113,7 +106,7 @@ def _stats_json(result: StatsTable):
         f'      "t_len": {_n(r.t_len)},\n      "a_len": {_n(r.a_len)},\n'
         f'      "exhausted": {"true" if r.exhausted else "false"}\n    }}'
         for r in result.rows)
-    yield "\n}"
+    yield "\n}\n"
 
 
 def _stats_csv(result: StatsTable):
@@ -128,12 +121,11 @@ def _stats_csv(result: StatsTable):
         )
 
 
-def _stats_text(result: StatsTable) -> list[str]:
-    lines = [f"orbit lengths over [{result.lo}, {result.hi}], budget {result.budget}"]
+def _stats_text(result: StatsTable):
+    yield f"orbit lengths over [{result.lo}, {result.hi}], budget {result.budget}\n"
     for r in result.rows:
         flag = " (budget exhausted)" if r.exhausted else ""
-        lines.append(f"  {r.n}: {r.c_len} {r.t_len} {r.a_len}{flag}")
-    return lines
+        yield f"  {r.n}: {r.c_len} {r.t_len} {r.a_len}{flag}\n"
 
 
 def _tree_json(result: WZTree):
@@ -152,51 +144,41 @@ def _tree_json(result: WZTree):
     yield from _items(
         f'{{\n      "w": "{o.w}",\n      "parent": "{o.parent}"\n    }}'
         for o in result.orphans)
-    yield "\n}"
+    yield "\n}\n"
 
 
-def _tree_dot(result: WZTree) -> list[str]:
-    lines = ["digraph reverse_tree {"]
+def _tree_dot(result: WZTree):
+    yield "digraph reverse_tree {\n"
     for node in result.nodes:
-        lines.append(f'  {node.w} [label="{node.w} ({node.z})"];')
+        yield f'  {node.w} [label="{node.w} ({node.z})"];\n'
     for node in result.nodes:
         parent = result.parents[node.w]
         if parent == node.w:
             # the root's trivial self-loop, drawn but visually set apart
-            lines.append(f"  {node.w} -> {parent} [style=dashed, color=gray];")
+            yield f"  {node.w} -> {parent} [style=dashed, color=gray];\n"
         else:
-            lines.append(f"  {node.w} -> {parent};")
+            yield f"  {node.w} -> {parent};\n"
     for orphan in result.orphans:
-        lines.append(
-            f'  {orphan.w} [label="{orphan.w}", style=dotted, '
-            f'comment="parent {orphan.parent} outside tree"];'
-        )
-    lines.append("}")
-    return lines
+        yield (f'  {orphan.w} [label="{orphan.w}", style=dotted, '
+               f'comment="parent {orphan.parent} outside tree"];\n')
+    yield "}\n"
 
 
-def _tree_text(result: WZTree) -> list[str]:
-    lines = [
-        f"reverse tree over first {result.candidate_bound} candidates, "
-        f"depth bound {result.depth_bound}"
-    ]
+def _tree_text(result: WZTree):
+    yield (f"reverse tree over first {result.candidate_bound} candidates, "
+           f"depth bound {result.depth_bound}\n")
     for node in result.nodes:
-        depth = result.depths[node.w]
         kids = result.children.get(node.w, ())
-        kid_text = " ".join(str(c) for c in kids) if kids else "-"
-        lines.append(f"  {'  ' * depth}{node.w} (z={node.z}) children: {kid_text}")
+        kid_text = " ".join(map(str, kids)) if kids else "-"
+        yield f"  {'  ' * result.depths[node.w]}{node.w} (z={node.z}) children: {kid_text}\n"
     if result.orphans:
-        lines.append(
-            "orphans: "
-            + " ".join(f"{o.w}->{o.parent}" for o in result.orphans)
-        )
-    return lines
+        yield "orphans: " + " ".join(f"{o.w}->{o.parent}" for o in result.orphans) + "\n"
 
 
 #: Per result class name, the formats it can be written in, "text" first:
-#: json yields text pieces, csv yields the header row and then the data rows,
-#: text and dot return lines.  DOT exists only for trees and CSV for all but
-#: trees.  Keyed by name so that emit imports none of the result modules.
+#: csv yields the header row and then the data rows, every other format yields
+#: text pieces.  DOT exists only for trees and CSV for all but trees.  Keyed
+#: by name so that emit imports none of the result modules.
 _WRITERS: dict[str, dict[str, Callable]] = {
     "Trace": {"text": _trace_text, "json": _trace_json, "csv": _trace_csv},
     "TheoremReport": {"text": _report_text, "json": _report_json, "csv": _report_csv},
@@ -220,31 +202,26 @@ def _writer(result, fmt: str) -> Callable:
     return by_format[fmt]
 
 
-#: Characters per JSON write: big enough that a megabyte of JSON takes about
+#: Characters per write: big enough that a megabyte of text takes about
 #: sixteen writes, small enough that the document is never held as one string.
-_JSON_BATCH = 1 << 16
+_BATCH = 1 << 16
 
 
 def emit(result, fmt: str, sink) -> None:
     """Write result to sink in the requested format."""
-    if fmt not in FORMATS:
-        raise ConfigurationError(f"unknown format {fmt!r}")
     out = _writer(result, fmt)(result)
-    if fmt == "json":
-        batch: list[str] = []
-        size = 0
-        for piece in out:
-            batch.append(piece)
-            size += len(piece)
-            if size >= _JSON_BATCH:
-                sink.write("".join(batch))
-                batch.clear()
-                size = 0
-        batch.append("\n")
-        sink.write("".join(batch))
-    elif fmt == "csv":
+    if fmt == "csv":
         import csv
 
         csv.writer(sink, lineterminator="\n").writerows(out)
-    else:
-        sink.write("\n".join(out) + "\n")
+        return
+    batch: list[str] = []
+    size = 0
+    for piece in out:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            sink.write("".join(batch))
+            batch.clear()
+            size = 0
+    sink.write("".join(batch))

@@ -295,9 +295,12 @@ def trace(
 
 #: Fewest rows per pool worker in `stopping_stats`.  A row takes a few
 #: microseconds to build and about as long again to pickle back from a
-#: worker, whose start-up (fork, its own stopping tables) takes tens of
-#: milliseconds.
-_ROWS_PER_WORKER = 1 << 14
+#: worker and load in the parent, which does that alone.  On 2 vCPUs, in 10
+#: alternating `stats` runs from 8.5e6 per size, `--workers 2` was slower
+#: than `--workers 1` at every size from 2^15 to 2^20 rows (medians, s):
+#: 0.33 / 0.20, 0.46 / 0.42, 0.74 / 0.65, 1.35 / 1.22, 2.99 / 2.52 and
+#: 5.64 / 4.92.  So a pool starts only above every size measured.
+_ROWS_PER_WORKER = 1 << 20
 
 
 def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTable:

@@ -222,7 +222,7 @@ def compose_by_sequential_apply(z0, steps) -> Fraction:
 # --- checker spans: (checked, violations, exhausted) by the literal loops -----
 
 
-def u_residues_span(lo: int, hi: int, budget: int):
+def u_residues_span(lo: int, hi: int, budget: int, pq=_pure.emapt_step_pq):
     violations = []
     exhausted = []
     seeds = range(lo + (lo & 1), hi + 1, 2)
@@ -231,7 +231,7 @@ def u_residues_span(lo: int, hi: int, budget: int):
         for step in range(1, budget + 1):
             if x == 2:
                 break
-            x = _pure.emapt_step_pq(x)
+            x = pq(x)
             if x % 6 != 2:
                 violations.append((u, f"element {x} is not 2 mod 6"))
                 break
@@ -244,7 +244,7 @@ def u_residues_span(lo: int, hi: int, budget: int):
     return len(seeds), violations, exhausted
 
 
-def u_residues_odd_span(lo: int, hi: int, budget: int):
+def u_residues_odd_span(lo: int, hi: int, budget: int, pq=_pure.emapt_step_pq):
     violations = []
     exhausted = []
     seeds = range(lo | 1, hi + 1, 2)
@@ -253,7 +253,7 @@ def u_residues_odd_span(lo: int, hi: int, budget: int):
         for _ in range(budget):
             if x == 2:
                 break
-            x = _pure.emapt_step_pq(x)
+            x = pq(x)
             if x % 18 not in (2, 8):
                 violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
                 break
@@ -401,6 +401,81 @@ def to_jsonable(result) -> dict:
             ],
         }
     raise TypeError(f"no JSON form for {name}")
+
+
+# --- text and DOT: the lines that emit's pieces join to, built as lists -------
+
+
+def text_lines(result) -> list[str]:
+    """The lines of a result's text form, without their newlines."""
+    name = type(result).__name__
+    if name == "Trace":
+        lines = [
+            f"kind {result.kind} from {result.start}: {result.outcome.value}",
+            "elements: " + " ".join(str(x) for x in result.elements),
+        ]
+        if result.stopping_time is not None:
+            lines.append(f"stopping time: {result.stopping_time}")
+        return lines
+    if name == "TheoremReport":
+        status = "OK" if result.violation_count == 0 else "VIOLATIONS"
+        lines = [
+            f"{result.theorem_id} over [{result.lo}, {result.hi}]: {status}",
+            f"checked {result.checked}, violations {result.violation_count}, "
+            f"budget-exhausted {len(result.budget_exhausted)}",
+        ]
+        if result.observational:
+            lines.append("observational: findings are reported, not asserted")
+        for v in result.violations:
+            lines.append(f"  {v.input}: {v.detail}")
+        if result.budget_exhausted:
+            lines.append(
+                "  exhausted: " + " ".join(str(n) for n in result.budget_exhausted)
+            )
+        return lines
+    if name == "StatsTable":
+        lines = [f"orbit lengths over [{result.lo}, {result.hi}], budget {result.budget}"]
+        for r in result.rows:
+            flag = " (budget exhausted)" if r.exhausted else ""
+            lines.append(f"  {r.n}: {r.c_len} {r.t_len} {r.a_len}{flag}")
+        return lines
+    if name == "WZTree":
+        lines = [
+            f"reverse tree over first {result.candidate_bound} candidates, "
+            f"depth bound {result.depth_bound}"
+        ]
+        for node in result.nodes:
+            depth = result.depths[node.w]
+            kids = result.children.get(node.w, ())
+            kid_text = " ".join(str(c) for c in kids) if kids else "-"
+            lines.append(f"  {'  ' * depth}{node.w} (z={node.z}) children: {kid_text}")
+        if result.orphans:
+            lines.append(
+                "orphans: "
+                + " ".join(f"{o.w}->{o.parent}" for o in result.orphans)
+            )
+        return lines
+    raise TypeError(f"no text form for {name}")
+
+
+def dot_lines(tree) -> list[str]:
+    """The lines of a tree's DOT form, without their newlines."""
+    lines = ["digraph reverse_tree {"]
+    for node in tree.nodes:
+        lines.append(f'  {node.w} [label="{node.w} ({node.z})"];')
+    for node in tree.nodes:
+        parent = tree.parents[node.w]
+        if parent == node.w:
+            lines.append(f"  {node.w} -> {parent} [style=dashed, color=gray];")
+        else:
+            lines.append(f"  {node.w} -> {parent};")
+    for orphan in tree.orphans:
+        lines.append(
+            f'  {orphan.w} [label="{orphan.w}", style=dotted, '
+            f'comment="parent {orphan.parent} outside tree"];'
+        )
+    lines.append("}")
+    return lines
 
 
 if __name__ == "__main__":

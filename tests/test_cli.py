@@ -1,5 +1,6 @@
 """CLI parsing, dispatch, output formats, exit codes, and doc examples."""
 
+import contextlib
 import importlib
 import io
 import json
@@ -351,13 +352,23 @@ def test_emit_rejects_unknown_types_and_formats(result, fmt):
 
 
 class _CountingSink(io.StringIO):
-    """A text sink that records how many writes reach it."""
+    """A text sink that records how many writes reach it, and the longest."""
 
     writes = 0
+    longest = 0
 
     def write(self, text):
         self.writes += 1
+        self.longest = max(self.longest, len(text))
         return super().write(text)
+
+
+#: Per format but CSV, the bytes the oracles in tests/oracles.py give.
+ORACLE_BYTES = {
+    "json": lambda result: json.dumps(oracles.to_jsonable(result), indent=2) + "\n",
+    "text": lambda result: "\n".join(oracles.text_lines(result)) + "\n",
+    "dot": lambda result: "\n".join(oracles.dot_lines(result)) + "\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -376,14 +387,44 @@ def test_emit_json_bytes(result):
     assert sink.getvalue() == json.dumps(oracles.to_jsonable(result), indent=2) + "\n"
 
 
-def test_emit_json_batches_writes():
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_emit_batches_writes(fmt):
     tree = reverse_tree.build_tree(12_000, 40)
     sink = _CountingSink()
-    emit.emit(tree, "json", sink)
+    emit.emit(tree, fmt, sink)
     size = len(sink.getvalue())
-    assert size > 1_000_000
-    assert sink.getvalue() == json.dumps(oracles.to_jsonable(tree), indent=2) + "\n"
-    assert sink.writes <= -(-size // 65536) + 1
+    assert sink.getvalue() == ORACLE_BYTES[fmt](tree)
+    assert 1 < sink.writes <= -(-size // 65536) + 1
+    assert sink.longest <= 65536 + max(map(len, emit._writer(tree, fmt)(tree)))
+
+
+class _ClosedPipe(io.StringIO):
+    """A sink whose reader goes away after the first write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tree", "--candidates", "12000", "--depth", "40", "--format", fmt]
+     for fmt in ("text", "json", "dot")]
+    + [["stats", "--lo", "1", "--hi", "5000", "--format", fmt]
+       for fmt in ("text", "json", "csv")],
+    ids=lambda argv: f"{argv[0]}-{argv[-1]}",
+)
+def test_closed_pipe_exits_two(capsys, argv):
+    sink = _ClosedPipe()
+    with contextlib.redirect_stdout(sink):
+        assert main(argv) == 2
+    assert sink.writes == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
 # Integers past 2**64, as orbit elements and bigint windows have.
@@ -407,7 +448,8 @@ def _trees(draw):
         depths={w: draw(st.integers(0, 60)) for w in ws},
         # a node missing from children and one with no children both write []
         children={w: draw(_tuples(_INTS)) for w in ws if draw(st.booleans())},
-        parents={},
+        # a parent equal to its node is drawn as the root's self-loop
+        parents={w: draw(st.just(w) | _INTS) for w in ws},
         orphans=draw(_tuples(st.builds(reverse_tree.Orphan, _INTS, _INTS))),
     )
 
@@ -431,9 +473,9 @@ RESULTS = {
 }
 
 
-def _json_bytes(result) -> str:
+def _bytes(result, fmt: str) -> str:
     sink = io.StringIO()
-    emit.emit(result, "json", sink)
+    emit.emit(result, fmt, sink)
     return sink.getvalue()
 
 
@@ -441,7 +483,26 @@ def _json_bytes(result) -> str:
 @given(data=st.data())
 def test_json_writer_matches_oracle(kind, data):
     result = data.draw(RESULTS[kind])
-    assert _json_bytes(result) == json.dumps(oracles.to_jsonable(result), indent=2) + "\n"
+    for fmt in set(emit.formats(type(result))) - {"csv"}:
+        assert _bytes(result, fmt) == ORACLE_BYTES[fmt](result)
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        sequences.trace("A", 27, 3),
+        verify.TheoremReport(
+            "u-residues-odd-starts", 1, 9, 5,
+            (verify.Violation(7, "element 22 is not 2 or 8 mod 18"),), 1, (3, 9), True,
+        ),
+        reverse_tree.build_tree(7, 5),
+        reverse_tree.build_tree(5, 0),
+    ],
+    ids=["trace-no-stopping-time", "observational-report", "tree-no-orphans", "tree-depth-0"],
+)
+def test_writers_match_oracles_at_the_edges(result):
+    for fmt in set(emit.formats(type(result))) - {"csv"}:
+        assert _bytes(result, fmt) == ORACLE_BYTES[fmt](result)
 
 
 @pytest.mark.parametrize(
@@ -461,7 +522,7 @@ def test_json_writer_escapes_strings(text):
     report = verify.TheoremReport(
         text, 1, 2**70, 3, (verify.Violation(2**70, text),), 1, (), False
     )
-    out = _json_bytes(report)
+    out = _bytes(report, "json")
     assert out == json.dumps(oracles.to_jsonable(report), indent=2) + "\n"
     assert out.isascii()
 

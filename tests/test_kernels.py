@@ -305,8 +305,9 @@ def test_pure_covering_chain_reports_a_broken_embedding(
         assert _pure.span_covering(1, 199, budget) == oracles.covering_span(1, 199, budget)
 
 
-#: The same broken maps in C, each defined in place of the step helper it
-#: breaks, for a copy of the source patched above FALLBACK_SECTION.
+#: The same broken maps in C, and a pq step off by 2, each defined in place
+#: of the step helper it breaks, for a copy of the source patched above
+#: FALLBACK_SECTION.
 BROKEN_C_STEPS = {
     "_t_step": """
 static inline int broken_t_u64(u64 x, u64 *out)
@@ -332,8 +333,31 @@ static inline int broken_c_u64(u64 x, u64 *out)
 #define c_u64 broken_c_u64
 
 """,
+    "emapt_step_pq": """
+static inline int broken_emapt_pq_u64(u64 u, u64 *out)
+{
+    int fits = emapt_pq_u64(u, out);
+    *out += 2;
+    return fits;
+}
+#define emapt_pq_u64 broken_emapt_pq_u64
+
+""",
 }
 FALLBACK_SECTION = "/* --- arguments and the _pure fallback"
+
+
+def _broken_fast(name, directory):
+    """The compiled module built from a copy of the source in which the step
+    helper `BROKEN_C_STEPS[name]` names is broken.  The helpers are inline C
+    that no test can swap."""
+    source = FAST_SOURCE.read_text()
+    assert source.count(FALLBACK_SECTION) == 1
+    patched = directory / FAST_SOURCE.name
+    patched.write_text(
+        source.replace(FALLBACK_SECTION, BROKEN_C_STEPS[name] + FALLBACK_SECTION)
+    )
+    return build_fast(patched, directory)
 
 
 @pytest.mark.parametrize(
@@ -342,15 +366,7 @@ FALLBACK_SECTION = "/* --- arguments and the _pure fallback"
 def test_compiled_covering_chain_reports_a_broken_embedding(
     tmp_path, name, which, broken
 ):
-    # The compiled step helpers are inline C that no test can swap, so this
-    # builds a copy of the source with one of them broken.
-    source = FAST_SOURCE.read_text()
-    assert source.count(FALLBACK_SECTION) == 1
-    patched = tmp_path / FAST_SOURCE.name
-    patched.write_text(
-        source.replace(FALLBACK_SECTION, BROKEN_C_STEPS[name] + FALLBACK_SECTION)
-    )
-    broken_fast = build_fast(patched, tmp_path)
+    broken_fast = _broken_fast(name, tmp_path)
     steps = [oracles.collatz_step, oracles.terras_step, oracles.apt_step_by_iteration]
     steps[which] = broken
     oks = set()
@@ -364,6 +380,35 @@ def test_compiled_covering_chain_reports_a_broken_embedding(
             [n for n, (*_, ok) in enumerate(lengths, 1) if ok < 0],
         ), budget
     assert oks == {-1, 0, 1}
+
+
+#: The pq step inlined in the pure residue walk, and the same step broken.
+PQ_LINE = "x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1"
+BROKEN_PQ_LINE = PQ_LINE.removesuffix("- 1") + "+ 1"
+
+
+def _broken_pure():
+    """A copy of `_pure` whose residue walk steps to pq(x) + 2."""
+    source = pathlib.Path(_pure.__file__).read_text()
+    assert source.count(PQ_LINE) == 1
+    module = types.ModuleType("broken_pure")
+    exec(compile(source.replace(PQ_LINE, BROKEN_PQ_LINE), _pure.__file__, "exec"),
+         module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_residue_walks_report_a_broken_pq_step(tmp_path, backend):
+    # No input in either span's domain is known to break the pattern, so
+    # only a broken step reaches the violation branches.
+    module = _broken_pure() if backend == "pure" else _broken_fast("emapt_step_pq", tmp_path)
+    broken = lambda x: _pure.emapt_step_pq(x) + 2
+    even = module.span_u_residues(2, 12, 50)
+    odd = module.span_u_residues_odd(1, 11, 50)
+    assert even == oracles.u_residues_span(2, 12, 50, broken)
+    assert odd == oracles.u_residues_odd_span(1, 11, 50, broken)
+    assert (4, "element 4 is not 2 mod 6") in even[1]
+    assert (7, "element 22 is not 2 or 8 mod 18") in odd[1]
 
 
 def test_stopping_agrees_at_big_budgets(fast):
