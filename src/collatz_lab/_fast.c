@@ -22,7 +22,8 @@
    error, or a wrong argument count, propagates.
 
    The range checks at the end are _pure's scan and span loop bodies on
-   uint64, with the step helpers below in place of the inlined formulas.
+   uint64, with the step helpers below in place of the inlined formulas;
+   each range kernel returns _pure's (checked, violations, exhausted).
    The orbit-walk spans walk each start with literal loops, one parity run
    (or one step) at a time, without _pure's block jumps or its memo of
    finished tails, which pays where the values are bigints; covering's is
@@ -301,8 +302,8 @@ static int cover(u64 n, long long budget, long long len[3], int *ok)
 
 /* --- ranges: scans and checker spans, one element at a time -------------- */
 
-/* What a range found: a scan's violating inputs, or a span's (input, detail)
-   violations, its exhausted inputs and how many inputs it checked. */
+/* What a range found: its (input, detail) violations, its exhausted inputs
+   and how many inputs it checked. */
 typedef struct {
     PyObject *violations, *exhausted;
     u64 checked;
@@ -311,10 +312,6 @@ typedef struct {
 /* How an element's check ends, then how the pq-form walk of a u-residues
    seed ends. */
 enum { DONE, FAILED, NO_FIT, REACHED_2, EXHAUSTED, NOT_2_MOD_6, NOT_2_OR_8_MOD_18 };
-
-/* What a range kernel returns: a scan the list of violating inputs, a span
-   the triple (checked, violations, exhausted). */
-enum { LIST, TRIPLE };
 
 /* Out of line, so that a range loop keeps no list in a register. */
 #define COLD __attribute__((cold, noinline))
@@ -328,11 +325,6 @@ static COLD int append(PyObject *list, PyObject *item)
     return failed ? FAILED : DONE;
 }
 
-static COLD int flagged(Findings *f, u64 n)
-{
-    return append(f->violations, PyLong_FromUnsignedLongLong(n));
-}
-
 static COLD int exhaust(Findings *f, u64 n)
 {
     return append(f->exhausted, PyLong_FromUnsignedLongLong(n));
@@ -344,8 +336,8 @@ static COLD int violation(Findings *f, u64 n, PyObject *detail)
     return append(f->violations, Py_BuildValue("(KN)", (unsigned long long)n, detail));
 }
 
-/* Appends what _pure's range kernel `name` returns over [lo, hi]: a scan's
-   list, or a span's (checked, violations, exhausted).  DONE or FAILED. */
+/* Appends what _pure's range kernel `name` returns over [lo, hi], its
+   (checked, violations, exhausted).  DONE or FAILED. */
 static int pure_range(Findings *f, const char *name, u64 lo, u64 hi,
                       long long budget, int budgeted)
 {
@@ -355,13 +347,11 @@ static int pure_range(Findings *f, const char *name, u64 lo, u64 hi,
     for (int i = 0; i < 3; i++)
         Py_XDECREF(args[i]);
     unsigned long long checked = 0;
-    PyObject *violations = got, *more_exhausted = NULL;
-    int ok = got && (PyList_Check(got) || PyArg_ParseTuple(got, "KOO", &checked, &violations,
-                                                           &more_exhausted));
-    ok = ok && PyList_SetSlice(f->violations, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, violations) == 0
-         && (more_exhausted == NULL
-             || PyList_SetSlice(f->exhausted, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX,
-                                more_exhausted) == 0);
+    PyObject *violations, *more_exhausted;
+    int ok = got && PyArg_ParseTuple(got, "KOO", &checked, &violations, &more_exhausted)
+             && PyList_SetSlice(f->violations, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX, violations) == 0
+             && PyList_SetSlice(f->exhausted, PY_SSIZE_T_MAX, PY_SSIZE_T_MAX,
+                                more_exhausted) == 0;
     f->checked += checked;
     Py_XDECREF(got);
     return ok ? DONE : FAILED;
@@ -401,11 +391,11 @@ range(Findings *f, const char *name, u64 v, u64 last, u64 stride, long long budg
 }
 
 /* The range kernel `name` over the elements first, first + stride, ... <=
-   hi, each checked by name##_check; it returns a LIST or a TRIPLE.  An
-   argument that does not fit, or a first element below least, hands the
-   whole call to _pure, which raises, or finds nothing when rounding lo up to
-   first wrapped past 2^64; the elements past limit go to _pure in one call. */
-#define RANGE(name, result, budgeted, first, stride, least, limit)           \
+   hi, each checked by name##_check.  An argument that does not fit, or a
+   first element below least, hands the whole call to _pure, which raises, or
+   finds nothing when rounding lo up to first wrapped past 2^64; the elements
+   past limit go to _pure in one call. */
+#define RANGE(name, budgeted, first, stride, least, limit)                   \
     static PyObject *name(PyObject *Py_UNUSED(self), PyObject *const *args, \
                           Py_ssize_t nargs)                                  \
     {                                                                        \
@@ -425,11 +415,9 @@ range(Findings *f, const char *name, u64 v, u64 last, u64 stride, long long budg
         if (end == DONE && v <= hi && hi > (limit))                          \
             end = pure_range(&f, #name, v > (limit) ? v : (limit) + 1, hi,   \
                              budget, budgeted);                              \
-        PyObject *out = NULL;                                                \
-        if (end == DONE)                                                     \
-            out = (result) == LIST ? Py_BuildValue("O", f.violations)        \
-                  : Py_BuildValue("(KOO)", (unsigned long long)f.checked,    \
-                                  f.violations, f.exhausted);                \
+        PyObject *out = end != DONE ? NULL                                   \
+            : Py_BuildValue("(KOO)", (unsigned long long)f.checked,          \
+                            f.violations, f.exhausted);                      \
         Py_XDECREF(f.violations);                                            \
         Py_XDECREF(f.exhausted);                                             \
         return out;                                                          \
@@ -437,7 +425,8 @@ range(Findings *f, const char *name, u64 v, u64 last, u64 stride, long long budg
 
 static int scan_p3n_check(Findings *f, u64 n, long long Py_UNUSED(budget))
 {
-    return p_u64(3 * n) % 3 == 1 ? flagged(f, n) : DONE;
+    return p_u64(3 * n) % 3 == 1
+        ? violation(f, n, PyUnicode_FromString("p(3n) is 1 mod 3")) : DONE;
 }
 
 static int scan_x_residues_check(Findings *f, u64 x, long long Py_UNUSED(budget))
@@ -445,7 +434,7 @@ static int scan_x_residues_check(Findings *f, u64 x, long long Py_UNUSED(budget)
     u64 out;
     if (!x_u64(x, &out))
         return NO_FIT;
-    return out % 3 == 2 ? flagged(f, x) : DONE;
+    return out % 3 == 2 ? violation(f, x, PyUnicode_FromString("image is 2 mod 3")) : DONE;
 }
 
 /* Whether the pq and ruler forms of the even step from u differ: 1 or 0, or
@@ -604,16 +593,16 @@ static int span_conjecture_emapt_check(Findings *f, u64 n, long long budget)
     return x == 2 ? DONE : exhaust(f, n);
 }
 
-/*    name                   result  budgeted  first  stride  least  limit */
-RANGE(scan_p3n,              LIST,   0, lo, 1, 0, SAFE3)
-RANGE(scan_x_residues,       LIST,   0, lo, 1, 0, SAFE3)
-RANGE(span_u_residues,       TRIPLE, 1, lo + (lo & 1), 2, 2, U64_MAX)
-RANGE(span_u_residues_odd,   TRIPLE, 1, lo | 1, 2, 1, U64_MAX)
-RANGE(span_parity_runs,      TRIPLE, 0, lo, 1, 1, SAFE3)
-RANGE(span_dual_forms,       TRIPLE, 0, lo, 1, 0, SAFE_N - 1)
-RANGE(span_covering,         TRIPLE, 1, lo, 1, 1, U64_MAX)
-RANGE(span_conjecture_apt,   TRIPLE, 1, lo, 1, 1, U64_MAX)
-RANGE(span_conjecture_emapt, TRIPLE, 1, lo, 1, 0, (U64_MAX - 2) / 6)   /* 6n + 2 fits */
+/*    name                   budgeted  first  stride  least  limit */
+RANGE(scan_p3n,              0, lo, 1, 0, SAFE3)
+RANGE(scan_x_residues,       0, lo, 1, 0, SAFE3)
+RANGE(span_u_residues,       1, lo + (lo & 1), 2, 2, U64_MAX)
+RANGE(span_u_residues_odd,   1, lo | 1, 2, 1, U64_MAX)
+RANGE(span_parity_runs,      0, lo, 1, 1, SAFE3)
+RANGE(span_dual_forms,       0, lo, 1, 0, SAFE_N - 1)
+RANGE(span_covering,         1, lo, 1, 1, U64_MAX)
+RANGE(span_conjecture_apt,   1, lo, 1, 1, U64_MAX)
+RANGE(span_conjecture_emapt, 1, lo, 1, 0, (U64_MAX - 2) / 6)   /* 6n + 2 fits */
 
 /* --- module ---------------------------------------------------------------- */
 

@@ -14,13 +14,14 @@ lives in `arith`, `sequences` and `reverse_tree`); a negative
 than loop or index the tables.  Everything is plain-int arithmetic, so
 arbitrarily large values are handled natively.
 
-The checker spans at the end run a whole `verify` span in one call.  The
-residue and identity spans write the step formulas out inline, so that no
-element pays a function call, and the two residue spans share one walk;
-the standalone kernels above stay the reference for those formulas.  The
-three orbit-walk spans run the stopping walk or the covering walk per
-start, with a memo of the tails that earlier starts finished.  The tests
-compare each span with the literal checker loop (`tests/oracles.py`).
+The range kernels at the end run a whole `verify` span in one call (all
+but `scan_emapt_forms`, which only a benchmark probe calls).  The residue
+and identity spans write the step formulas out inline, so that no element
+pays a function call, and the two residue spans share one walk; the
+standalone kernels above stay the reference for those formulas.  The three
+orbit-walk spans run the stopping walk or the covering walk per start, with
+a memo of the tails that earlier starts finished.  The tests compare each
+range kernel with the literal checker loop (`tests/oracles.py`).
 """
 
 import operator as _operator
@@ -337,65 +338,43 @@ def emapt_stopping(u, budget):
     return -1 if runs < 0 else (runs + 1) >> 1
 
 
-# --- range scans; each returns the list of violating inputs -----------------
-
-
-def scan_index_reps(lo, hi):
-    # (2 p(n) + 1) 2^q(n) must rebuild 2(n+1), and its predecessor 2n+1.
-    bad = []
-    for n in range(lo, hi + 1):
-        e = (2 * interleave_p(n) + 1) << shifted_ruler_q(n)
-        if e != 2 * (n + 1) or e - 1 != 2 * n + 1:
-            bad.append(n)
-    return bad
-
-
-def scan_ruler_identities(lo, hi):
-    # ruler of e/2 (equivalently of (o+1)/2, o = e-1) must equal q(n).
-    bad = []
-    for n in range(lo, hi + 1):
-        q = shifted_ruler_q(n)
-        e = (2 * interleave_p(n) + 1) << q
-        if ruler(e >> 1) != q:
-            bad.append(n)
-    return bad
+# --- range kernels; each returns (checked, violations, exhausted) -----------
+#
+# Violations are (input, detail) pairs in input order, and checked counts the
+# inputs.  The scans call the standalone kernels per input; each span is its
+# `verify` checker's loop with them written out inline: p is the literal
+# recursion (halve through the odd prefix, then once more), never the closed
+# form (n + 1) >> q(n), and q(n) is ruler(n + 1).  A span whose first element
+# lies outside the checker's domain raises ValueError, where the loop would
+# never end.
 
 
 def scan_p3n(lo, hi):
-    bad = []
+    """n in [lo, hi]: p(3n) is never 1 mod 3."""
+    violations = []
     for n in range(lo, hi + 1):
         if interleave_p(3 * n) % 3 == 1:
-            bad.append(n)
-    return bad
+            violations.append((n, "p(3n) is 1 mod 3"))
+    return len(range(lo, hi + 1)), violations, []
 
 
 def scan_x_residues(lo, hi):
-    bad = []
+    """x in [lo, hi]: the index-form image x_step(x) is never 2 mod 3."""
+    violations = []
     for x in range(lo, hi + 1):
         if x_step(x) % 3 == 2:
-            bad.append(x)
-    return bad
+            violations.append((x, "image is 2 mod 3"))
+    return len(range(lo, hi + 1)), violations, []
 
 
 def scan_emapt_forms(lo, hi):
-    """Even u in [lo, hi] where the two step formulations disagree."""
-    lo = max(lo, 2)   # the even-step domain starts at 2
-    start = lo if lo % 2 == 0 else lo + 1
-    bad = []
-    for u in range(start, hi + 1, 2):
+    """Even u >= 2 in [lo, hi]: the two even-step forms agree."""
+    evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
+    violations = []
+    for u in evens:
         if emapt_step_pq(u) != emapt_step_ruler(u):
-            bad.append(u)
-    return bad
-
-
-# --- checker spans; each returns (checked, violations, exhausted) -----------
-#
-# Violations are (input, detail) pairs in input order.  Each loop is its
-# `verify` checker's, with the standalone kernels written out inline: p is
-# the literal recursion (halve through the odd prefix, then once more), never
-# the closed form (n + 1) >> q(n) that scan_index_reps checks, and q(n) is
-# ruler(n + 1).  A lo whose first element lies outside the checker's domain
-# raises ValueError, where the loop would never end.
+            violations.append((u, "pq and ruler forms disagree"))
+    return len(evens), violations, []
 
 
 def span_u_residues(lo, hi, budget):
@@ -503,10 +482,10 @@ def span_parity_runs(lo, hi):
 
 def span_dual_forms(lo, hi):
     """For each n in [lo, hi]: when n is even and at least 2, the pq and
-    ruler forms of the even step agree on it (scan_emapt_forms); and both
-    index maps built from p(n) and q(n) agree with the ruler-form
-    accelerated step: the even value (2 p + 1) 2^q runs to its odd part
-    2 p + 1, and the odd value (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
+    ruler forms of the even step agree on it; and both index maps built from
+    p(n) and q(n) agree with the ruler-form accelerated step: the even value
+    (2 p + 1) 2^q runs to its odd part 2 p + 1, and the odd value
+    (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
     if lo < 0:
         raise ValueError(f"index maps start at 0, got lo = {lo}")
     violations = []

@@ -55,13 +55,18 @@ class AffineStep(NamedTuple("AffineStep", [("alpha", int), ("beta", int)])):
     def intercept(self) -> Fraction:
         return self.apply(0)
 
-    def apply(self, z) -> Fraction:
-        # slope * z + intercept over the one denominator 3^alpha.  A plain
-        # import: on Python 3.11 the from-form costs about 1 us a call.
+    def apply(self, z) -> int | Fraction:
+        # slope * z + intercept over the one denominator 3^alpha; an int when
+        # that divides, so an integer round trip loads no `fractions`.  A
+        # plain import: on Python 3.11 the from-form costs about 1 us a call.
+        a, b = self.alpha, self.beta
+        numerator = 2 ** (a + b) * z - 2**b * (3**a - 2**a)
+        quotient, remainder = divmod(numerator, 3**a)
+        if not remainder:
+            return quotient
         import fractions
 
-        a, b = self.alpha, self.beta
-        return fractions.Fraction(2 ** (a + b) * z - 2**b * (3**a - 2**a), 3**a)
+        return fractions.Fraction(numerator, 3**a)
 
 
 class PathComposition(NamedTuple):
@@ -142,8 +147,8 @@ def w_forward(w: int) -> int:
     return w_from_z(z_from_w(w))
 
 
-def reverse_affine_step(z, alpha: int, beta: int) -> Fraction:
-    """Apply one inverse step to z; exact rational, integer on valid orbits."""
+def reverse_affine_step(z, alpha: int, beta: int) -> int | Fraction:
+    """Apply one inverse step to z; exact rational, an int on valid orbits."""
     return AffineStep(alpha, beta).apply(z)
 
 

@@ -69,8 +69,7 @@ def build_report(
 
 # --- span workers (top-level so process pools can pickle them) ---------------
 #
-# Seven checkers run each span as one kernel call (covering, parity-runs,
-# u-residues, u-residues-odd-starts, dual-forms and the two reach sweeps);
+# Every checker but linear-fixed-point runs each span as one kernel call;
 # their functions here stay the CHECKERS entries, so a span is still named
 # after this module.
 
@@ -98,14 +97,12 @@ def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
 
 def _span_x_residues(lo: int, hi: int, budget: int) -> ScanPart:
     """Index-map images avoid residue 2 mod 3."""
-    bad = kernels.scan_x_residues(lo, hi)
-    return hi - lo + 1, [(x, "image is 2 mod 3") for x in bad], []
+    return kernels.scan_x_residues(lo, hi)
 
 
 def _span_p3n(lo: int, hi: int, budget: int) -> ScanPart:
     """p(3n) avoids residue 1 mod 3."""
-    bad = kernels.scan_p3n(lo, hi)
-    return hi - lo + 1, [(n, "p(3n) is 1 mod 3") for n in bad], []
+    return kernels.scan_p3n(lo, hi)
 
 
 def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:

@@ -4,10 +4,12 @@ Everything here is computed straight from defining recursions or by literal
 brute force, with no shortcuts shared with the package code.  Tests compare
 package output against these, so keep them slow and obvious.
 
-The checker-span references are the exception: they are the `verify`
+Most checker-span references are the exception: they are the `verify`
 checker loops as they stood before the span kernels, one standalone `_pure`
 kernel call per step, so they share those kernels (which the tests check
 against the recursions above) but none of the kernels' inlined formulas.
+The two scan references, `p3n_span` and `x_residues_span`, use only the
+recursions and literal iterations here.
 """
 
 from __future__ import annotations
@@ -287,11 +289,29 @@ def parity_runs_span(lo: int, hi: int):
     return len(range(lo, hi + 1)), violations, []
 
 
+def p3n_span(lo: int, hi: int):
+    violations = [
+        (n, "p(3n) is 1 mod 3") for n in range(lo, hi + 1) if p_rec(3 * n) % 3 == 1
+    ]
+    return len(range(lo, hi + 1)), violations, []
+
+
+def x_residues_span(lo: int, hi: int):
+    # x_step(x) = (emapt(6x + 2) - 2) / 6; an even-only step is the halving
+    # run to the odd part, then the odd run back to an even value.
+    violations = []
+    for x in range(lo, hi + 1):
+        image = apt_step_by_iteration(apt_step_by_iteration(6 * x + 2))
+        if (image - 2) // 6 % 3 == 2:
+            violations.append((x, "image is 2 mod 3"))
+    return len(range(lo, hi + 1)), violations, []
+
+
 def dual_forms_span(lo: int, hi: int):
     violations = []
     evens = range(max(lo + (lo & 1), 2), hi + 1, 2)
     for n in range(lo, hi + 1):
-        if n in evens and _pure.scan_emapt_forms(n, n):
+        if n in evens and _pure.emapt_step_pq(n) != _pure.emapt_step_ruler(n):
             violations.append((n, "pq and ruler forms disagree"))
         even, odd_succ = mapt_even_step(n)
         if odd_succ != _pure.apt_step(even):
@@ -300,7 +320,6 @@ def dual_forms_span(lo: int, hi: int):
         if even_succ != _pure.apt_step(odd):
             violations.append((n, "odd index map disagrees with accelerated step"))
     return len(evens) + len(range(lo, hi + 1)), violations, []
-
 
 
 def covering_span(lo: int, hi: int, budget: int):

@@ -31,14 +31,12 @@ U64_MAX = 2**64 - 1
 
 #: The kernels with no compiled twin, which run pure on both backends; the
 #: compiled module's method table is the only other record of the split.
-#: `stats` walks `orbit_lengths`, and no command reaches the other six.
+#: `stats` walks `orbit_lengths`, and no command reaches the other four.
 PURE_ONLY = {
     "orbit_lengths",
     "covering_chain",
     "apt_stopping",
     "emapt_stopping",
-    "scan_index_reps",
-    "scan_ruler_identities",
     "scan_emapt_forms",
 }
 
@@ -113,8 +111,6 @@ OUT_OF_DOMAIN = {
     ("emapt_step_pq", 1): ValueError,
     ("omapt_step", 0): ValueError,
     ("x_step", -1): ValueError,
-    ("scan_index_reps", -5, 10): ValueError,
-    ("scan_ruler_identities", -5, 10): ValueError,
     ('scan_p3n', -5, 10): ValueError,
     ("apt_stopping", 0, 5): ValueError,
     ("apt_stopping", -3, 5): ValueError,
@@ -153,8 +149,6 @@ IN_DOMAIN_CALLS = [
     ("covering_chain", 27, 100),
     ("apt_stopping", 27, 100),
     ("emapt_stopping", 20, 100),
-    ("scan_index_reps", 0, 50),
-    ("scan_ruler_identities", 0, 50),
     ("scan_p3n", 0, 50),
     ("scan_x_residues", 0, 50),
     ("scan_emapt_forms", 2, 50),
@@ -181,8 +175,7 @@ def test_bad_arguments_match_pure(impl, call):
 
 
 def test_pure_rejects_what_it_cannot_walk():
-    for call in [("interleave_p", -1), ("emapt_step_pq", 1),
-                 ("scan_ruler_identities", -5, 10), ("orbit_lengths", 0, 5),
+    for call in [("interleave_p", -1), ("emapt_step_pq", 1), ("orbit_lengths", 0, 5),
                  ("apt_stopping", 0, 5), ("emapt_stopping", 0, 5)]:
         name, *args = call
         with pytest.raises(ValueError):
@@ -561,14 +554,25 @@ def test_only_kernels_no_command_reaches_lack_a_compiled_twin(fast):
     # kernel, so a missing twin would run pure on compiled installs.
     names = _public_functions(_pure)
     assert {n for n in names if not hasattr(fast, n)} == PURE_ONLY
-    # No module but `_pure` names the six no command reaches: the first
+    # No module but `_pure` names the four no command reaches: the first
     # command that calls one must give it a compiled twin first.
-    six = re.compile(r"\b(%s)\b" % "|".join(sorted(PURE_ONLY - {"orbit_lengths"})))
+    unreached = re.compile(r"\b(%s)\b" % "|".join(sorted(PURE_ONLY - {"orbit_lengths"})))
     for path in sorted(pathlib.Path(kernels.__file__).parent.glob("*.py")):
         if path.stem != "_pure":
-            assert not six.search(path.read_text()), path.name
+            assert not unreached.search(path.read_text()), path.name
     # Loading the fixture's build must not make it the package's backend.
     assert sys.modules.get("collatz_lab._fast") is not fast
+
+
+def test_kernel_benchmark_rows_run(impl):
+    # The benchmark script calls its kernels by name: a renamed or deleted
+    # kernel would break it only when someone runs it.
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for _, run, _ in bench.WORKLOADS:
+        run(impl, 8)
 
 
 def test_readme_gives_the_fixtures_build_line():

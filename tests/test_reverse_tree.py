@@ -88,6 +88,9 @@ def test_reverse_affine_examples():
     assert rt.reverse_affine_step(2, 1, 1) == 2
     assert rt.reverse_affine_step(8, 1, 2) == 20
     assert rt.reverse_affine_step(2, 1, 3) == 8
+    # an exact quotient stays an int; only a remainder builds a Fraction
+    assert type(rt.reverse_affine_step(8, 1, 2)) is int
+    assert rt.reverse_affine_step(1, 1, 1) == Fraction(2, 3)
 
 
 @given(

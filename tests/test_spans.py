@@ -1,11 +1,13 @@
-"""Checker span kernels on both backends, against the literal checker loops.
+"""Range kernels on both backends, against the literal checker loops.
 
-Each `span_*` kernel runs a whole `verify` span in one call; `oracles` keeps
-the loops they replaced, one standalone `_pure` kernel call per step or per
-start.  The windows cover the checkers' small ranges; ±64 around 2**41,
-SAFE3, 2**62, 2**63 and 2**64, where a compiled span hands `_pure` an
-element that does not fit in uint64 (2**41 - 1 in `dual-forms`) or
-everything past its limit; and bigint seeds past 2**68.  The budgeted
+Each `scan_*` and `span_*` kernel runs a whole `verify` span in one call
+and returns (checked, violations, exhausted); `oracles` keeps the loops
+they replaced, one standalone `_pure` kernel call per step or per start,
+and for the two scans the literal recursions.  The windows cover the
+checkers' small ranges; ±64 around 2**41, SAFE3, 2**62, 2**63 and 2**64,
+where a compiled span hands `_pure` an element that does not fit in uint64
+(2**41 - 1 in `dual-forms`) or everything past its limit; and bigint seeds
+past 2**68.  The budgeted
 residue spans also run one seed at a time at budgets 1, 2, 3 and at each
 seed's exact step count - 1, itself and + 1.  The orbit-walk spans, whose
 `_pure` kernels share finished tails between the starts of a span, run
@@ -56,6 +58,8 @@ BUDGETED = [
     ("span_u_residues_odd", oracles.u_residues_odd_span, 1, 1, _odd_steps),
 ]
 UNBUDGETED = [
+    ("scan_p3n", oracles.p3n_span, 0),
+    ("scan_x_residues", oracles.x_residues_span, 0),
     ("span_parity_runs", oracles.parity_runs_span, 1),
     ("span_dual_forms", oracles.dual_forms_span, 0),
 ]
@@ -164,7 +168,51 @@ def test_empty_span_checks_nothing(impl, name, first, budget):
         assert getattr(impl, name)(lo, lo - 1, *budget) == (0, [], []), lo
 
 
+def _all(lo, hi):
+    return len(range(lo, hi + 1))
+
+
+def _evens(lo, hi):
+    return len(range(max(lo + (lo & 1), 2), hi + 1, 2))
+
+
+def _odds(lo, hi):
+    return len(range(lo | 1, hi + 1, 2))
+
+
+# name: first input, budget arguments, inputs over [lo, hi]
+CONTRACT = {
+    "scan_p3n": (0, (), _all),
+    "scan_x_residues": (0, (), _all),
+    "scan_emapt_forms": (2, (), _evens),
+    "span_u_residues": (2, (5,), _evens),
+    "span_u_residues_odd": (1, (5,), _odds),
+    "span_parity_runs": (1, (), _all),
+    "span_dual_forms": (0, (), lambda lo, hi: _all(lo, hi) + _evens(lo, hi)),
+    "span_covering": (1, (5,), _all),
+    "span_conjecture_apt": (1, (5,), _all),
+    "span_conjecture_emapt": (0, (5,), _all),
+}
+
+
+def test_range_kernels_share_one_contract(impl):
+    # Each returns (checked, violations, exhausted), checked counting its
+    # inputs, in the uint64 range, across 2**64 and past it.  A kernel with
+    # no compiled twin runs pure on both backends.
+    assert CONTRACT.keys() == {n for n in vars(_pure) if n.startswith(("scan_", "span_"))}
+    for name, (first, budget, inputs) in CONTRACT.items():
+        kernel = getattr(impl, name, getattr(_pure, name))
+        for lo, hi in [(first, first + 40), (first + 1, first + 40), (first + 9, first + 8),
+                       (2**64 - 20, 2**64 + 20), (2**68 + 1, 2**68 + 40)]:
+            got = kernel(lo, hi, *budget)
+            assert type(got) is tuple and len(got) == 3, (name, lo, hi)
+            checked, violations, exhausted = got
+            assert checked == inputs(lo, hi), (name, lo, hi)
+            assert type(violations) is list and type(exhausted) is list, (name, lo, hi)
+
+
 BELOW_DOMAIN = [
+    ("scan_x_residues", (-1, 10)),         # p of a negative 3x never ends
     ("span_u_residues", (0, 10, 5)),       # u = 0: p((0 - 2) / 2) halves -1 forever
     ("span_u_residues_odd", (-1, 10, 5)),
     ("span_parity_runs", (0, 10)),         # n = 0: the halving run never ends
@@ -220,8 +268,8 @@ def _c_details():
 
 def test_violation_details_agree():
     pure = _python_details(
-        _pure, lambda name: name.startswith("span_") or name == "_residue_walks"
+        _pure, lambda name: name.startswith(("scan_", "span_")) or name == "_residue_walks"
     )
     oracle = _python_details(oracles, lambda name: name.endswith("_span"))
-    assert len(pure) == 9
+    assert len(pure) == 11
     assert pure == _c_details() == oracle
