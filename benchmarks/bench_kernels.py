@@ -13,12 +13,14 @@ the size the benchmark's `sweep` workload uses; the three orbit-walk spans
 (`covering` and the two reach sweeps) run from 2**68 too, as in its
 `frontier` workload: there `_pure` shares finished tails between the starts
 of a span, and the compiled span hands the whole bigint window to `_pure`,
-so the compiled column should read the same as the pure one.  The edge rows time the ranges where the compiled kernels
-hand work to `_pure`: the `dual-forms` window up to 2**41 - 1, where only
-that last element does not fit in uint64; `u-residues` seeds from 2**61,
-some of whose walks pass 2**64; and windows across (2**64 - 2) / 3, past
-which the compiled `scan_x_residues` and `span_parity_runs` go to `_pure`
-in one call.  Pass --scale N to multiply every size by N.
+so the compiled column should read the same as the pure one.  The edge
+rows time the ranges where the compiled kernels hand work to `_pure`: the
+`dual-forms` window up to 2**41 - 1, where only that last element does not
+fit in uint64; the `linear-fixed-point` window across 2**42 - 2, the one
+element there whose step does not fit; `u-residues` seeds from 2**61, some
+of whose walks pass 2**64; and windows across (2**64 - 2) / 3, past which
+the compiled `scan_x_residues` and `span_parity_runs` go to `_pure` in one
+call.  Pass --scale N to multiply every size by N.
 
 The compiled column needs `collatz_lab._fast` to import, so build it in
 place first with the gcc line in README "Install":
@@ -66,6 +68,8 @@ WORKLOADS = [
      bench_range("span_u_residues_odd", 8_500_000, True), 50_000),
     ("span_parity_runs from 8.5e6", bench_range("span_parity_runs", 8_500_000), 2_000_000),
     ("span_dual_forms from 8.5e6", bench_range("span_dual_forms", 8_500_000), 1_000_000),
+    ("span_linear_fixed_point from 8.5e6",
+     bench_range("span_linear_fixed_point", 8_500_000), 5_000_000),
     ("span_covering from 8.5e6", bench_range("span_covering", 8_500_000, True), 20_000),
     ("span_covering from 2**68", bench_range("span_covering", 2**68, True), 5_000),
     ("span_conjecture_apt from 8.5e6",
@@ -77,6 +81,8 @@ WORKLOADS = [
      bench_range("span_conjecture_emapt", 2**68, True), 20_000),
     ("edge: span_dual_forms up to 2**41 - 1",
      lambda m, n: m.span_dual_forms(2**41 - n, 2**41 - 1), 1_000_000),
+    ("edge: span_linear_fixed_point across 2**42 - 2",
+     bench_range("span_linear_fixed_point", 2**42 - 2, centred=True), 5_000_000),
     ("edge: span_u_residues from 2**61", bench_range("span_u_residues", 2**61, True), 20_000),
     ("edge: span_u_residues_odd from 2**61",
      bench_range("span_u_residues_odd", 2**61, True), 20_000),

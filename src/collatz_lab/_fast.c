@@ -23,7 +23,8 @@
 
    The range checks at the end are _pure's scan and span loop bodies on
    uint64, with the step helpers below in place of the inlined formulas;
-   each range kernel returns _pure's (checked, violations, exhausted).
+   the linear-fixed-point check tests its relation in the ruler form.
+   Each range kernel returns _pure's (checked, violations, exhausted).
    The orbit-walk spans walk each start with literal loops, one parity run
    (or one step) at a time, without _pure's block jumps or its memo of
    finished tails, which pays where the values are bigints; covering's is
@@ -555,6 +556,17 @@ static int span_dual_forms_check(Findings *f, u64 n, long long Py_UNUSED(budget)
     return end;
 }
 
+/* Dividing the linear relation succ 2^(a+b) = 3^a u + (3^a - 2^a) 2^b by
+   2^(a+b) turns it into the ruler-form step, succ + 1 = 3^a (v + 1) / 2^a,
+   so it holds exactly when the pq and ruler forms agree on u. */
+static int span_linear_fixed_point_check(Findings *f, u64 u, long long Py_UNUSED(budget))
+{
+    int differ = emapt_forms_differ(u);
+    if (differ < 0)
+        return NO_FIT;
+    return differ ? violation(f, u, PyUnicode_FromString("linear relation failed")) : DONE;
+}
+
 /* The orbit-walk spans, each start walked on its own: the checks of
    _pure's covering_chain, apt_stopping and emapt_stopping of 6n + 2.
    _pure's spans share finished tails between starts; these walk each start
@@ -600,6 +612,8 @@ RANGE(span_u_residues,       1, lo + (lo & 1), 2, 2, U64_MAX)
 RANGE(span_u_residues_odd,   1, lo | 1, 2, 1, U64_MAX)
 RANGE(span_parity_runs,      0, lo, 1, 1, SAFE3)
 RANGE(span_dual_forms,       0, lo, 1, 0, SAFE_N - 1)
+/* u = 2 mod 6: a lo past U64_MAX - 5 would round up past 2^64, so it goes to _pure */
+RANGE(span_linear_fixed_point, 0, lo > U64_MAX - 5 ? 0 : lo + (8 - lo % 6) % 6, 6, 2, U64_MAX)
 RANGE(span_covering,         1, lo, 1, 1, U64_MAX)
 RANGE(span_conjecture_apt,   1, lo, 1, 1, U64_MAX)
 RANGE(span_conjecture_emapt, 1, lo, 1, 0, (U64_MAX - 2) / 6)   /* 6n + 2 fits */
@@ -625,6 +639,7 @@ static PyMethodDef methods[] = {
     MANY(span_u_residues_odd),
     MANY(span_parity_runs),
     MANY(span_dual_forms),
+    MANY(span_linear_fixed_point),
     MANY(span_covering),
     MANY(span_conjecture_apt),
     MANY(span_conjecture_emapt),

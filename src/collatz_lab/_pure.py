@@ -15,13 +15,13 @@ than loop or index the tables.  Everything is plain-int arithmetic, so
 arbitrarily large values are handled natively.
 
 The range kernels at the end run a whole `verify` span in one call (all
-but `scan_emapt_forms`, which only a benchmark probe calls).  The residue
-and identity spans write the step formulas out inline, so that no element
-pays a function call, and the two residue spans share one walk; the
-standalone kernels above stay the reference for those formulas.  The three
-orbit-walk spans run the stopping walk or the covering walk per start, with
-a memo of the tails that earlier starts finished.  The tests compare each
-range kernel with the literal checker loop (`tests/oracles.py`).
+but `scan_emapt_forms`, which only a benchmark probe calls).  The scans
+and `span_linear_fixed_point` call a step kernel per input; the residue,
+parity-run and dual-form spans write the formulas out inline, so that no
+element pays a function call, and the two residue spans share one walk.
+The three orbit-walk spans run the stopping walk or the covering walk per
+start, with a memo of the tails that earlier starts finished.  The tests
+compare each range kernel with the literal checker loop (`tests/oracles.py`).
 """
 
 import operator as _operator
@@ -341,12 +341,12 @@ def emapt_stopping(u, budget):
 # --- range kernels; each returns (checked, violations, exhausted) -----------
 #
 # Violations are (input, detail) pairs in input order, and checked counts the
-# inputs.  The scans call the standalone kernels per input; each span is its
-# `verify` checker's loop with them written out inline: p is the literal
-# recursion (halve through the odd prefix, then once more), never the closed
-# form (n + 1) >> q(n), and q(n) is ruler(n + 1).  A span whose first element
-# lies outside the checker's domain raises ValueError, where the loop would
-# never end.
+# inputs.  The scans and `span_linear_fixed_point` call the standalone
+# kernels per input; the other spans are their `verify` checkers' loops with
+# them written out inline: p is the literal recursion (halve through the odd
+# prefix, then once more), never the closed form (n + 1) >> q(n), and q(n) is
+# ruler(n + 1).  A span whose first element lies outside the checker's domain
+# raises ValueError, where the loop would never end.
 
 
 def scan_p3n(lo, hi):
@@ -522,6 +522,26 @@ def span_dual_forms(lo, hi):
             violations.append((n, "odd index map disagrees with accelerated step"))
     evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
     return len(evens) + len(range(lo, hi + 1)), violations, []
+
+
+def span_linear_fixed_point(lo, hi):
+    """u = 2 mod 6 in [lo, hi]: with 2^b exactly dividing u, v = u / 2^b and
+    2^a exactly dividing v + 1, succ = emapt_step_pq(u) satisfies the linear
+    relation succ 2^(a+b) = 3^a u + (3^a - 2^a) 2^b.  Divided by 2^b it is
+    the fixed-point relation (succ + 1) 2^a = (v + 1) 3^a, and the inverse
+    step (2^(a+b) succ - (3^a - 2^a) 2^b) / 3^a is u exactly when it holds,
+    so neither is checked again."""
+    seeds = range(lo + (2 - lo) % 6, hi + 1, 6)
+    if seeds.start < 2:
+        raise ValueError(f"the linear system starts at u = 2, got lo = {lo}")
+    violations = []
+    for u in seeds:
+        b = (u & -u).bit_length() - 1
+        m = (u >> b) + 1
+        a = (m & -m).bit_length() - 1
+        if emapt_step_pq(u) << (a + b) != 3**a * u + ((3**a - (1 << a)) << b):
+            violations.append((u, "linear relation failed"))
+    return len(seeds), violations, []
 
 
 # --- orbit-walk spans: each start walks to 1, sharing finished tails ----------

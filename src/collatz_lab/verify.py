@@ -69,9 +69,8 @@ def build_report(
 
 # --- span workers (top-level so process pools can pickle them) ---------------
 #
-# Every checker but linear-fixed-point runs each span as one kernel call;
-# their functions here stay the CHECKERS entries, so a span is still named
-# after this module.
+# Every checker runs each span as one kernel call; the functions here stay
+# the CHECKERS entries, so a span is still named after this module.
 
 
 def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
@@ -112,28 +111,9 @@ def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
 
 
 def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
-    """Exact linear and fixed-point identities for consecutive even pairs,
-    plus round-trip through the inverse affine step."""
-    from collatz_lab.reverse_tree import reverse_affine_step
-
-    violations = []
-    seeds = range(lo + (2 - lo) % 6, hi + 1, 6)   # u = 2 mod 6
-    for u in seeds:
-        succ = kernels.emapt_step_pq(u)
-        v = kernels.odd_part(u)
-        alpha = kernels.ruler(v + 1) - 1
-        beta = kernels.ruler(u) - 1
-        lhs = (succ << (alpha + beta))
-        rhs = 3**alpha * u + (3**alpha - 2**alpha) * 2**beta
-        if lhs != rhs:
-            violations.append((u, "linear relation failed"))
-            continue
-        if (succ + 1) << alpha != (v + 1) * 3**alpha:
-            violations.append((u, "fixed-point relation failed"))
-            continue
-        if reverse_affine_step(succ, alpha, beta) != u:
-            violations.append((u, "inverse step does not recover the input"))
-    return len(seeds), violations, []
+    """The even step's exact linear relation on u = 2 mod 6, which implies
+    its fixed-point relation and the inverse-step round trip."""
+    return kernels.span_linear_fixed_point(lo, hi)
 
 
 def _span_conjecture_apt(lo: int, hi: int, budget: int) -> ScanPart:

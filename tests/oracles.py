@@ -8,8 +8,9 @@ Most checker-span references are the exception: they are the `verify`
 checker loops as they stood before the span kernels, one standalone `_pure`
 kernel call per step, so they share those kernels (which the tests check
 against the recursions above) but none of the kernels' inlined formulas.
-The two scan references, `p3n_span` and `x_residues_span`, use only the
-recursions and literal iterations here.
+The two scan references, `p3n_span` and `x_residues_span`, and
+`linear_fixed_point_span` use only the recursions and literal iterations
+here.
 """
 
 from __future__ import annotations
@@ -305,6 +306,22 @@ def x_residues_span(lo: int, hi: int):
         if (image - 2) // 6 % 3 == 2:
             violations.append((x, "image is 2 mod 3"))
     return len(range(lo, hi + 1)), violations, []
+
+
+def linear_fixed_point_span(
+    lo: int, hi: int, pq=lambda u: apt_step_by_iteration(apt_step_by_iteration(u))
+):
+    # pq is the even-only step, by default the halving run to the odd part and
+    # the odd run after it.  The inverse affine step of u's (alpha, beta) maps
+    # the image back onto u exactly when the linear relation holds.
+    violations = []
+    seeds = range(lo + (2 - lo) % 6, hi + 1, 6)
+    for u in seeds:
+        beta = v2_by_division(u)
+        alpha = v2_by_division(u // 2**beta + 1)
+        if affine_apply(pq(u), alpha, beta) != u:
+            violations.append((u, "linear relation failed"))
+    return len(seeds), violations, []
 
 
 def dual_forms_span(lo: int, hi: int):

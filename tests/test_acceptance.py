@@ -20,11 +20,12 @@ from collatz_lab.reverse_tree import (
     compose_path,
     cycle_scan,
     multiplicity,
+    reverse_affine_step,
     steiner_search,
     w_candidate,
     w_forward,
 )
-from collatz_lab.sequences import GParams, parity_flip
+from collatz_lab.sequences import GParams, emapt_step_pq, parity_flip, u_to_v
 
 WORKERS = 8
 
@@ -141,6 +142,10 @@ def test_criterion_10_one_step_cycle_grid(announce):
 def test_criterion_11_exact_linear_system(announce):
     report = verify.run_check("linear-fixed-point", 2, 10**5, workers=WORKERS)
     ok = report.violation_count == 0
+    # The checker's linear relation implies the round trip; here it is run.
+    for u in range(2, 10**5 + 1, 6):
+        alpha, beta = arith.ruler(u_to_v(u) + 1) - 1, arith.ruler(u) - 1
+        ok = ok and reverse_affine_step(emapt_step_pq(u), alpha, beta) == u
     rng = random.Random(7)
     for _ in range(100):
         steps = [

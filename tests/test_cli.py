@@ -649,10 +649,10 @@ IMPORT_BUDGETS = {
     "verify": (_cli_code(["verify", "--theorem", "p3n", "--lo", "0", "--hi", "99",
                           "--workers", "1"]),
                POOL_MODULES | NEVER),
-    # Its inverse-step round trip stays in integers.
+    # Its span is one kernel call: no inverse step, so no reverse_tree.
     "linear-fixed-point": (_cli_code(["verify", "--theorem", "linear-fixed-point", "--lo",
                                       "2", "--hi", "999", "--workers", "1"]),
-                           POOL_MODULES | NEVER),
+                           {"collatz_lab.reverse_tree"} | POOL_MODULES | NEVER),
     "stats": (_cli_code(["stats", "--lo", "1", "--hi", "50"]), POOL_MODULES | NEVER),
     "oeis-check": (_cli_code(["oeis-check", "--generator", "w_candidate", "--count", "50",
                               "--bfile", str(ROOT / "tests/data/b007310.txt")]),

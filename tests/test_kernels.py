@@ -2,11 +2,12 @@
 
 The compiled kernels take uint64 fast paths and fall back per call for
 anything larger, so the values around 2**63 / 2**64 are the interesting
-boundary; the random sweep crosses it on purpose, and the scans and budgets
-below straddle each cutoff where the compiled module hands a call to
-`_pure`.  The ``fast`` fixture (tests/conftest.py) builds the compiled module
-from its committed C source with README's gcc line, and ``impl`` runs a test
-on each backend in turn.  The kernels in `PURE_ONLY` have no compiled twin:
+boundary; the random sweep crosses it on purpose, and the budgets and
+fallback windows below straddle cutoffs where the compiled module hands a
+call to `_pure` (tests/test_spans.py runs every range kernel across them).
+The ``fast`` fixture (tests/conftest.py) builds the compiled module from
+its committed C source with README's gcc line, and ``impl`` runs a test on
+each backend in turn.  The kernels in `PURE_ONLY` have no compiled twin:
 `covering_chain` is checked against the literal orbits in `oracles`, and
 the stopping counters against literal loops in tests/test_stopping.py; the
 compiled orbit walks they share with the spans are checked through
@@ -26,8 +27,6 @@ from hypothesis import given, strategies as st
 import oracles
 from collatz_lab import _pure, kernels
 from conftest import BIG_BUDGETS, BOUNDARY, FAST_SOURCE, GCC_FLAGS, RANDOMS, SAFE3, build_fast
-
-U64_MAX = 2**64 - 1
 
 #: The kernels with no compiled twin, which run pure on both backends; the
 #: compiled module's method table is the only other record of the split.
@@ -156,6 +155,7 @@ IN_DOMAIN_CALLS = [
     ("span_u_residues_odd", 1, 50, 100),
     ("span_parity_runs", 1, 50),
     ("span_dual_forms", 0, 50),
+    ("span_linear_fixed_point", 2, 50),
     ("span_covering", 1, 50, 100),
     ("span_conjecture_apt", 1, 50, 100),
     ("span_conjecture_emapt", 0, 50, 100),
@@ -404,6 +404,22 @@ def test_residue_walks_report_a_broken_pq_step(tmp_path, backend):
     assert (7, "element 22 is not 2 or 8 mod 18") in odd[1]
 
 
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_linear_relation_reports_a_broken_pq_step(tmp_path, monkeypatch, backend):
+    # The relation holds exactly where the pq step does, so only a broken
+    # step reaches the violation branch: at every seed.
+    pq = _pure.emapt_step_pq
+    broken = lambda u: pq(u) + 2
+    if backend == "pure":
+        monkeypatch.setattr(_pure, "emapt_step_pq", broken)
+        module = _pure
+    else:
+        module = _broken_fast("emapt_step_pq", tmp_path)
+    got = module.span_linear_fixed_point(2, 3000)
+    assert got == oracles.linear_fixed_point_span(2, 3000, broken)
+    assert got[1] == [(u, "linear relation failed") for u in range(2, 3001, 6)]
+
+
 def test_stopping_agrees_at_big_budgets(fast):
     # The compiled reach spans from one start, at budgets below, at and past
     # long long, against the pure stopping counters.
@@ -441,32 +457,12 @@ def test_orbit_lengths_agree_with_compiled_literal_orbits(fast):
             ), f"orbit_lengths({n}, {budget})"
 
 
-def _around(cutoff):
-    return [(cutoff - 64, cutoff - 1), (cutoff - 64, cutoff + 64), (cutoff, cutoff + 64)]
-
-
-#: Windows on each side of each scan's uint64 limit, past which the compiled
-#: scan hands the rest of its range to `_pure` in one call.  Below a limit,
-#: an element that does not fit goes to `_pure` alone.
-CUTOFF_WINDOWS = {
-    "scan_p3n": _around(SAFE3),
-    "scan_x_residues": _around(SAFE3) + [(U64_MAX - 64, U64_MAX)],
-}
-
-
-@pytest.mark.parametrize("name,lo", [("scan_p3n", 0), ("scan_x_residues", 0)])
-def test_scans_agree(fast, name, lo):
-    # Plus, for every scan, a window past 2**64 and an empty range whose lo is
-    # 2**64 - 1 (rounding that up to even must not wrap).
-    windows = [(lo, 3000), *CUTOFF_WINDOWS[name], (U64_MAX - 64, U64_MAX + 64), (U64_MAX, 5)]
-    for a, b in windows:
-        assert getattr(fast, name)(a, b) == getattr(_pure, name)(a, b), (a, b)
-
-
 #: A compiled range kernel, a window, and the one `_pure` call it makes there:
 #: the one element that does not fit in uint64, or everything past the limit.
 FALLBACKS = [
     ("span_dual_forms", (2**41 - 64, 2**41 + 64), (2**41 - 1, 2**41 - 1)),
+    # 2**42 - 2 is 2 (2**41 - 1): its ruler-form step is 3**41 - 1.
+    ("span_linear_fixed_point", (2**42 - 64, 2**42 + 64), (2**42 - 2, 2**42 - 2)),
     ("scan_p3n", (SAFE3 - 8, SAFE3 + 8), (SAFE3 + 1, SAFE3 + 8)),
     # A bigint window goes whole, so its starts share the `_pure` memo.
     ("span_conjecture_apt", (2**68, 2**68 + 64, 1000), (2**68, 2**68 + 64, 1000)),

@@ -3,11 +3,11 @@
 Each `scan_*` and `span_*` kernel runs a whole `verify` span in one call
 and returns (checked, violations, exhausted); `oracles` keeps the loops
 they replaced, one standalone `_pure` kernel call per step or per start,
-and for the two scans the literal recursions.  The windows cover the
-checkers' small ranges; ±64 around 2**41, SAFE3, 2**62, 2**63 and 2**64,
-where a compiled span hands `_pure` an element that does not fit in uint64
-(2**41 - 1 in `dual-forms`) or everything past its limit; and bigint seeds
-past 2**68.  The budgeted
+and for the two scans and `linear-fixed-point` the literal recursions and
+iterations.  The windows cover the checkers' small ranges; ±64 around
+2**41, SAFE3, 2**62, 2**63 and 2**64, where a compiled span hands `_pure`
+an element that does not fit in uint64 (2**41 - 1 in `dual-forms`) or
+everything past its limit; and bigint seeds past 2**68.  The budgeted
 residue spans also run one seed at a time at budgets 1, 2, 3 and at each
 seed's exact step count - 1, itself and + 1.  The orbit-walk spans, whose
 `_pure` kernels share finished tails between the starts of a span, run
@@ -62,6 +62,7 @@ UNBUDGETED = [
     ("scan_x_residues", oracles.x_residues_span, 0),
     ("span_parity_runs", oracles.parity_runs_span, 1),
     ("span_dual_forms", oracles.dual_forms_span, 0),
+    ("span_linear_fixed_point", oracles.linear_fixed_point_span, 2),
 ]
 
 
@@ -164,8 +165,10 @@ def test_orbit_span_survives_memo_clears(impl, monkeypatch, name, oracle, first,
     ids=[c[0] for c in BUDGETED + ORBIT + UNBUDGETED],
 )
 def test_empty_span_checks_nothing(impl, name, first, budget):
-    for lo in (first, 10, 2**41, 2**64 + 1):
-        assert getattr(impl, name)(lo, lo - 1, *budget) == (0, [], []), lo
+    # Rounding lo = 2**64 - 1 up to a span's first input must not wrap.
+    windows = [(lo, lo - 1) for lo in (first, 10, 2**41, 2**64 + 1)] + [(2**64 - 1, 5)]
+    for lo, hi in windows:
+        assert getattr(impl, name)(lo, hi, *budget) == (0, [], []), (lo, hi)
 
 
 def _all(lo, hi):
@@ -180,6 +183,10 @@ def _odds(lo, hi):
     return len(range(lo | 1, hi + 1, 2))
 
 
+def _two_mod_six(lo, hi):
+    return len(range(lo + (2 - lo) % 6, hi + 1, 6))
+
+
 # name: first input, budget arguments, inputs over [lo, hi]
 CONTRACT = {
     "scan_p3n": (0, (), _all),
@@ -189,6 +196,7 @@ CONTRACT = {
     "span_u_residues_odd": (1, (5,), _odds),
     "span_parity_runs": (1, (), _all),
     "span_dual_forms": (0, (), lambda lo, hi: _all(lo, hi) + _evens(lo, hi)),
+    "span_linear_fixed_point": (2, (), _two_mod_six),
     "span_covering": (1, (5,), _all),
     "span_conjecture_apt": (1, (5,), _all),
     "span_conjecture_emapt": (0, (5,), _all),
@@ -217,6 +225,7 @@ BELOW_DOMAIN = [
     ("span_u_residues_odd", (-1, 10, 5)),
     ("span_parity_runs", (0, 10)),         # n = 0: the halving run never ends
     ("span_dual_forms", (-1, 10)),         # no index below 0
+    ("span_linear_fixed_point", (-4, 10)),  # u = -4: p((-4 - 2) / 2) halves -1 forever
     ("span_covering", (0, 10, 5)),         # orbits start at 1
     ("span_conjecture_apt", (0, 10, 5)),
     ("span_conjecture_emapt", (-1, 10, 5)),  # 6n + 2 starts at 2
@@ -271,5 +280,5 @@ def test_violation_details_agree():
         _pure, lambda name: name.startswith(("scan_", "span_")) or name == "_residue_walks"
     )
     oracle = _python_details(oracles, lambda name: name.endswith("_span"))
-    assert len(pure) == 11
+    assert len(pure) == 12
     assert pure == _c_details() == oracle
