@@ -18,10 +18,11 @@ The range kernels at the end run a whole `verify` span in one call (all
 but `scan_emapt_forms`, which only a benchmark probe calls).  The scans
 and `span_linear_fixed_point` call a step kernel per input; the residue,
 parity-run and dual-form spans write the formulas out inline, so that no
-element pays a function call, and the two residue spans share one walk.
-The three orbit-walk spans run the stopping walk or the covering walk per
-start, with a memo of the tails that earlier starts finished.  The tests
-compare each range kernel with the literal checker loop (`tests/oracles.py`).
+element pays a function call.  The two residue spans share one walk to 2,
+and the three orbit-walk spans run the stopping walk or the covering walk
+per start; these five keep a memo of the tails that earlier seeds or
+starts of the span finished.  The tests compare each range kernel with the
+literal checker loop (`tests/oracles.py`).
 """
 
 import operator as _operator
@@ -408,9 +409,24 @@ def _residue_walks(seeds, budget, odd):
     residue_walk: up to budget pq steps, each image 2 mod 6 and, from the
     second image on, 2 or 8 mod 18.  An `odd` seed first takes one
     ruler-form step, then has only the mod-18 check, from its first image.
-    An image that is 2 or 8 mod 18 is 2 mod 6, so one remainder passes both."""
+    An image that is 2 or 8 mod 18 is 2 mod 6, so one remainder passes both.
+
+    `tails` maps an image that a walk reached at step 2 or later, and that
+    passed its check, to its pq steps to 2.  Every walk checks the images of
+    its steps 2, 3, ... alike, so a tail, stored from steps 3 on, passes in
+    any walk that reaches its image at step 2 or later: that walk adds the
+    tail's steps and compares the sum with the budget.  Only a walk that
+    reaches 2 clean stores tails, one per image it recorded.  A walk records
+    and looks up nothing when it is the span's only one (a seed that `_fast`
+    hands over alone) or follows an exhausted walk: where walks exhaust in a
+    row, as from 2^68 at budget 30, nothing would be stored.
+    """
+    budget = _operator.index(budget)   # a float raises TypeError, as in _fast
+    limit = max(budget, 0)   # a seed already at 2 is not exhausted
     violations = []
     exhausted = []
+    tails = {}
+    recording = len(seeds) > 1
     for seed in seeds:
         x = seed
         if odd:
@@ -419,9 +435,9 @@ def _residue_walks(seeds, budget, odd):
             m = seed + 1
             e = (m & -m).bit_length() - 1
             x = 3**e * (m >> e) - 1
-        for step in range(1, budget + 1):
-            if x == 2:
-                break
+        steps = 0
+        path = []   # the images of steps 2, 3, ...
+        while x != 2 and steps < budget:
             # x = emapt_step_pq(x): m = p((x - 2) / 2), then (2 p(m) + 1) 3^q(m) - 1
             n = (x - 2) >> 1
             while n & 1:
@@ -431,17 +447,30 @@ def _residue_walks(seeds, budget, odd):
                 n >>= 1
             m += 1
             x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
+            steps += 1
             if x % 18 not in (2, 8):
                 if not odd and x % 6 != 2:
                     violations.append((seed, f"element {x} is not 2 mod 6"))
                     break
-                if odd or step >= 2:
+                if odd or steps >= 2:
                     violations.append((seed, f"element {x} is not 2 or 8 mod 18"))
                     break
+            elif recording and steps >= 2:
+                if x in tails:
+                    steps += tails[x]
+                    x = 2   # where the tail ends
+                else:
+                    path.append(x)
         else:
-            # The budget ran out with neither a violation nor an early 2.
-            if x != 2:
+            # No violation: the walk stands on 2 after steps, or the budget ran out.
+            recording = x == 2 and steps <= limit
+            if not recording:
                 exhausted.append(seed)
+                continue
+            for y, tail in zip(path, range(steps - 2, -1, -1)):
+                if len(tails) >= _TAILS_CAP:
+                    tails.clear()
+                tails[y] = tail
     return len(seeds), violations, exhausted
 
 
@@ -547,9 +576,10 @@ def span_linear_fixed_point(lo, hi):
 # --- orbit-walk spans: each start walks to 1, sharing finished tails ----------
 #
 # The orbits of consecutive starts merge early, so each span keeps a memo of
-# the tails its walks finished (see `orbit_lengths` and `_lock_step`), and
-# most walks end at a value an earlier start of the span already walked to
-# 1.  The memo lives for one call and is cleared at _TAILS_CAP entries.
+# the tails its walks finished (see `orbit_lengths` and `_lock_step`; the
+# even-only walks to 2 of the residue spans share theirs in `_residue_walks`),
+# and most walks end at a value an earlier start of the span already walked
+# to 1.  The memo lives for one call and is cleared at _TAILS_CAP entries.
 
 
 def span_conjecture_apt(lo, hi, budget):

@@ -8,13 +8,14 @@ iterations.  The windows cover the checkers' small ranges; ±64 around
 2**41, SAFE3, 2**62, 2**63 and 2**64, where a compiled span hands `_pure`
 an element that does not fit in uint64 (2**41 - 1 in `dual-forms`) or
 everything past its limit; and bigint seeds past 2**68.  The budgeted
-residue spans also run one seed at a time at budgets 1, 2, 3 and at each
-seed's exact step count - 1, itself and + 1.  The orbit-walk spans, whose
-`_pure` kernels share finished tails between the starts of a span, run
-whole windows at budgets 1, 2, 3, at budgets past the long long range and
-at sampled starts' exact step counts - 1, themselves and + 1, so that some
-starts exhaust right after a walk ends on a shared tail; and again with the
-memo's cap at 2, so that it is cleared over and over.
+residue spans and the orbit-walk spans, whose `_pure` kernels share
+finished tails between the seeds or starts of a span, run whole windows at
+budgets 1, 2, 3 and at sampled seeds' or starts' exact step counts - 1,
+themselves and + 1, so that some exhaust right after a walk ends on a
+shared tail; and again with the memo's cap at 2, so that it is cleared over
+and over.  The residue spans also run one seed at a time at budgets 1, 2, 3
+and at each seed's exact step count - 1, itself and + 1; the orbit-walk
+spans also run at budgets past the long long range.
 No input in a checker's domain reaches a violation, so the violation details
 are compared as source literals across the two backends and the loops.
 """
@@ -52,6 +53,14 @@ def _odd_steps(seed):
     )
 
 
+def _orbit_budgets(starts, steps, samples=2):
+    """1, 2, 3, a big budget, and the step count - 1, itself and + 1 of
+    `samples` of the range `starts`, spread over it."""
+    stride = max(1, (len(starts) - 1) // samples)
+    counts = {steps(n) for n in starts[stride // 2::stride]}
+    return sorted({1, 2, 3, BIG_BUDGET} | {c + d for c in counts for d in (-1, 0, 1)})
+
+
 # name, oracle, first input, seed parity, steps per seed
 BUDGETED = [
     ("span_u_residues", oracles.u_residues_span, 2, 0, _u_steps),
@@ -72,10 +81,10 @@ UNBUDGETED = [
 def test_budgeted_span_matches_literal_loop(impl, name, oracle, first, parity, steps):
     span = getattr(impl, name)
     for lo, hi in _windows(first):
-        for budget in (1, 2, 3, BIG_BUDGET):
+        seeds = range(lo + ((lo & 1) != parity), hi + 1, 2)
+        for budget in _orbit_budgets(seeds, steps, 4):
             assert span(lo, hi, budget) == oracle(lo, hi, budget), (lo, hi, budget)
-    for lo, hi in _windows(first):
-        for seed in range(lo + ((lo & 1) != parity), hi + 1, 2):
+        for seed in seeds:
             b = steps(seed)
             for budget in (b - 1, b, b + 1):
                 assert span(seed, seed, budget) == oracle(seed, seed, budget), (
@@ -131,31 +140,31 @@ ORBIT = [
 ]
 
 
-def _orbit_budgets(lo, hi, steps, samples=2):
-    """1, 2, 3, a big budget, and the step count - 1, itself and + 1 of
-    `samples` starts spread over [lo, hi]."""
-    stride = max(1, (hi - lo) // samples)
-    counts = {steps(n) for n in range(lo + stride // 2, hi + 1, stride)}
-    return sorted({1, 2, 3, BIG_BUDGET} | {c + d for c in counts for d in (-1, 0, 1)})
-
-
 @pytest.mark.parametrize("name,oracle,first,windows,steps", ORBIT, ids=[c[0] for c in ORBIT])
 def test_orbit_span_matches_literal_loop(impl, name, oracle, first, windows, steps):
     # A budget past long long hands the whole compiled call to `_pure`.
     span = getattr(impl, name)
     for lo, hi in windows:
-        for budget in [*_orbit_budgets(lo, hi, steps, 4), *BIG_BUDGETS]:
+        for budget in [*_orbit_budgets(range(lo, hi + 1), steps, 4), *BIG_BUDGETS]:
             assert span(lo, hi, budget) == oracle(lo, hi, budget), (lo, hi, budget)
 
 
-@pytest.mark.parametrize("name,oracle,first,windows,steps", ORBIT, ids=[c[0] for c in ORBIT])
-def test_orbit_span_survives_memo_clears(impl, monkeypatch, name, oracle, first, windows, steps):
+#: The spans whose `_pure` kernels share finished tails: name, oracle, first
+#: input, the stride between inputs, the step count of an input
+MEMO = [(c[0], c[1], c[2], 1, c[4]) for c in ORBIT] + [
+    (c[0], c[1], c[2], 2, c[4]) for c in BUDGETED
+]
+
+
+@pytest.mark.parametrize("name,oracle,first,stride,steps", MEMO, ids=[c[0] for c in MEMO])
+def test_orbit_span_survives_memo_clears(impl, monkeypatch, name, oracle, first, stride, steps):
     # A compiled span hands its bigint starts to `_pure`, which reads the cap
     # at each store.
     monkeypatch.setattr(_pure, "_TAILS_CAP", 2)
     span = getattr(impl, name)
     for lo, hi in [(first, first + 300), (2**68, 2**68 + 64)]:
-        for budget in _orbit_budgets(lo, hi, steps):
+        starts = range(lo + (first - lo) % stride, hi + 1, stride)
+        for budget in _orbit_budgets(starts, steps):
             assert span(lo, hi, budget) == oracle(lo, hi, budget), (lo, hi, budget)
 
 
