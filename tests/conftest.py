@@ -7,7 +7,7 @@ import sysconfig
 
 import pytest
 
-from collatz_lab import _pure
+from collatz_lab import _pure, parallel
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
@@ -34,6 +34,14 @@ BIG_BUDGETS = (2**63 - 1, 2**63, 2**64, -(2**63) - 1)
 @pytest.fixture
 def data_dir() -> pathlib.Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def pool_always(monkeypatch):
+    """`parallel.run_chunked` prices a pool at nothing, so any call with a
+    pool of two or more and a second span starts one for the spans after
+    the first."""
+    monkeypatch.setattr(parallel, "POOL_COST_S", 0)
 
 
 def build_fast(source: pathlib.Path, directory: pathlib.Path):

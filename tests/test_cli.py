@@ -210,7 +210,7 @@ def test_crashed_span_exits_three(monkeypatch, capsys):
     assert "internal error: RuntimeError: synthetic crash" in capsys.readouterr().err
 
 
-def test_dead_pool_worker_exits_three(monkeypatch, capsys):
+def test_dead_pool_worker_exits_three(monkeypatch, capsys, pool_always):
     monkeypatch.setitem(
         verify.CHECKERS, "covering", verify.CheckerSpec(_worker_killing_span, 1)
     )
@@ -551,9 +551,7 @@ def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt):
     assert files[0].read_bytes() == files[1].read_bytes()
 
 
-def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch):
-    # One row per worker is enough here, so the small table still fans out.
-    monkeypatch.setattr(sequences, "_ROWS_PER_WORKER", 1)
+def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, pool_always):
     paths = []
     for workers in ("1", "6"):
         monkeypatch.setenv("COLLATZ_LAB_WORKERS", workers)

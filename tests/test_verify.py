@@ -147,7 +147,7 @@ def test_reports_identical_across_worker_counts():
     [("covering", 1, 300), ("u-residues", 2, 600), ("dual-forms", 0, 500),
      ("linear-fixed-point", 2, 600), ("conjecture-apt", 1, 2000)],
 )
-def test_reports_equal_at_one_and_four_workers(theorem, lo, hi):
+def test_reports_equal_at_one_and_four_workers(theorem, lo, hi, pool_always):
     # reports are plain values: no wall-clock time rides along
     serial = verify.run_check(theorem, lo, hi, budget=10_000, workers=1)
     assert verify.run_check(theorem, lo, hi, budget=10_000, workers=4) == serial
@@ -205,7 +205,7 @@ def test_violation_cap_keeps_total_count(monkeypatch):
     assert [v.input for v in report.violations] == [1, 2, 3, 4, 5]
 
 
-def test_violations_sorted_across_chunks(monkeypatch):
+def test_violations_sorted_across_chunks(monkeypatch, pool_always):
     monkeypatch.setitem(
         verify.CHECKERS, "synthetic", verify.CheckerSpec(_always_bad_span, 0)
     )
@@ -239,7 +239,8 @@ def _span_items(lo, hi):
     return list(range(lo, hi + 1))
 
 
-def _run_recording_pool(monkeypatch, installed, allowed, workers, hi):
+def _run_recording_pool(monkeypatch, installed, allowed, workers, hi,
+                        span=_span_items):
     """run_chunked over 1..hi with `installed` CPUs, `allowed` of them open to
     this process (None: a platform without sched_getaffinity), and a recording
     pool; returns the pool sizes and spans it asked for."""
@@ -256,28 +257,56 @@ def _run_recording_pool(monkeypatch, installed, allowed, workers, hi):
         "ProcessPoolExecutor",
         lambda max_workers: _RecordingPool(sizes, spans, max_workers),
     )
-    parts = parallel.run_chunked(_span_items, 1, hi, workers)
+    parts = parallel.run_chunked(span, 1, hi, workers)
+    # perfbench's probe_parallel iterates the result more than once.
+    assert type(parts) is list
     assert [n for part in parts for n in part] == list(range(1, hi + 1))
     return sizes, spans
 
 
 @pytest.mark.parametrize(
     "cpus,workers,hi,expected",
-    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1),
+    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 2), (None, 4, 100, 1),
      (1, 4, 100, 1), (8, 4, 1, 1)],
 )
-def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
+def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, pool_always, cpus, workers,
+                                             hi, expected):
     # expected processes; one runs in-process, with no pool.  cpus is both
     # the installed count and the affinity, or None where neither is known.
+    # (64, 10, 3): a pool of 10 cuts three spans, and the first runs here.
     sizes, spans = _run_recording_pool(monkeypatch, cpus, cpus, workers, hi)
     assert sizes == ([expected] if expected > 1 else [])
     # Spans follow the clamped pool, not the requested worker count.
-    assert len(spans) <= (4 * expected if expected > 1 else 0)
+    assert len(spans) <= (4 * expected - 1 if expected > 1 else 0)
 
 
-def test_pool_size_bounded_by_cpu_affinity(monkeypatch):
+def test_pool_size_bounded_by_cpu_affinity(monkeypatch, pool_always):
     # Two CPUs installed, but this process may run on one: no pool.
     assert _run_recording_pool(monkeypatch, 2, 1, 4, 100) == ([], [])
+
+
+@pytest.mark.parametrize("half_span_s,pooled", [(0.1, False), (0.3, True)])
+def test_pool_starts_only_when_rest_pays(monkeypatch, half_span_s, pooled):
+    # Two CPUs cut 1..100 into eight spans of 13.  The first runs here in two
+    # halves, and the clock reads half_span_s over the second; the other
+    # seven would save 7 x 2 x 1/2 of that.
+    ticks, events = iter([0.0, half_span_s]), []
+
+    def clock():
+        events.append("clock")
+        return next(ticks)
+
+    def span(lo, hi):
+        events.append((lo, hi))
+        return _span_items(lo, hi)
+
+    monkeypatch.setattr(parallel.time, "perf_counter", clock)
+    monkeypatch.setattr(parallel, "POOL_COST_S", 1.0)
+    sizes, spans = _run_recording_pool(monkeypatch, 2, 2, 2, 100, span)
+    assert next(ticks, None) is None
+    assert events[:4] == [(1, 7), "clock", (8, 13), "clock"]
+    rest = parallel.split_range(1, 100, 13)[1:]
+    assert (sizes, spans) == (([2], rest) if pooled else ([], []))
 
 
 # --- OEIS cross-checks -------------------------------------------------------
