@@ -19,10 +19,10 @@ but `scan_emapt_forms`, which only a benchmark probe calls).  The scans
 and `span_linear_fixed_point` call a step kernel per input; the residue,
 parity-run and dual-form spans write the formulas out inline, so that no
 element pays a function call.  The two residue spans share one walk to 2,
-and the three orbit-walk spans run the stopping walk or the covering walk
-per start; these five keep a memo of the tails that earlier seeds or
-starts of the span finished.  The tests compare each range kernel with the
-literal checker loop (`tests/oracles.py`).
+the two reach spans one block walk that counts parity runs only, and
+`span_covering` runs the lock-step walk per start; all five keep a memo of
+the tails that earlier seeds or starts of the span finished.  The tests
+compare each range kernel with the literal checker loop (`tests/oracles.py`).
 """
 
 import operator as _operator
@@ -206,22 +206,22 @@ _STOP_TABLES = None
 _TAILS_CAP = 1 << 14
 
 
-def _block_table():
+def _block_table(k=_K):
     """Per k-bit residue b: (3^c(b), T^k(b), parity changes among the k
-    parities after the first, the last of the k parities, c(b))."""
-    powers = [3**c for c in range(_K + 1)]
+    parities after the first, the last of the k parities, c(b)).  Composed
+    of the tables of two halves, each applied by the identity above: T^h(b)
+    from b's low h bits, then k - h steps from the low bits of T^h(b)."""
+    if k == 1:
+        return [(1, 0, 0, 0, 0), (3, 2, 0, 1, 1)]   # T(0) = 0, T(1) = 2
+    h = k // 2
+    low, high = _block_table(h), _block_table(k - h)
     table = []
-    for b in range(_BLOCK):
-        x = b
-        odd = changes = 0
-        last = b & 1
-        for _ in range(_K):
-            p = x & 1
-            changes += p != last
-            odd += p
-            last = p
-            x = (3 * x + 1) >> 1 if p else x >> 1
-        table.append((powers[odd], x, changes, last, odd))
+    for b in range(1 << k):
+        mult, y, changes, last, odd = low[b & (1 << h) - 1]
+        y += mult * (b >> h)
+        mult2, image, changes2, last2, odd2 = high[y & (1 << (k - h)) - 1]
+        table.append((mult * mult2, mult2 * (y >> (k - h)) + image,
+                      changes + ((y ^ last) & 1) + changes2, last2, odd + odd2))
     return table
 
 
@@ -237,10 +237,11 @@ def _small_tails():
         runs = steps = odd = 0
         while x >= m:
             p = x & 1
-            e = ruler(x + p) - 1
+            y = x + p
+            e = (y & -y).bit_length() - 1
             steps += e
             odd += e * p
-            x = apt_step(x)
+            x = 3**e * (y >> e) - 1 if p else x >> e   # apt_step(x)
             runs += 1
         x_runs, x_steps, x_odd = tails[x]
         tails.append((runs + x_runs, steps + x_steps, odd + x_odd))
@@ -254,7 +255,7 @@ def _stop_tables():
     return _STOP_TABLES
 
 
-def orbit_lengths(n, budget, tails=None):
+def orbit_lengths(n, budget):
     """Element counts (c_len, t_len, a_len) of the plain, half-step and
     accelerated orbits from n down to 1, each -1 when its own orbit needs
     more than budget steps; equal to `covering_chain(n, budget)[:3]`.
@@ -265,11 +266,6 @@ def orbit_lengths(n, budget, tails=None):
     splices on the small table's tail of the value it stands on, less one
     run when that value continues the last run.  n = 1 gives (1, 1, 1)
     whatever the budget; n < 1 raises ValueError.
-
-    `tails`, a reach span's memo, extends the small table past 2^k: it maps
-    a value that a walk reached at a block boundary to that value's tail,
-    spliced on alike.  A walk that reaches 1 stores the tail of every
-    boundary value it passed.
     """
     budget = _operator.index(budget)   # a float raises TypeError, as in _fast
     if n < 1:
@@ -277,7 +273,6 @@ def orbit_lengths(n, budget, tails=None):
     blocks, small = _STOP_TABLES or _stop_tables()
     runs = steps = odd = 0
     last = ~n & 1   # so that n opens a run
-    path = []
     while n >= _BLOCK:
         b = n & _MASK
         mult, image, changes, end, c = blocks[b]
@@ -288,21 +283,10 @@ def orbit_lengths(n, budget, tails=None):
         odd += c
         last = end
         n = mult * (n >> _K) + image
-        if tails is not None and n >= _BLOCK:
-            tail = tails.get(n)
-            if tail is not None:
-                break
-            path.append((n, runs, steps, odd, last))
-    else:
-        tail = small[n]
-    tail_runs, tail_steps, tail_odd = tail
+    tail_runs, tail_steps, tail_odd = small[n]
     runs += tail_runs - ((n & 1) == last)
     steps += tail_steps
     odd += tail_odd
-    for x, x_runs, x_steps, x_odd, x_last in path:
-        if len(tails) >= _TAILS_CAP:
-            tails.clear()
-        tails[x] = (runs - x_runs + ((x & 1) == x_last), steps - x_steps, odd - x_odd)
     if not runs:   # n = 1 is there already, whatever the budget
         return 1, 1, 1
     plain = steps + odd
@@ -311,6 +295,48 @@ def orbit_lengths(n, budget, tails=None):
         steps + 1 if steps <= budget else -1,
         runs + 1 if runs <= budget else -1,
     )
+
+
+def _reach_walks(starts, budget):
+    """The starts, in order, whose accelerated orbit needs more than budget
+    steps to reach 1; n = 1 needs none at any budget.  The block walk and
+    cut of `orbit_lengths`, counting parity runs only.  `tails` maps a value
+    a walk reached at a block boundary to its runs, spliced on as the small
+    table is; a walk that reaches 1 stores those of every one it passed."""
+    limit = max(budget, 0)
+    blocks, small = _STOP_TABLES or _stop_tables()
+    tails = {}
+    exhausted = []
+    for n in starts:
+        x = n
+        runs = 0
+        last = ~n & 1   # so that n opens a run
+        path = []
+        tail = None
+        while x >= _BLOCK:
+            b = x & _MASK
+            mult, image, changes, end, _ = blocks[b]
+            runs += changes + ((b ^ last) & 1)
+            if runs > limit:
+                break
+            last = end
+            x = mult * (x >> _K) + image
+            if x >= _BLOCK:
+                tail = tails.get(x)
+                if tail is not None:
+                    break
+                path.append((x, runs, last))
+        else:
+            tail = small[x][0]
+        if tail is not None:   # else the budget ran out inside the block loop
+            runs += tail - ((x & 1) == last)
+            for y, y_runs, y_last in path:
+                if len(tails) >= _TAILS_CAP:
+                    tails.clear()
+                tails[y] = runs - y_runs + ((y & 1) == y_last)
+        if runs > limit:
+            exhausted.append(n)
+    return exhausted
 
 
 def apt_stopping(n, budget):
@@ -576,7 +602,7 @@ def span_linear_fixed_point(lo, hi):
 # --- orbit-walk spans: each start walks to 1, sharing finished tails ----------
 #
 # The orbits of consecutive starts merge early, so each span keeps a memo of
-# the tails its walks finished (see `orbit_lengths` and `_lock_step`; the
+# the tails its walks finished (see `_reach_walks` and `_lock_step`; the
 # even-only walks to 2 of the residue spans share theirs in `_residue_walks`),
 # and most walks end at a value an earlier start of the span already walked
 # to 1.  The memo lives for one call and is cleared at _TAILS_CAP entries.
@@ -588,10 +614,7 @@ def span_conjecture_apt(lo, hi, budget):
     budget = _operator.index(budget)
     if lo < 1:
         raise ValueError(f"orbits start at n >= 1, got lo = {lo}")
-    tails = {}
-    starts = range(lo, hi + 1)
-    exhausted = [n for n in starts if orbit_lengths(n, budget, tails)[2] < 0]
-    return len(starts), [], exhausted
+    return len(range(lo, hi + 1)), [], _reach_walks(range(lo, hi + 1), budget)
 
 
 def span_conjecture_emapt(lo, hi, budget):
@@ -601,12 +624,9 @@ def span_conjecture_emapt(lo, hi, budget):
     budget = _operator.index(budget)
     if lo < 0:
         raise ValueError(f"even-only orbits start at 6n + 2 >= 2, got lo = {lo}")
-    tails = {}
-    starts = range(lo, hi + 1)
-    exhausted = [   # n = 0 is u = 2, there already
-        n for n in starts if n and orbit_lengths(6 * n + 2, 2 * budget - 1, tails)[2] < 0
-    ]
-    return len(starts), [], exhausted
+    seeds = range(6 * max(lo, 1) + 2, 6 * hi + 3, 6)   # n = 0 is u = 2, there already
+    exhausted = _reach_walks(seeds, 2 * budget - 1)
+    return len(range(lo, hi + 1)), [], [(u - 2) // 6 for u in exhausted]
 
 
 def span_covering(lo, hi, budget):

@@ -3,41 +3,27 @@
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
 or how many processes ran.  With one process to run on (one CPU or one
-worker) the range is one span, run in-process.  Otherwise it is cut into
-four spans per process, the first runs in-process (the second half of it
-timed), and a pool starts for the rest only when that time, projected over
-them, saves more than `POOL_COST_S`.
+worker), or without `os.fork`, the range is one span, run in-process.
+Otherwise it is cut into four spans per process, which k - 1 forked children
+and the parent claim from one shared pipe.  A child sends its results, or
+its exception, as one pickle and ends with `os._exit`; each is reaped before
+`run_chunked` returns or raises.  A fork copies only the calling thread, so
+a library caller that runs threads should pass workers=1; the CLI runs none.
 """
 
 from __future__ import annotations
 
 import os
-import time
-
-#: Seconds a pool must save, as projected from the first span, before one
-#: starts.  On 2 vCPUs a cold pool of two cost 42-45 ms, but one vCPU at a
-#: time ran up to 1.5x slower for tens of seconds, and a pool spread over
-#: both was steadier than one process.  perfbench `sweep` (pure, projecting
-#: 48-86 ms), `wall_s` median [q1-q3] in s, 10 rounds: this price 0.783
-#: [0.774-0.828], a pool for every span 0.761 [0.744-0.779]; in another 10,
-#: 0.5 s (in process) 0.794 [0.703-0.821], a pool for every span 0.700
-#: [0.660-0.721].  `stats` over 5e3 rows projects 4-7 ms: in process.
-POOL_COST_S = 0.02
 
 
 def split_range(lo: int, hi: int, chunk: int) -> list[tuple[int, int]]:
     """Inclusive [lo, hi] cut into inclusive spans of at most chunk items."""
-    spans = []
-    a = lo
-    while a <= hi:
-        b = min(a + chunk - 1, hi)
-        spans.append((a, b))
-        a = b + 1
-    return spans
+    return [(a, min(a + chunk - 1, hi)) for a in range(lo, hi + 1, chunk)]
 
 
 def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
-    """Apply fn(a, b, *args) over spans of [lo, hi]; return results in order."""
+    """Apply fn(a, b, *args) over spans of [lo, hi]; return results in order.
+    A child's exception is raised here; a child that dies, RuntimeError."""
     if hi < lo:
         return []
     if hasattr(os, "sched_getaffinity"):
@@ -45,20 +31,70 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     else:
         cpus = os.cpu_count() or 1
     pool_size = max(1, min(workers, cpus))
-    if pool_size == 1:
+    if pool_size == 1 or not hasattr(os, "fork"):
         return [fn(lo, hi, *args)]
-    first, *rest = split_range(lo, hi, -(-(hi - lo + 1) // (pool_size * 4)))
-    # The first half pays one-off set-up, such as _pure's tables.
-    head, *tail = split_range(*first, -(-(first[1] - first[0] + 1) // 2))
-    results = [fn(*head, *args)]
-    t0 = time.perf_counter()
-    results += [fn(a, b, *args) for a, b in tail]
-    saving = (time.perf_counter() - t0) * 2 * len(rest) * (1 - 1 / pool_size)
-    if saving <= POOL_COST_S:
-        return results + [fn(a, b, *args) for a, b in rest]
-    # Loads concurrent.futures.process and multiprocessing: paid only here.
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle   # loaded here, so that a run in one process does not pay for it
 
-    with ProcessPoolExecutor(max_workers=min(pool_size, len(rest))) as pool:
-        futures = [pool.submit(fn, a, b, *args) for a, b in rest]
-        return results + [f.result() for f in futures]
+    spans = split_range(lo, hi, -(-(hi - lo + 1) // (pool_size * 4)))
+    # All indices go in before the fork: a 64 KiB pipe holds 4096 processes' spans.
+    claims, queue = os.pipe()
+    os.write(queue, b"".join(i.to_bytes(4, "little") for i in range(len(spans))))
+    os.close(queue)
+    live, pipes = [], []   # unreaped children; the read ends of their pipes
+    try:
+        for _ in range(min(pool_size, len(spans)) - 1):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, spans, args, claims, w)
+            finally:
+                os.close(w)
+            live.append(pid)
+        done = _claim(fn, spans, args, claims)
+        for r in pipes:
+            with open(r, "rb", closefd=False) as source:
+                data = source.read()
+            status = os.waitpid(live[0], 0)[1]
+            pid = live.pop(0)
+            if status:
+                raise RuntimeError(f"worker process {pid} died without its results "
+                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
+            part = pickle.loads(data)
+            if isinstance(part, BaseException):
+                raise part
+            done.update(part)
+    finally:   # on the way out of an exception, kill and reap what is left
+        for fd in (claims, *pipes):
+            os.close(fd)
+        for pid in live:
+            os.kill(pid, 9)   # SIGKILL; importing signal would slow every fork path
+            os.waitpid(pid, 0)
+    return [done[i] for i in range(len(spans))]
+
+
+def _claim(fn, spans, args, claims) -> dict:
+    """Run the spans whose indices this process claims, until none is left."""
+    done = {}
+    while index := os.read(claims, 4):
+        i = int.from_bytes(index, "little")
+        done[i] = fn(*spans[i], *args)
+    return done
+
+
+def _child(fn, spans, args, claims, out) -> None:
+    """A forked child's whole life: claim spans, send {index: result} or the
+    exception that stopped it, and exit, on every path, without returning."""
+    import pickle   # loaded already, by the parent
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps(_claim(fn, spans, args, claims))
+        except BaseException as exc:
+            payload = pickle.dumps(exc)
+        with open(out, "wb", closefd=False) as sink:
+            sink.write(payload)
+        status = 0
+    finally:
+        os._exit(status)

@@ -67,7 +67,7 @@ def build_report(
     )
 
 
-# --- span workers (top-level so process pools can pickle them) ---------------
+# --- span workers ------------------------------------------------------------
 #
 # Every checker runs each span as one kernel call; the functions here stay
 # the CHECKERS entries, so a span is still named after this module.

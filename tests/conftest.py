@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import pathlib
 import random
 import shutil
@@ -37,11 +38,20 @@ def data_dir() -> pathlib.Path:
 
 
 @pytest.fixture
-def pool_always(monkeypatch):
-    """`parallel.run_chunked` prices a pool at nothing, so any call with a
-    pool of two or more and a second span starts one for the spans after
-    the first."""
-    monkeypatch.setattr(parallel, "POOL_COST_S", 0)
+def eight_cpus(monkeypatch):
+    """`parallel.run_chunked` may run on eight CPUs, so a call with two or
+    more workers and a second span forks on any machine."""
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind, running or unreaped:
+    `run_chunked` reaps every child it forks, on every path."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def build_fast(source: pathlib.Path, directory: pathlib.Path):

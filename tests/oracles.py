@@ -173,6 +173,23 @@ def orbit_lengths_by_iteration(n: int, budget: int) -> tuple[int, int, int]:
     return covering_chain_by_iteration(n, budget)[:3]
 
 
+def block_table_by_iteration(k: int) -> list[tuple[int, int, int, int, int]]:
+    """Per k-bit residue b, from k literal half-steps: (3^c, T^k(b), the
+    parity changes among the k parities after the first, the last parity,
+    c), where c counts the odd values among b, ..., T^(k-1)(b)."""
+    table = []
+    for b in range(2**k):
+        parities = []
+        x = b
+        for _ in range(k):
+            parities.append(x % 2)
+            x = terras_step(x)
+        changes = sum(p != q for p, q in zip(parities, parities[1:]))
+        c = sum(parities)
+        table.append((3**c, x, changes, parities[-1], c))
+    return table
+
+
 def gapt_step_by_iteration(n: int, a: int, b: int) -> tuple[int, int]:
     """(landing value, run length) for one parity run of the generalized map."""
     runs = 0

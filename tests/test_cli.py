@@ -1,5 +1,6 @@
 """CLI parsing, dispatch, output formats, exit codes, and doc examples."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -8,8 +9,10 @@ import os
 import pathlib
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import given, strategies as st
 import collatz_lab
 import oracles
 from collatz_lab import cli, emit, oeis, parallel, reverse_tree, sequences, verify
-from collatz_lab.errors import ConfigurationError
+from collatz_lab.errors import ConfigurationError, DomainError
 from collatz_lab.cli import main, parse_cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -196,9 +199,17 @@ _TEST_PID = os.getpid()
 
 
 def _worker_killing_span(lo, hi, budget):
-    if os.getpid() != _TEST_PID:   # only ever inside a pool worker
-        os._exit(1)
-    return hi - lo + 1, [], []
+    if os.getpid() == _TEST_PID:
+        time.sleep(0.2)   # so that a child is sure to claim a span
+        return hi - lo + 1, [], []
+    os.kill(os.getpid(), signal.SIGKILL)   # a child dies mid-span
+
+
+def _worker_domain_error_span(lo, hi, budget):
+    if os.getpid() == _TEST_PID:
+        time.sleep(0.2)   # so that a child is sure to claim a span
+        return hi - lo + 1, [], []
+    raise DomainError("synthetic domain error")
 
 
 def test_crashed_span_exits_three(monkeypatch, capsys):
@@ -210,13 +221,24 @@ def test_crashed_span_exits_three(monkeypatch, capsys):
     assert "internal error: RuntimeError: synthetic crash" in capsys.readouterr().err
 
 
-def test_dead_pool_worker_exits_three(monkeypatch, capsys, pool_always):
+def test_dead_pool_worker_exits_three(monkeypatch, capsys, eight_cpus):
     monkeypatch.setitem(
         verify.CHECKERS, "covering", verify.CheckerSpec(_worker_killing_span, 1)
     )
     assert main(["verify", "--theorem", "covering", "--lo", "1", "--hi", "100",
                  "--workers", "2"]) == 3
-    assert "internal error: BrokenProcessPool" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: worker process" in err
+    assert "died without its results (exit status -9)" in err
+
+
+def test_worker_domain_error_exits_two_as_in_process(monkeypatch, capsys, eight_cpus):
+    monkeypatch.setitem(
+        verify.CHECKERS, "covering", verify.CheckerSpec(_worker_domain_error_span, 1)
+    )
+    assert main(["verify", "--theorem", "covering", "--lo", "1", "--hi", "100",
+                 "--workers", "2"]) == 2
+    assert capsys.readouterr().err == "error: synthetic domain error\n"
 
 
 def test_verify_bad_range_exits_two(capsys):
@@ -551,7 +573,7 @@ def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt):
     assert files[0].read_bytes() == files[1].read_bytes()
 
 
-def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, pool_always):
+def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, eight_cpus):
     paths = []
     for workers in ("1", "6"):
         monkeypatch.setenv("COLLATZ_LAB_WORKERS", workers)
@@ -631,13 +653,14 @@ def _cli_code(argv: list[str]) -> str:
     )
 
 
-POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+#: A fork pool loads pickle for its results; a run in one process loads none of these.
+POOL_MODULES = {"concurrent.futures.process", "multiprocessing", "pickle"}
 #: Loaded by none of these runs: no result type is a dataclass, none of the
 #: runs builds a Fraction, none writes CSV, and none writes a report as JSON.
 NEVER = {"dataclasses", "inspect", "fractions", "csv", "json"}
 
 # What each run must not load: a command imports only its own modules, and
-# the pool's modules load only when a pool starts.
+# a run in one process loads nothing a pool needs.
 IMPORT_BUDGETS = {
     "trace": (_cli_code(["trace", "--kind", "A", "--start", "7"]),
               {"collatz_lab.verify", "collatz_lab.reverse_tree", "collatz_lab.oeis"}
@@ -665,6 +688,59 @@ IMPORT_BUDGETS = {
 def test_run_imports_only_what_it_needs(case):
     code, absent = IMPORT_BUDGETS[case]
     assert absent & _loaded_modules(code) == set()
+
+
+def test_no_module_imports_a_process_pool():
+    # run_chunked forks its own children; an executor's import and start
+    # cost a sweep more than the fork does.
+    for path in sorted((ROOT / "src" / "collatz_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("concurrent", "multiprocessing"), (
+                    path.name, name)
+
+
+#: A CLI run at --workers 2 on eight CPUs (as `eight_cpus` reports them),
+#: whose children die mid-span when argv[1] is "dies"; it exits with the
+#: CLI's status, or 99 when a child is left running or unreaped.
+_CHILDLESS_RUN = """
+import os, signal, sys, time
+from collatz_lab import cli, parallel, verify
+
+parallel.os.sched_getaffinity = lambda pid: set(range(8))
+PARENT = os.getpid()
+
+def span(lo, hi, budget):
+    if os.getpid() == PARENT:
+        time.sleep(0.2)
+        return hi - lo + 1, [], []
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if sys.argv[1] == "dies":
+    verify.CHECKERS["covering"] = verify.CheckerSpec(span, 1)
+status = cli.main(["verify", "--theorem", "covering", "--lo", "1", "--hi", "2000",
+                   "--workers", "2"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(status)
+sys.exit(99)
+"""
+
+
+@pytest.mark.parametrize("case,status", [("runs", 0), ("dies", 3)])
+def test_cli_leaves_no_child_process(case, status):
+    # A descendant left behind would also hold the output pipes open, and
+    # the run would time out.
+    proc = subprocess.run([sys.executable, "-c", _CHILDLESS_RUN, case],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
 
 
 def test_package_exports_resolve_to_their_home_objects():

@@ -262,7 +262,7 @@ def test_stats_budget_exhaustion():
     assert seq.stopping_stats(7, 7, 8).rows[0] == seq.StatsRow(7, None, None, 7, True)
 
 
-def test_stats_parallel_matches_serial(pool_always):
+def test_stats_parallel_matches_serial(eight_cpus):
     serial = seq.stopping_stats(1, 200, 10_000, workers=1)
     parallel = seq.stopping_stats(1, 200, 10_000, workers=4)
     assert serial == parallel

@@ -126,18 +126,30 @@ def test_orbit_lengths_match_literal_orbits_on_bigints(n):
     _assert_lengths(n, every_orbit=False)
 
 
-def test_orbit_lengths_with_a_memo_match_without():
+def test_reach_walks_with_a_memo_match_without(monkeypatch):
     # One memo across consecutive starts, as a reach span keeps it: each
-    # walk ends on a tail an earlier one stored, at budgets one step short
-    # of each orbit's count and at the count.
-    tails = {}
-    for n in [*range(4000, 7000), *range(2**68, 2**68 + 300)]:
-        full = _pure.orbit_lengths(n, BIG_BUDGET)
-        for budget in (BIG_BUDGET, *(length + d for length in full for d in (-2, -1))):
-            assert _pure.orbit_lengths(n, budget, tails) == _pure.orbit_lengths(
-                n, budget
-            ), (n, budget)
-    assert tails
+    # walk ends on a tail an earlier one stored.  Budgets at sampled starts'
+    # run counts - 1, the count and + 1 put the cut on each side of a start,
+    # inside the block loop and after the splice; a cap of 2 clears the memo
+    # between most stores.
+    for cap in (_pure._TAILS_CAP, 2):
+        monkeypatch.setattr(_pure, "_TAILS_CAP", cap)
+        for lo in (4000, 2**68):
+            starts = range(lo, lo + 300)
+            runs = [_pure.orbit_lengths(n, BIG_BUDGET)[2] - 1 for n in starts]
+            for budget in {BIG_BUDGET, *(r + d for r in runs[::20] for d in (-1, 0, 1))}:
+                expected = [n for n, r in zip(starts, runs) if r > budget]
+                assert _pure._reach_walks(starts, budget) == expected, (cap, lo, budget)
+    # n = 1 needs no step at any budget; emapt index n = 0 is u = 2, already there.
+    for budget in (-1, 0, 1, 2, 3, 9, 10, 11):
+        assert _pure._reach_walks(range(1, 6), budget) == [
+            n for n in range(1, 6) if _pure.apt_stopping(n, budget) < 0]
+        assert _pure.span_conjecture_emapt(0, 40, budget)[2] == [
+            n for n in range(41) if _pure.emapt_stopping(6 * n + 2, budget) < 0]
+
+
+def test_block_table_matches_literal_steps():
+    assert _pure._block_table() == oracles.block_table_by_iteration(_pure._K)
 
 
 def test_stopping_targets_cost_nothing(impl):

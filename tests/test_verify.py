@@ -1,7 +1,7 @@
 """Range checkers: clean sweeps, determinism, caps, and the OEIS path."""
 
-import concurrent.futures
-from concurrent.futures import Future
+import os
+import time
 
 import pytest
 
@@ -147,7 +147,7 @@ def test_reports_identical_across_worker_counts():
     [("covering", 1, 300), ("u-residues", 2, 600), ("dual-forms", 0, 500),
      ("linear-fixed-point", 2, 600), ("conjecture-apt", 1, 2000)],
 )
-def test_reports_equal_at_one_and_four_workers(theorem, lo, hi, pool_always):
+def test_reports_equal_at_one_and_four_workers(theorem, lo, hi, eight_cpus):
     # reports are plain values: no wall-clock time rides along
     serial = verify.run_check(theorem, lo, hi, budget=10_000, workers=1)
     assert verify.run_check(theorem, lo, hi, budget=10_000, workers=4) == serial
@@ -205,7 +205,7 @@ def test_violation_cap_keeps_total_count(monkeypatch):
     assert [v.input for v in report.violations] == [1, 2, 3, 4, 5]
 
 
-def test_violations_sorted_across_chunks(monkeypatch, pool_always):
+def test_violations_sorted_across_chunks(monkeypatch, eight_cpus):
     monkeypatch.setitem(
         verify.CHECKERS, "synthetic", verify.CheckerSpec(_always_bad_span, 0)
     )
@@ -214,99 +214,102 @@ def test_violations_sorted_across_chunks(monkeypatch, pool_always):
     assert inputs == sorted(inputs) == list(range(1, 201))
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and the spans
-    submitted to it, runs in-process."""
-
-    def __init__(self, sizes, spans, max_workers):
-        sizes.append(max_workers)
-        self.spans = spans
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.spans.append(args[:2])
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+def _span_pids(lo, hi):
+    return [(n, os.getpid()) for n in range(lo, hi + 1)]
 
 
-def _span_items(lo, hi):
-    return list(range(lo, hi + 1))
-
-
-def _run_recording_pool(monkeypatch, installed, allowed, workers, hi,
-                        span=_span_items):
+def _run_recording_forks(monkeypatch, installed, allowed, workers, hi, span=_span_pids):
     """run_chunked over 1..hi with `installed` CPUs, `allowed` of them open to
-    this process (None: a platform without sched_getaffinity), and a recording
-    pool; returns the pool sizes and spans it asked for."""
-    sizes, spans = [], []
+    this process (None: a platform without sched_getaffinity), counting its
+    forks; returns the processes that ran, the spans cut, and the pids that
+    ran them."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(parallel.os, "fork", fork)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: installed)
     if allowed is None:
         monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: set(range(allowed)), raising=False)
-    # run_chunked imports the pool class from concurrent.futures when it starts one.
-    monkeypatch.setattr(
-        concurrent.futures,
-        "ProcessPoolExecutor",
-        lambda max_workers: _RecordingPool(sizes, spans, max_workers),
-    )
     parts = parallel.run_chunked(span, 1, hi, workers)
     # perfbench's probe_parallel iterates the result more than once.
     assert type(parts) is list
-    assert [n for part in parts for n in part] == list(range(1, hi + 1))
-    return sizes, spans
+    assert [n for part in parts for n, _ in part] == list(range(1, hi + 1))
+    return len(forks) + 1, len(parts), {pid for part in parts for _, pid in part}
 
 
 @pytest.mark.parametrize(
     "cpus,workers,hi,expected",
-    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 2), (None, 4, 100, 1),
+    [(2, 3, 100, 2), (2, 10_000, 100, 2), (64, 10, 3, 3), (None, 4, 100, 1),
      (1, 4, 100, 1), (8, 4, 1, 1)],
 )
-def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, pool_always, cpus, workers,
-                                             hi, expected):
-    # expected processes; one runs in-process, with no pool.  cpus is both
-    # the installed count and the affinity, or None where neither is known.
-    # (64, 10, 3): a pool of 10 cuts three spans, and the first runs here.
-    sizes, spans = _run_recording_pool(monkeypatch, cpus, cpus, workers, hi)
-    assert sizes == ([expected] if expected > 1 else [])
-    # Spans follow the clamped pool, not the requested worker count.
-    assert len(spans) <= (4 * expected - 1 if expected > 1 else 0)
+def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, expected):
+    # expected processes, the parent one of them.  cpus is both the installed
+    # count and the affinity, or None where neither is known.  (64, 10, 3):
+    # ten processes cut three spans, and three processes claim them.
+    processes, spans, pids = _run_recording_forks(monkeypatch, cpus, cpus, workers, hi)
+    assert processes == expected
+    # Spans follow the clamped pool, not the requested worker count; one
+    # process runs the range as one span.
+    assert spans == (min(4 * expected, hi) if expected > 1 else 1)
+    assert len(pids) <= processes
 
 
-def test_pool_size_bounded_by_cpu_affinity(monkeypatch, pool_always):
-    # Two CPUs installed, but this process may run on one: no pool.
-    assert _run_recording_pool(monkeypatch, 2, 1, 4, 100) == ([], [])
+def test_pool_size_bounded_by_cpu_affinity(monkeypatch):
+    # Two CPUs installed, but this process may run on one: no fork.
+    assert _run_recording_forks(monkeypatch, 2, 1, 4, 100) == (1, 1, {os.getpid()})
 
 
-@pytest.mark.parametrize("half_span_s,pooled", [(0.1, False), (0.3, True)])
-def test_pool_starts_only_when_rest_pays(monkeypatch, half_span_s, pooled):
-    # Two CPUs cut 1..100 into eight spans of 13.  The first runs here in two
-    # halves, and the clock reads half_span_s over the second; the other
-    # seven would save 7 x 2 x 1/2 of that.
-    ticks, events = iter([0.0, half_span_s]), []
+_TEST_PID = os.getpid()
 
-    def clock():
-        events.append("clock")
-        return next(ticks)
 
-    def span(lo, hi):
-        events.append((lo, hi))
-        return _span_items(lo, hi)
+def _slow_span(lo, hi):
+    if os.getpid() != _TEST_PID:
+        time.sleep(0.3)
+    elif lo == 1:
+        time.sleep(0.2)
+    return _span_pids(lo, hi)
 
-    monkeypatch.setattr(parallel.time, "perf_counter", clock)
-    monkeypatch.setattr(parallel, "POOL_COST_S", 1.0)
-    sizes, spans = _run_recording_pool(monkeypatch, 2, 2, 2, 100, span)
-    assert next(ticks, None) is None
-    assert events[:4] == [(1, 7), "clock", (8, 13), "clock"]
-    rest = parallel.split_range(1, 100, 13)[1:]
-    assert (sizes, spans) == (([2], rest) if pooled else ([], []))
+
+def test_results_in_span_order_with_a_slow_span(monkeypatch):
+    # The parent claims the first span and sleeps while the child claims the
+    # second; the child sleeps longer, and the parent finishes the other six
+    # first.  The results still come back in span order.
+    processes, spans, pids = _run_recording_forks(monkeypatch, 2, 2, 2, 100, _slow_span)
+    assert (processes, spans, len(pids)) == (2, 8, 2)
+
+
+def _raising_span(lo, hi):
+    if os.getpid() == _TEST_PID:
+        time.sleep(0.2)   # so that a child is sure to claim a span
+        return _span_pids(lo, hi)
+    raise DomainError(f"synthetic failure at {lo}")
+
+
+def _interrupted_span(lo, hi):
+    if os.getpid() == _TEST_PID:
+        raise KeyboardInterrupt
+    time.sleep(60)   # a child that outlived the parent's span would hold the test
+    return _span_pids(lo, hi)
+
+
+def test_child_exception_raises_with_its_type(eight_cpus):
+    with pytest.raises(DomainError, match="synthetic failure at"):
+        parallel.run_chunked(_raising_span, 1, 100, 2)
+
+
+def test_interrupted_parent_kills_and_reaps_its_children(eight_cpus):
+    # The autouse no_child_left fixture then finds no child, running or not.
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        parallel.run_chunked(_interrupted_span, 1, 100, 4)
+    assert time.perf_counter() - start < 30
 
 
 # --- OEIS cross-checks -------------------------------------------------------
