@@ -219,6 +219,7 @@ def run(ns: argparse.Namespace) -> int:
         if ns.output is None:
             emit_mod.emit(result, ns.format, sys.stdout)
         else:
+            # newline="" keeps the writers' "\n" line ends untranslated on every platform
             with open(ns.output, "w", encoding="utf-8", newline="") as sink:
                 emit_mod.emit(result, ns.format, sink)
     except ConfigurationError as exc:

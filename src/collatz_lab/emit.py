@@ -5,11 +5,10 @@ precision loss on large orbit elements.  Each result type has one fixed JSON
 shape, written from one template, byte for byte what the standard library
 writes at indent=2 for the result's field-ordered dict form.  CSV holds the
 tabular heart of a result (trace steps, stats rows, report violations and
-budget-exhausted inputs).
-DOT exists only for trees.  Every format but CSV is written in batches of
-text pieces, so no document is held whole.  All emitted bytes are
-deterministic functions of the result object: wall-clock time is
-deliberately absent.
+budget-exhausted inputs), byte for byte what `csv.writer` writes.
+DOT exists only for trees.  Every format is written in batches of text
+pieces, so no document is held whole.  All emitted bytes are deterministic
+functions of the result object: wall-clock time is deliberately absent.
 """
 
 from __future__ import annotations
@@ -50,12 +49,21 @@ def _trace_json(result: Trace):
            f'  "stopping_time": {_n(result.stopping_time)}\n}}\n')
 
 
+# The text, DOT and CSV writers yield one piece per line.
+def _csv_field(text: str) -> str:
+    """text as `csv.writer` writes a field: quoted, each quote doubled, when it
+    holds a comma, a quote or a newline; a lone carriage return stays bare."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _trace_csv(result: Trace):
-    yield ("step", "value")
-    yield from enumerate(result.elements)
+    yield "step,value\n"
+    for step, value in enumerate(result.elements):
+        yield f"{step},{value}\n"
 
 
-# The text and DOT writers yield one piece per line.
 def _trace_text(result: Trace):
     yield f"kind {result.kind} from {result.start}: {result.outcome.value}\n"
     yield "elements: " + " ".join(map(str, result.elements)) + "\n"
@@ -79,10 +87,11 @@ def _report_json(result: TheoremReport):
 
 
 def _report_csv(result: TheoremReport):
-    yield ("input", "detail")
-    yield from result.violations
+    yield "input,detail\n"
+    for v in result.violations:
+        yield f"{v.input},{_csv_field(v.detail)}\n"
     for n in result.budget_exhausted:
-        yield (n, "budget exhausted")
+        yield f"{n},budget exhausted\n"
 
 
 def _report_text(result: TheoremReport):
@@ -110,15 +119,11 @@ def _stats_json(result: StatsTable):
 
 
 def _stats_csv(result: StatsTable):
-    yield ("n", "c_len", "t_len", "a_len", "exhausted")
+    yield "n,c_len,t_len,a_len,exhausted\n"
     for r in result.rows:
-        yield (
-            r.n,
-            "" if r.c_len is None else r.c_len,
-            "" if r.t_len is None else r.t_len,
-            "" if r.a_len is None else r.a_len,
-            "true" if r.exhausted else "false",
-        )
+        yield (f"{r.n},{'' if r.c_len is None else r.c_len},"
+               f"{'' if r.t_len is None else r.t_len},{'' if r.a_len is None else r.a_len},"
+               f"{'true' if r.exhausted else 'false'}\n")
 
 
 def _stats_text(result: StatsTable):
@@ -175,10 +180,9 @@ def _tree_text(result: WZTree):
         yield "orphans: " + " ".join(f"{o.w}->{o.parent}" for o in result.orphans) + "\n"
 
 
-#: Per result class name, the formats it can be written in, "text" first:
-#: csv yields the header row and then the data rows, every other format yields
-#: text pieces.  DOT exists only for trees and CSV for all but trees.  Keyed
-#: by name so that emit imports none of the result modules.
+#: Per result class name, the writer of each format it can be written in,
+#: "text" first; every writer yields text pieces.  DOT exists only for trees
+#: and CSV for all but trees.  Keyed by name so emit imports no result module.
 _WRITERS: dict[str, dict[str, Callable]] = {
     "Trace": {"text": _trace_text, "json": _trace_json, "csv": _trace_csv},
     "TheoremReport": {"text": _report_text, "json": _report_json, "csv": _report_csv},
@@ -209,15 +213,9 @@ _BATCH = 1 << 16
 
 def emit(result, fmt: str, sink) -> None:
     """Write result to sink in the requested format."""
-    out = _writer(result, fmt)(result)
-    if fmt == "csv":
-        import csv
-
-        csv.writer(sink, lineterminator="\n").writerows(out)
-        return
     batch: list[str] = []
     size = 0
-    for piece in out:
+    for piece in _writer(result, fmt)(result):
         batch.append(piece)
         size += len(piece)
         if size >= _BATCH:

@@ -531,6 +531,28 @@ def dot_lines(tree) -> list[str]:
     return lines
 
 
+# --- CSV: the rows that csv.writer(lineterminator="\n") turns into emit's bytes --
+
+
+def csv_rows(result) -> list[tuple]:
+    """The header and data rows of a result's CSV form; None writes as empty."""
+    name = type(result).__name__
+    if name == "Trace":
+        return [("step", "value"), *enumerate(result.elements)]
+    if name == "TheoremReport":
+        return [
+            ("input", "detail"),
+            *((v.input, v.detail) for v in result.violations),
+            *((n, "budget exhausted") for n in result.budget_exhausted),
+        ]
+    if name == "StatsTable":
+        return [("n", "c_len", "t_len", "a_len", "exhausted")] + [
+            (r.n, r.c_len, r.t_len, r.a_len, "true" if r.exhausted else "false")
+            for r in result.rows
+        ]
+    raise TypeError(f"no CSV form for {name}")
+
+
 if __name__ == "__main__":
     # Scratch area: recompute the frozen constants used in the test suite.
     for m in (9, 11, 23):

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -323,11 +324,13 @@ def test_oeis_check_fixture(capsys, data_dir):
     assert "oeis-A025480-interleave_p" in capsys.readouterr().out
 
 
-def test_oeis_check_divergent_file_exits_one(tmp_path):
+def test_oeis_check_divergent_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "b.txt"
-    bad.write_text("1 1\n2 2\n3 7\n")
+    bad.write_text("1 1\n2 5\n3 1\n")
     assert main(["oeis-check", "--bfile", str(bad), "--generator", "ruler",
-                 "--count", "3"]) == 1
+                 "--count", "3", "--format", "csv"]) == 1
+    # the detail holds a comma, so CSV quotes it
+    assert capsys.readouterr().out == 'input,detail\n2,"file has 5, generator gives 2"\n'
 
 
 def test_oeis_check_missing_file_exits_two(capsys):
@@ -385,11 +388,19 @@ class _CountingSink(io.StringIO):
         return super().write(text)
 
 
-#: Per format but CSV, the bytes the oracles in tests/oracles.py give.
+def _csv_oracle_bytes(result) -> str:
+    sink = io.StringIO()
+    csv.writer(sink, lineterminator="\n").writerows(oracles.csv_rows(result))
+    return sink.getvalue()
+
+
+#: Per format, the bytes the oracles in tests/oracles.py give: the standard
+#: library writes the JSON and the CSV, and stays the reference for both.
 ORACLE_BYTES = {
     "json": lambda result: json.dumps(oracles.to_jsonable(result), indent=2) + "\n",
     "text": lambda result: "\n".join(oracles.text_lines(result)) + "\n",
     "dot": lambda result: "\n".join(oracles.dot_lines(result)) + "\n",
+    "csv": _csv_oracle_bytes,
 }
 
 
@@ -409,15 +420,19 @@ def test_emit_json_bytes(result):
     assert sink.getvalue() == json.dumps(oracles.to_jsonable(result), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+@pytest.mark.parametrize("fmt", ["json", "text", "dot", "csv"])
 def test_emit_batches_writes(fmt):
-    tree = reverse_tree.build_tree(12_000, 40)
+    # A tree has no CSV form; a stats table of 20,000 rows writes about 400 KB.
+    if fmt == "csv":
+        result = sequences.stopping_stats(1, 20_000, 1000)
+    else:
+        result = reverse_tree.build_tree(12_000, 40)
     sink = _CountingSink()
-    emit.emit(tree, fmt, sink)
+    emit.emit(result, fmt, sink)
     size = len(sink.getvalue())
-    assert sink.getvalue() == ORACLE_BYTES[fmt](tree)
+    assert sink.getvalue() == ORACLE_BYTES[fmt](result)
     assert 1 < sink.writes <= -(-size // 65536) + 1
-    assert sink.longest <= 65536 + max(map(len, emit._writer(tree, fmt)(tree)))
+    assert sink.longest <= 65536 + max(map(len, emit._writer(result, fmt)(result)))
 
 
 class _ClosedPipe(io.StringIO):
@@ -505,7 +520,7 @@ def _bytes(result, fmt: str) -> str:
 @given(data=st.data())
 def test_json_writer_matches_oracle(kind, data):
     result = data.draw(RESULTS[kind])
-    for fmt in set(emit.formats(type(result))) - {"csv"}:
+    for fmt in emit.formats(type(result)):
         assert _bytes(result, fmt) == ORACLE_BYTES[fmt](result)
 
 
@@ -517,13 +532,21 @@ def test_json_writer_matches_oracle(kind, data):
             "u-residues-odd-starts", 1, 9, 5,
             (verify.Violation(7, "element 22 is not 2 or 8 mod 18"),), 1, (3, 9), True,
         ),
+        # CSV quotes a detail that holds a comma, a quote or a newline, not a lone \r
+        verify.TheoremReport(
+            "dual-forms", 1, 9, 5,
+            tuple(verify.Violation(n, detail) for n, detail in enumerate(
+                ["a, b", 'say "x"', "lf\nline", "cr\ronly", "crlf\r\n", "", "plain"])),
+            7, (), False,
+        ),
         reverse_tree.build_tree(7, 5),
         reverse_tree.build_tree(5, 0),
     ],
-    ids=["trace-no-stopping-time", "observational-report", "tree-no-orphans", "tree-depth-0"],
+    ids=["trace-no-stopping-time", "observational-report", "quoted-details",
+         "tree-no-orphans", "tree-depth-0"],
 )
 def test_writers_match_oracles_at_the_edges(result):
-    for fmt in set(emit.formats(type(result))) - {"csv"}:
+    for fmt in emit.formats(type(result)):
         assert _bytes(result, fmt) == ORACLE_BYTES[fmt](result)
 
 
@@ -562,7 +585,7 @@ def test_unwritable_sink_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
-def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt):
+def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt, eight_cpus):
     files = []
     for workers in ("1", "8"):
         path = tmp_path / f"report-{workers}.{fmt}"
@@ -656,7 +679,8 @@ def _cli_code(argv: list[str]) -> str:
 #: A fork pool loads pickle for its results; a run in one process loads none of these.
 POOL_MODULES = {"concurrent.futures.process", "multiprocessing", "pickle"}
 #: Loaded by none of these runs: no result type is a dataclass, none of the
-#: runs builds a Fraction, none writes CSV, and none writes a report as JSON.
+#: runs builds a Fraction, emit writes CSV without `csv`, and none writes a
+#: report as JSON.
 NEVER = {"dataclasses", "inspect", "fractions", "csv", "json"}
 
 # What each run must not load: a command imports only its own modules, and
@@ -675,6 +699,12 @@ IMPORT_BUDGETS = {
                                       "2", "--hi", "999", "--workers", "1"]),
                            {"collatz_lab.reverse_tree"} | POOL_MODULES | NEVER),
     "stats": (_cli_code(["stats", "--lo", "1", "--hi", "50"]), POOL_MODULES | NEVER),
+    "stats-csv": (_cli_code(["stats", "--lo", "1", "--hi", "50", "--format", "csv"]),
+                  POOL_MODULES | NEVER),
+    # Its exhausted inputs give the CSV rows to write.
+    "verify-csv": (_cli_code(["verify", "--theorem", "conjecture-apt", "--lo", "1", "--hi",
+                              "9", "--budget", "1", "--workers", "1", "--format", "csv"]),
+                   POOL_MODULES | NEVER),
     "oeis-check": (_cli_code(["oeis-check", "--generator", "w_candidate", "--count", "50",
                               "--bfile", str(ROOT / "tests/data/b007310.txt")]),
                    {"collatz_lab.sequences"} | NEVER),
@@ -692,7 +722,8 @@ def test_run_imports_only_what_it_needs(case):
 
 def test_no_module_imports_a_process_pool():
     # run_chunked forks its own children; an executor's import and start
-    # cost a sweep more than the fork does.
+    # cost a sweep more than the fork does.  emit writes CSV itself, through
+    # the batch loop every format shares.
     for path in sorted((ROOT / "src" / "collatz_lab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -702,7 +733,7 @@ def test_no_module_imports_a_process_pool():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] not in ("concurrent", "multiprocessing"), (
+                assert name.split(".")[0] not in ("concurrent", "multiprocessing", "csv"), (
                     path.name, name)
 
 

@@ -132,7 +132,7 @@ def test_seed_finishing_on_the_last_budget_step_is_not_exhausted(theorem):
     assert checked >= 140
 
 
-def test_reports_identical_across_worker_counts():
+def test_reports_identical_across_worker_counts(eight_cpus):
     reference = None
     for workers in (1, 2, 8):
         report = verify.run_check("covering", 1, 400, budget=10_000, workers=workers)
