@@ -8,9 +8,10 @@ records which kernels have a twin; `PURE_ONLY` in tests/test_kernels.py
 pins the rest, which run pure on both backends, as does any kernel that a
 stale in-place build lacks.
 
-The two `scan_*` and eight `span_*` kernels run a whole `verify` checker
+The two `scan_*` and eight `span_*` kernels that `verify.CHECKERS` names,
+one per checker and looked up here at each call, each run a whole checker
 span in one call and return (checked, violations, exhausted): the scans
-and the linear-system span call the step kernels, four spans inline their
+and the linear span call the step kernels, four spans inline their
 formulas, and three walk orbits (`covering` and the two reach sweeps).
 The tests compare each, on both backends, with the literal checker loop.
 """

@@ -69,63 +69,21 @@ def build_report(
 
 # --- span workers ------------------------------------------------------------
 #
-# Every checker runs each span as one kernel call; the functions here stay
-# the CHECKERS entries, so a span is still named after this module.
+# Every checker runs each span as one call of the kernel its CHECKERS entry
+# names; the kernel's docstring in `_pure` states the claim it checks.
 
 
-def _span_covering(lo: int, hi: int, budget: int) -> ScanPart:
-    """Accelerated orbit embeds in half-step orbit embeds in plain orbit,
-    with the matching length chain, for every n in range that finishes."""
-    return kernels.span_covering(lo, hi, budget)
+class _Span:
+    """`kernels.<name>(lo, hi[, budget])`, looked up at each call so that a
+    test can bind another backend; only a budgeted kernel gets the budget.
+    Named after the kernel, in this module: perfbench attributes it to `verify`."""
 
+    def __init__(self, name: str, budgeted: bool):
+        self.__name__, self.budgeted = name, budgeted
 
-def _span_parity_runs(lo: int, hi: int, budget: int) -> ScanPart:
-    """Observed parity-run lengths match the closed-form exponents."""
-    return kernels.span_parity_runs(lo, hi)
-
-
-def _span_u_residues(lo: int, hi: int, budget: int) -> ScanPart:
-    """Even-engine images are 2 mod 6, and 2 or 8 mod 18 past the first image."""
-    return kernels.span_u_residues(lo, hi, budget)
-
-
-def _span_u_residues_odd(lo: int, hi: int, budget: int) -> ScanPart:
-    """Observational: odd seeds show the same mod-18 pattern past the first image."""
-    return kernels.span_u_residues_odd(lo, hi, budget)
-
-
-def _span_x_residues(lo: int, hi: int, budget: int) -> ScanPart:
-    """Index-map images avoid residue 2 mod 3."""
-    return kernels.scan_x_residues(lo, hi)
-
-
-def _span_p3n(lo: int, hi: int, budget: int) -> ScanPart:
-    """p(3n) avoids residue 1 mod 3."""
-    return kernels.scan_p3n(lo, hi)
-
-
-def _span_dual_forms(lo: int, hi: int, budget: int) -> ScanPart:
-    """The two even-engine formulations agree, and both index maps agree
-    with the accelerated step."""
-    return kernels.span_dual_forms(lo, hi)
-
-
-def _span_linear_fixed_point(lo: int, hi: int, budget: int) -> ScanPart:
-    """The even step's exact linear relation on u = 2 mod 6, which implies
-    its fixed-point relation and the inverse-step round trip."""
-    return kernels.span_linear_fixed_point(lo, hi)
-
-
-def _span_conjecture_apt(lo: int, hi: int, budget: int) -> ScanPart:
-    """Reach sweep: does the accelerated orbit of n reach 1 within budget.
-    Non-reaching starts are reported as budget-exhausted, not violations."""
-    return kernels.span_conjecture_apt(lo, hi, budget)
-
-
-def _span_conjecture_emapt(lo: int, hi: int, budget: int) -> ScanPart:
-    """Reach sweep: does the even engine reach 2 from 6n + 2 within budget.
-    Non-reaching starts are reported as budget-exhausted, not violations."""
-    return kernels.span_conjecture_emapt(lo, hi, budget)
+    def __call__(self, lo: int, hi: int, budget: int) -> ScanPart:
+        kernel = getattr(kernels, self.__name__)
+        return kernel(lo, hi, budget) if self.budgeted else kernel(lo, hi)
 
 
 class CheckerSpec(NamedTuple):
@@ -135,16 +93,17 @@ class CheckerSpec(NamedTuple):
 
 
 CHECKERS: dict[str, CheckerSpec] = {
-    "covering": CheckerSpec(_span_covering, 1),
-    "parity-runs": CheckerSpec(_span_parity_runs, 1),
-    "u-residues": CheckerSpec(_span_u_residues, 2),
-    "u-residues-odd-starts": CheckerSpec(_span_u_residues_odd, 1, observational=True),
-    "x-residues": CheckerSpec(_span_x_residues, 0),
-    "p3n": CheckerSpec(_span_p3n, 0),
-    "dual-forms": CheckerSpec(_span_dual_forms, 0),
-    "linear-fixed-point": CheckerSpec(_span_linear_fixed_point, 2),
-    "conjecture-apt": CheckerSpec(_span_conjecture_apt, 1),
-    "conjecture-emapt": CheckerSpec(_span_conjecture_emapt, 0),
+    "covering": CheckerSpec(_Span("span_covering", True), 1),
+    "parity-runs": CheckerSpec(_Span("span_parity_runs", False), 1),
+    "u-residues": CheckerSpec(_Span("span_u_residues", True), 2),
+    "u-residues-odd-starts": CheckerSpec(_Span("span_u_residues_odd", True), 1,
+                                         observational=True),
+    "x-residues": CheckerSpec(_Span("scan_x_residues", False), 0),
+    "p3n": CheckerSpec(_Span("scan_p3n", False), 0),
+    "dual-forms": CheckerSpec(_Span("span_dual_forms", False), 0),
+    "linear-fixed-point": CheckerSpec(_Span("span_linear_fixed_point", False), 2),
+    "conjecture-apt": CheckerSpec(_Span("span_conjecture_apt", True), 1),
+    "conjecture-emapt": CheckerSpec(_Span("span_conjecture_emapt", True), 0),
 }
 
 

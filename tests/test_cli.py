@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -21,7 +22,9 @@ from hypothesis import given, strategies as st
 
 import collatz_lab
 import oracles
-from collatz_lab import cli, emit, oeis, parallel, reverse_tree, sequences, verify
+from collatz_lab import (
+    _pure, cli, emit, kernels, oeis, parallel, reverse_tree, sequences, verify,
+)
 from collatz_lab.errors import ConfigurationError, DomainError
 from collatz_lab.cli import main, parse_cli
 
@@ -467,6 +470,9 @@ def test_closed_pipe_exits_two(capsys, argv):
 # Integers past 2**64, as orbit elements and bigint windows have.
 _INTS = st.integers(min_value=0, max_value=2**300)
 _LENGTHS = st.none() | _INTS
+# Violation details: about half their characters are `,` `"` `\n` `\r`, which
+# CSV must quote (a lone `\r` it must not).
+_DETAILS = st.text(st.sampled_from(',"\n\r') | st.characters())
 
 
 def _tuples(elements):
@@ -498,7 +504,7 @@ RESULTS = {
     ),
     "report": st.builds(
         verify.TheoremReport, st.text(), _INTS, _INTS, _INTS,
-        _tuples(st.builds(verify.Violation, _INTS, st.text())), _INTS,
+        _tuples(st.builds(verify.Violation, _INTS, _DETAILS)), _INTS,
         _tuples(_INTS), st.booleans(),
     ),
     "stats": st.builds(
@@ -605,6 +611,33 @@ def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, eight
                      "--output", str(path)]) == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+#: Command line: the sha256 of its stdout and its exit status, as
+#: tests/data/generate_golden.py recorded them.
+GOLDEN = json.loads((ROOT / "tests" / "data" / "golden.json").read_text())
+#: Run again at --workers 2, so that each checker forks at both budgets.
+FORKED = [line for line in GOLDEN if "--format json" in line]
+
+
+def _recorded(capsys, line: str) -> dict:
+    status = main(line.split())
+    out = capsys.readouterr().out
+    return {"sha256": hashlib.sha256(out.encode()).hexdigest(), "status": status}
+
+
+def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
+    # `verify` looks `kernels.<name>` up at each call, so binding a backend's
+    # kernels here runs every command on it.
+    monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
+    for module in (_pure, impl):
+        for name, value in vars(module).items():
+            if callable(value) and name[0] != "_":
+                monkeypatch.setattr(kernels, name, value)
+    for line, expected in GOLDEN.items():
+        assert _recorded(capsys, line) == expected, line
+    for line in FORKED:
+        assert _recorded(capsys, f"{line} --workers 2") == GOLDEN[line], line
 
 
 # --- benchmark hooks ------------------------------------------------------------

@@ -21,13 +21,14 @@ are compared as source literals across the two backends and the loops.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 
 import pytest
 
 import oracles
-from collatz_lab import _pure, verify
+from collatz_lab import _pure, kernels, verify
 from conftest import BIG_BUDGETS, FAST_SOURCE
 
 BIG_BUDGET = 10**6
@@ -247,10 +248,21 @@ def test_span_below_its_domain_raises(impl, name, args):
         getattr(impl, name)(*args)
 
 
-def test_checker_spans_stay_in_verify():
+def test_checker_spans_stay_in_verify(monkeypatch):
     # perfbench names a traced span after the module of the CHECKERS entry.
+    # Each span is one call of the kernel it names, one kernel per checker,
+    # looked up in `kernels` at call time: the stub bound there is what runs,
+    # and only a kernel that takes a budget is passed it.
+    names = {spec.span.__name__ for spec in verify.CHECKERS.values()}
+    assert names == CONTRACT.keys() - {"scan_emapt_forms"}
     for spec in verify.CHECKERS.values():
         assert spec.span.__module__ == "collatz_lab.verify"
+        name = spec.span.__name__
+        calls, result = [], (1, [], [])
+        monkeypatch.setattr(kernels, name, lambda *args: calls.append(args) or result)
+        assert spec.span(3, 9, 7) is result, name
+        takes_budget = len(inspect.signature(getattr(_pure, name)).parameters) == 3
+        assert calls == [(3, 9, 7) if takes_budget else (3, 9)], name
 
 
 def _python_details(module, select):
