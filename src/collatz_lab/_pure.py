@@ -442,10 +442,8 @@ def _residue_walks(seeds, budget, odd):
     its steps 2, 3, ... alike, so a tail, stored from steps 3 on, passes in
     any walk that reaches its image at step 2 or later: that walk adds the
     tail's steps and compares the sum with the budget.  Only a walk that
-    reaches 2 clean stores tails, one per image it recorded.  A walk records
-    and looks up nothing when it is the span's only one (a seed that `_fast`
-    hands over alone) or follows an exhausted walk: where walks exhaust in a
-    row, as from 2^68 at budget 30, nothing would be stored.
+    reaches 2 clean stores tails, one per image it recorded.  A span's only
+    seed, as `_fast` hands one over, records and looks up nothing.
     """
     budget = _operator.index(budget)   # a float raises TypeError, as in _fast
     limit = max(budget, 0)   # a seed already at 2 is not exhausted
@@ -489,8 +487,7 @@ def _residue_walks(seeds, budget, odd):
                     path.append(x)
         else:
             # No violation: the walk stands on 2 after steps, or the budget ran out.
-            recording = x == 2 and steps <= limit
-            if not recording:
+            if x != 2 or steps > limit:
                 exhausted.append(seed)
                 continue
             for y, tail in zip(path, range(steps - 2, -1, -1)):

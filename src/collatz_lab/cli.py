@@ -235,8 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parse_cli(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 0 if code is None else 2
+        return exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 2
     try:
         return run(ns)
     except Exception as exc:   # a crashed span or worker must not read as "violations"

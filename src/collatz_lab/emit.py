@@ -64,9 +64,17 @@ def _trace_csv(result: Trace):
         yield f"{step},{value}\n"
 
 
+def _spaced(label: str, items):
+    """The line label + " " + " ".join(items), in one piece per item."""
+    pieces = map(" {}".format, items)
+    yield label + next(pieces, " ")
+    yield from pieces
+    yield "\n"
+
+
 def _trace_text(result: Trace):
     yield f"kind {result.kind} from {result.start}: {result.outcome.value}\n"
-    yield "elements: " + " ".join(map(str, result.elements)) + "\n"
+    yield from _spaced("elements:", result.elements)
     if result.stopping_time is not None:
         yield f"stopping time: {result.stopping_time}\n"
 
@@ -104,7 +112,7 @@ def _report_text(result: TheoremReport):
     for v in result.violations:
         yield f"  {v.input}: {v.detail}\n"
     if result.budget_exhausted:
-        yield "  exhausted: " + " ".join(map(str, result.budget_exhausted)) + "\n"
+        yield from _spaced("  exhausted:", result.budget_exhausted)
 
 
 def _stats_json(result: StatsTable):
@@ -173,11 +181,10 @@ def _tree_text(result: WZTree):
     yield (f"reverse tree over first {result.candidate_bound} candidates, "
            f"depth bound {result.depth_bound}\n")
     for node in result.nodes:
-        kids = result.children.get(node.w, ())
-        kid_text = " ".join(map(str, kids)) if kids else "-"
+        kid_text = " ".join(map(str, result.children.get(node.w, ()))) or "-"
         yield f"  {'  ' * result.depths[node.w]}{node.w} (z={node.z}) children: {kid_text}\n"
     if result.orphans:
-        yield "orphans: " + " ".join(f"{o.w}->{o.parent}" for o in result.orphans) + "\n"
+        yield from _spaced("orphans:", (f"{o.w}->{o.parent}" for o in result.orphans))
 
 
 #: Per result class name, the writer of each format it can be written in,

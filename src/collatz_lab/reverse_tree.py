@@ -259,7 +259,6 @@ def cycle_scan(candidate_bound: int, step_budget: int) -> CycleScanReport:
         w = w_candidate(m)
         orbit = [w]
         index_of = {w: 0}
-        outcome = None
         for _ in range(step_budget):
             w = kernels.odd_part(kernels.apt_step(w))
             if w in index_of:
@@ -269,15 +268,13 @@ def cycle_scan(candidate_bound: int, step_budget: int) -> CycleScanReport:
                 if canon not in seen_cycles:
                     seen_cycles.add(canon)
                     cycles.append(canon)
-                outcome = "cycle"
                 break
             if w == 1:
                 reached += 1
-                outcome = "root"
                 break
             index_of[w] = len(orbit)
             orbit.append(w)
-        if outcome is None:
+        else:   # neither a cycle nor the root within the budget
             exhausted.append(orbit[0])
     cycles.sort(key=lambda c: (len(c), c))
     return CycleScanReport(

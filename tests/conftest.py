@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sysconfig
+import types
 
 import pytest
 
@@ -77,6 +78,17 @@ def build_fast(source: pathlib.Path, directory: pathlib.Path):
     spec = importlib.util.spec_from_file_location("collatz_lab._fast", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def patched_pure(old: str, new: str) -> types.ModuleType:
+    """A copy of `_pure` run from its source with the one occurrence of `old`
+    replaced by `new`, under a private name: `_pure` and `kernels` are left
+    as they are.  A patch within one line keeps every line number."""
+    source = pathlib.Path(_pure.__file__).read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("patched_pure")
+    exec(compile(source.replace(old, new), _pure.__file__, "exec"), module.__dict__)
     return module
 
 

@@ -4,7 +4,7 @@ import ast
 import contextlib
 import csv
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import os
@@ -426,16 +426,29 @@ def test_emit_json_bytes(result):
 @pytest.mark.parametrize("fmt", ["json", "text", "dot", "csv"])
 def test_emit_batches_writes(fmt):
     # A tree has no CSV form; a stats table of 20,000 rows writes about 400 KB.
+    # Each case: a result, and the numbers its last line lists.
     if fmt == "csv":
-        result = sequences.stopping_stats(1, 20_000, 1000)
+        cases = [(sequences.stopping_stats(1, 20_000, 1000), ())]
     else:
-        result = reverse_tree.build_tree(12_000, 40)
-    sink = _CountingSink()
-    emit.emit(result, fmt, sink)
-    size = len(sink.getvalue())
-    assert sink.getvalue() == ORACLE_BYTES[fmt](result)
-    assert 1 < sink.writes <= -(-size // 65536) + 1
-    assert sink.longest <= 65536 + max(map(len, emit._writer(result, fmt)(result)))
+        cases = [(reverse_tree.build_tree(12_000, 40), ())]
+    # In text, a report with 20,000 exhausted inputs and a trace of 40,001
+    # elements end on a line that lists them: after the piece that opens it,
+    # one piece per number.
+    if fmt == "text":
+        report = verify.build_report(
+            "conjecture-apt", 1, 20_000, [(20_000, [], list(range(1, 20_001)))], 32)
+        trace = sequences.trace("C", 27, 40_000, target=0)
+        cases += [(report, report.budget_exhausted), (trace, trace.elements)]
+    for result, numbers in cases:
+        sink = _CountingSink()
+        emit.emit(result, fmt, sink)
+        size = len(sink.getvalue())
+        pieces = list(emit._writer(result, fmt)(result))
+        assert sink.getvalue() == ORACLE_BYTES[fmt](result)
+        assert 1 < sink.writes <= -(-size // 65536) + 1
+        assert sink.longest <= 65536 + max(map(len, pieces))
+        if numbers:
+            assert pieces[-len(numbers):] == [f" {n}" for n in numbers[1:]] + ["\n"]
 
 
 class _ClosedPipe(io.StringIO):
@@ -616,8 +629,12 @@ def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, eight
 #: Command line: the sha256 of its stdout and its exit status, as
 #: tests/data/generate_golden.py recorded them.
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden.json").read_text())
-#: Run again at --workers 2, so that each checker forks at both budgets.
-FORKED = [line for line in GOLDEN if "--format json" in line]
+_GENERATOR = importlib.util.spec_from_file_location(
+    "generate_golden", ROOT / "tests" / "data" / "generate_golden.py")
+#: Run again at --workers 2, so that each checker and `stats` fork at every
+#: budget.
+FORKED = [line for line in GOLDEN
+          if "--format json" in line and line.startswith(("verify", "stats"))]
 
 
 def _recorded(capsys, line: str) -> dict:
@@ -626,10 +643,21 @@ def _recorded(capsys, line: str) -> dict:
     return {"sha256": hashlib.sha256(out.encode()).hexdigest(), "status": status}
 
 
+def test_golden_file_holds_the_generated_lines():
+    # A generator edit that was never run leaves the file behind it.
+    generator = importlib.util.module_from_spec(_GENERATOR)
+    _GENERATOR.loader.exec_module(generator)
+    lines = generator.command_lines()
+    assert len(lines) == len(set(lines))
+    assert sorted(GOLDEN) == sorted(lines)
+
+
 def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
     # `verify` looks `kernels.<name>` up at each call, so binding a backend's
-    # kernels here runs every command on it.
+    # kernels here runs every command on it.  The b-file paths are relative
+    # to the repository root.
     monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
+    monkeypatch.chdir(ROOT)
     for module in (_pure, impl):
         for name, value in vars(module).items():
             if callable(value) and name[0] != "_":

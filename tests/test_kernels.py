@@ -26,7 +26,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from collatz_lab import _pure, kernels
-from conftest import BIG_BUDGETS, BOUNDARY, FAST_SOURCE, GCC_FLAGS, RANDOMS, SAFE3, build_fast
+from conftest import (
+    BIG_BUDGETS, BOUNDARY, FAST_SOURCE, GCC_FLAGS, RANDOMS, SAFE3, build_fast, patched_pure,
+)
 
 #: The kernels with no compiled twin, which run pure on both backends; the
 #: compiled module's method table is the only other record of the split.
@@ -380,21 +382,15 @@ PQ_LINE = "x = (2 * (n >> 1) + 1) * 3 ** (m & -m).bit_length() - 1"
 BROKEN_PQ_LINE = PQ_LINE.removesuffix("- 1") + "+ 1"
 
 
-def _broken_pure():
-    """A copy of `_pure` whose residue walk steps to pq(x) + 2."""
-    source = pathlib.Path(_pure.__file__).read_text()
-    assert source.count(PQ_LINE) == 1
-    module = types.ModuleType("broken_pure")
-    exec(compile(source.replace(PQ_LINE, BROKEN_PQ_LINE), _pure.__file__, "exec"),
-         module.__dict__)
-    return module
-
-
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
 def test_residue_walks_report_a_broken_pq_step(tmp_path, backend):
     # No input in either span's domain is known to break the pattern, so
-    # only a broken step reaches the violation branches.
-    module = _broken_pure() if backend == "pure" else _broken_fast("emapt_step_pq", tmp_path)
+    # only a broken step reaches the violation branches.  The pure copy's
+    # residue walk steps to pq(x) + 2.
+    if backend == "pure":
+        module = patched_pure(PQ_LINE, BROKEN_PQ_LINE)
+    else:
+        module = _broken_fast("emapt_step_pq", tmp_path)
     broken = lambda x: _pure.emapt_step_pq(x) + 2
     even = module.span_u_residues(2, 12, 50)
     odd = module.span_u_residues_odd(1, 11, 50)

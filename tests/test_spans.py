@@ -24,12 +24,13 @@ import ast
 import inspect
 import pathlib
 import re
+import sys
 
 import pytest
 
 import oracles
 from collatz_lab import _pure, kernels, verify
-from conftest import BIG_BUDGETS, FAST_SOURCE
+from conftest import BIG_BUDGETS, FAST_SOURCE, patched_pure
 
 BIG_BUDGET = 10**6
 SAFE3 = (2**64 - 2) // 3   # the compiled parity-runs span stops here
@@ -167,6 +168,95 @@ def test_orbit_span_survives_memo_clears(impl, monkeypatch, name, oracle, first,
         starts = range(lo + (first - lo) % stride, hi + 1, stride)
         for budget in _orbit_budgets(starts, steps):
             assert span(lo, hi, budget) == oracle(lo, hi, budget), (lo, hi, budget)
+
+
+class _CountedList(list):
+    """A list that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _block_lookups(module, monkeypatch, run):
+    """Block-table lookups of the reach walks during run()."""
+    blocks, small = module._stop_tables()
+    counted = _CountedList(blocks)
+    monkeypatch.setattr(module, "_STOP_TABLES", (counted, small))
+    run()
+    return counted.reads
+
+
+def _plain_steps(module, monkeypatch, run):
+    """Plain-map steps of the lock-step walks during run()."""
+    calls = 0
+    step = module._c_step
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return step(n)
+
+    monkeypatch.setattr(module, "_c_step", counted)
+    run()
+    return calls
+
+
+#: The line of `_residue_walks` that counts a pq step.
+_STEP_LINE = "steps += 1"
+
+
+def _pq_steps(module, monkeypatch, run):
+    """pq steps of the residue walks during run(): the line events of their
+    step-counting line, traced in this thread only."""
+    lines, first = inspect.getsourcelines(_pure._residue_walks)
+    [offset] = [i for i, line in enumerate(lines) if line.strip() == _STEP_LINE]
+    code = module._residue_walks.__code__
+    steps = 0
+
+    def on_line(frame, event, arg):
+        nonlocal steps
+        if event == "line" and frame.f_lineno == first + offset:
+            steps += 1
+        return on_line
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return steps
+
+
+#: Per tail memo: how its walks' work is counted, the span and window, the
+#: count at budget 100,000 when the memo was last measured, and the text in
+#: `_pure` that stops its lookups.  Without the memo each count is 2.8 to 6x
+#: as large: 106,199, 324,797 and 280,897.
+MEMO_WORK = [
+    pytest.param(_block_lookups, "span_conjecture_apt", 8_520_000, 37_466,
+                 "tail = tails.get(x)", "tail = None", id="reach"),
+    pytest.param(_plain_steps, "span_covering", 8_502_000, 54_242,
+                 "tail = tails.get(a)", "tail = None", id="covering"),
+    pytest.param(_pq_steps, "span_u_residues", 8_520_000, 52_900,
+                 "if x in tails:", "if False:", id="residue"),
+]
+
+
+@pytest.mark.parametrize("count,name,hi,work,old,new", MEMO_WORK)
+def test_tail_memo_cuts_span_work(monkeypatch, count, name, hi, work, old, new):
+    # The memos are exact, so only the work shows whether they work: a span
+    # stays within 1.2x its measured count, and a copy of `_pure` whose walks
+    # never look up a tail does not.
+    def work_of(module):
+        span = getattr(module, name)
+        return count(module, monkeypatch, lambda: span(8_500_000, hi, 100_000))
+
+    bound = work * 6 // 5
+    assert work_of(_pure) <= bound
+    assert work_of(patched_pure(old, new)) > bound
 
 
 @pytest.mark.parametrize(
