@@ -147,12 +147,15 @@ def _tree_json(result: WZTree):
            f'    "z": "{result.root.z}"\n  }},\n'
            f'  "candidate_bound": "{result.candidate_bound}",\n'
            f'  "depth_bound": "{result.depth_bound}",\n  "nodes": ')
+    # Each node's children are joined in place, as `_items` writes a list one
+    # level deeper: one piece per node.
+    first, sep, last = '[\n        "', '",\n        "', '"\n      ]'
     yield from _items(
-        f'{{\n      "w": "{node.w}",\n      "z": "{node.z}",\n'
-        f'      "depth": "{depths[node.w]}",\n      "children": '
-        + "".join(_items((f'"{c}"' for c in children.get(node.w, ())), "\n      "))
+        f'{{\n      "w": "{w}",\n      "z": "{z}",\n'
+        f'      "depth": "{depths[w]}",\n      "children": '
+        + (first + sep.join(map(str, kids)) + last if (kids := children.get(w)) else "[]")
         + "\n    }"
-        for node in result.nodes)
+        for w, z in result.nodes)
     yield ',\n  "orphans": '
     yield from _items(
         f'{{\n      "w": "{o.w}",\n      "parent": "{o.parent}"\n    }}'

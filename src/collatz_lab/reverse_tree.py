@@ -121,7 +121,13 @@ class MultiplicityResult(NamedTuple):
 def w_candidate(m: int) -> int:
     """m-th odd natural not divisible by three: (6m + (-1)**m - 3) / 2 for m >= 1."""
     require_int(m, "m", 1)
-    return (6 * m + (-1) ** m - 3) >> 1
+    return _candidate(m)
+
+
+def _candidate(m: int) -> int:
+    # w_candidate unvalidated, with (-1)**m as 1 - 2 (m & 1): 3m - 1 for
+    # even m, 3m - 2 for odd.  The package's own loops call it directly.
+    return 3 * m - 1 - (m & 1)
 
 
 def _require_candidate(w: int, name: str = "w") -> None:
@@ -190,6 +196,9 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
     """Bucket the first candidate_bound candidates under their parents and
     walk breadth-first from the root candidate 1.
 
+    One pass over the candidates computes each z and parent and appends the
+    candidate to its parent's bucket, which stays ascending because the
+    candidates grow with m; the walk then visits buckets, level by level.
     The root's generated z is 2 and its parent is itself; that self-loop is
     kept as an explicit marked edge, not recursed.  Candidates whose parent
     chain leaves the enumerated set (or lies beyond depth_bound) end up in
@@ -197,48 +206,39 @@ def build_tree(candidate_bound: int, depth_bound: int) -> WZTree:
     """
     require_int(candidate_bound, "candidate_bound", 1)
     require_int(depth_bound, "depth_bound", 0)
-    cands = map(w_candidate, range(1, candidate_bound + 1))
-    z_of = {w: kernels.apt_step(w) for w in cands}   # insertion order is m order
-    parent_of = {w: kernels.odd_part(z) for w, z in z_of.items()}
-    bucket: dict[int, list[int]] = {}   # each ascending: w_candidate grows with m
-    for w, parent in parent_of.items():
+    z_of: dict[int, int] = {}   # insertion order is m order
+    parent_of: dict[int, int] = {}
+    bucket: dict[int, list[int]] = {}
+    for w in map(_candidate, range(1, candidate_bound + 1)):
+        z_of[w] = z = kernels.apt_step(w)
+        parent_of[w] = parent = kernels.odd_part(z)
         bucket.setdefault(parent, []).append(w)
 
-    depths = {1: 0}
-    order = [1]
+    depths = {1: 0}   # the nodes so far, in breadth-first order
     frontier = [1]
-    depth = 0
-    while frontier and depth < depth_bound:
-        depth += 1
-        nxt = []
-        for parent in frontier:
-            for child in bucket.get(parent, ()):
-                if child == parent:
-                    continue   # the root self-loop; recorded, not walked
-                depths[child] = depth
-                order.append(child)
-                nxt.append(child)
-        frontier = nxt
+    for depth in range(1, depth_bound + 1):
+        # the root's self-loop is recorded, not walked
+        frontier = [c for p in frontier for c in bucket.get(p, ()) if c != p]
+        if not frontier:
+            break
+        depths.update(dict.fromkeys(frontier, depth))
 
-    in_tree = set(order)
+    # A node above the last level has its whole bucket in the tree; a node on
+    # it, only a self-loop, which only the root has.
     children = {
-        w: tuple(c for c in bucket.get(w, ()) if c in in_tree or c == w)
-        for w in order
-        if bucket.get(w)
+        w: tuple(kids if depths[w] < depth_bound else (c for c in kids if c in depths))
+        for w in depths
+        if (kids := bucket.get(w))
     }
-    parents = {w: parent_of[w] for w in order}
-    orphans = tuple(
-        Orphan(w, parent) for w, parent in parent_of.items() if w not in in_tree
-    )
     return WZTree(
         root=WZNode(1, z_of[1]),
         candidate_bound=candidate_bound,
         depth_bound=depth_bound,
-        nodes=tuple(WZNode(w, z_of[w]) for w in order),
+        nodes=tuple(WZNode(w, z_of[w]) for w in depths),
         depths=depths,
         children=children,
-        parents=parents,
-        orphans=orphans,
+        parents={w: parent_of[w] for w in depths},
+        orphans=tuple(Orphan(w, p) for w, p in parent_of.items() if w not in depths),
     )
 
 
@@ -255,8 +255,7 @@ def cycle_scan(candidate_bound: int, step_budget: int) -> CycleScanReport:
     seen_cycles = set()
     reached = 0
     exhausted = []
-    for m in range(1, candidate_bound + 1):
-        w = w_candidate(m)
+    for w in map(_candidate, range(1, candidate_bound + 1)):
         orbit = [w]
         index_of = {w: 0}
         for _ in range(step_budget):
@@ -292,7 +291,7 @@ def multiplicity(target: int, candidate_bound: int) -> MultiplicityResult:
     require_int(candidate_bound, "candidate_bound", 1)
     pre = tuple(
         w
-        for w in (w_candidate(m) for m in range(1, candidate_bound + 1))
+        for w in map(_candidate, range(1, candidate_bound + 1))
         if kernels.odd_part(kernels.apt_step(w)) == target
     )
     return MultiplicityResult(len(pre), pre)

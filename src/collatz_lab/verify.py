@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from collatz_lab import kernels
+from collatz_lab._pure import _stop_tables
 from collatz_lab.errors import ConfigurationError, require_int
 from collatz_lab.kernels import DEFAULT_BUDGET
 
@@ -76,10 +77,12 @@ def build_report(
 class _Span:
     """`kernels.<name>(lo, hi[, budget])`, looked up at each call so that a
     test can bind another backend; only a budgeted kernel gets the budget.
-    Named after the kernel, in this module: perfbench attributes it to `verify`."""
+    Named after the kernel, in this module: perfbench attributes it to `verify`.
+    `run_chunked` reads `min_inputs` and `prepare` off it (see `CHECKERS`)."""
 
-    def __init__(self, name: str, budgeted: bool):
+    def __init__(self, name: str, budgeted: bool, min_inputs: int, prepare=None):
         self.__name__, self.budgeted = name, budgeted
+        self.min_inputs, self.prepare = min_inputs, prepare
 
     def __call__(self, lo: int, hi: int, budget: int) -> ScanPart:
         kernel = getattr(kernels, self.__name__)
@@ -92,18 +95,22 @@ class CheckerSpec(NamedTuple):
     observational: bool = False
 
 
+#: Each span's minimum inputs per process is about 10 ms of pure kernel work,
+#: the cost of a fork, at its per-input cost in ROADMAP item 14.  The reach
+#: sweeps walk `_pure`'s stopping tables, so a forking run builds them first.
 CHECKERS: dict[str, CheckerSpec] = {
-    "covering": CheckerSpec(_Span("span_covering", True), 1),
-    "parity-runs": CheckerSpec(_Span("span_parity_runs", False), 1),
-    "u-residues": CheckerSpec(_Span("span_u_residues", True), 2),
-    "u-residues-odd-starts": CheckerSpec(_Span("span_u_residues_odd", True), 1,
+    "covering": CheckerSpec(_Span("span_covering", True, 1_000), 1),
+    "parity-runs": CheckerSpec(_Span("span_parity_runs", False, 25_000), 1),
+    "u-residues": CheckerSpec(_Span("span_u_residues", True, 5_000), 2),
+    "u-residues-odd-starts": CheckerSpec(_Span("span_u_residues_odd", True, 4_000), 1,
                                          observational=True),
-    "x-residues": CheckerSpec(_Span("scan_x_residues", False), 0),
-    "p3n": CheckerSpec(_Span("scan_p3n", False), 0),
-    "dual-forms": CheckerSpec(_Span("span_dual_forms", False), 0),
-    "linear-fixed-point": CheckerSpec(_Span("span_linear_fixed_point", False), 2),
-    "conjecture-apt": CheckerSpec(_Span("span_conjecture_apt", True), 1),
-    "conjecture-emapt": CheckerSpec(_Span("span_conjecture_emapt", True), 0),
+    "x-residues": CheckerSpec(_Span("scan_x_residues", False, 20_000), 0),
+    "p3n": CheckerSpec(_Span("scan_p3n", False, 60_000), 0),
+    "dual-forms": CheckerSpec(_Span("span_dual_forms", False, 13_000), 0),
+    "linear-fixed-point": CheckerSpec(_Span("span_linear_fixed_point", False, 60_000), 2),
+    "conjecture-apt": CheckerSpec(_Span("span_conjecture_apt", True, 10_000, _stop_tables), 1),
+    "conjecture-emapt": CheckerSpec(
+        _Span("span_conjecture_emapt", True, 10_000, _stop_tables), 0),
 }
 
 

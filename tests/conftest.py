@@ -46,6 +46,21 @@ def eight_cpus(monkeypatch):
                         raising=False)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that gains one entry per `os.fork` call in this process; the
+    fork itself happens as usual."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(parallel.os, "fork", fork)
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """No test leaves a child process behind, running or unreaped:

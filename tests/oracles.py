@@ -226,6 +226,43 @@ def w_candidates_by_sieve(count: int) -> list[int]:
     return out
 
 
+def tree_by_iteration(candidates: int, depth: int):
+    """The candidate tree, literally: the first `candidates` candidates from
+    the sieve, each parent the odd part of its literal parity run, and a
+    breadth-first walk from 1 that rescans the whole candidate list for the
+    children of each node of each level."""
+    from collatz_lab.reverse_tree import Orphan, WZNode, WZTree
+
+    ws = w_candidates_by_sieve(candidates)
+    z_of = {w: apt_step_by_iteration(w) for w in ws}
+    parent_of = {}
+    for w in ws:
+        parent = z_of[w]
+        while parent % 2 == 0:
+            parent //= 2
+        parent_of[w] = parent
+    depths, level = {1: 0}, [1]
+    for d in range(1, depth + 1):
+        level = [c for p in level for c in ws if parent_of[c] == p and c != p]
+        for c in level:
+            depths[c] = d
+    children = {}
+    for p in depths:
+        kids = [c for c in ws if parent_of[c] == p]
+        if kids:
+            children[p] = tuple(c for c in kids if c in depths)
+    return WZTree(
+        root=WZNode(1, z_of[1]),
+        candidate_bound=candidates,
+        depth_bound=depth,
+        nodes=tuple(WZNode(w, z_of[w]) for w in depths),
+        depths=depths,
+        children=children,
+        parents={w: parent_of[w] for w in depths},
+        orphans=tuple(Orphan(w, parent_of[w]) for w in ws if w not in depths),
+    )
+
+
 def affine_apply(z, alpha: int, beta: int) -> Fraction:
     slope = Fraction(2 ** (alpha + beta), 3**alpha)
     intercept = -Fraction(2**beta * (3**alpha - 2**alpha), 3**alpha)

@@ -631,8 +631,9 @@ def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, eight
 GOLDEN = json.loads((ROOT / "tests" / "data" / "golden.json").read_text())
 _GENERATOR = importlib.util.spec_from_file_location(
     "generate_golden", ROOT / "tests" / "data" / "generate_golden.py")
-#: Run again at --workers 2, so that each checker and `stats` fork at every
-#: budget.
+#: Run again at several worker counts.  Most of their windows hold fewer
+#: inputs than their span's minimum per process, so a run forks for them only
+#: with the minimums pinned to 1.
 FORKED = [line for line in GOLDEN
           if "--format json" in line and line.startswith(("verify", "stats"))]
 
@@ -652,7 +653,7 @@ def test_golden_file_holds_the_generated_lines():
     assert sorted(GOLDEN) == sorted(lines)
 
 
-def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
+def _bind_backend(monkeypatch, impl) -> None:
     # `verify` looks `kernels.<name>` up at each call, so binding a backend's
     # kernels here runs every command on it.  The b-file paths are relative
     # to the repository root.
@@ -662,10 +663,40 @@ def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
         for name, value in vars(module).items():
             if callable(value) and name[0] != "_":
                 monkeypatch.setattr(kernels, name, value)
+
+
+def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
+    _bind_backend(monkeypatch, impl)
     for line, expected in GOLDEN.items():
         assert _recorded(capsys, line) == expected, line
     for line in FORKED:
         assert _recorded(capsys, f"{line} --workers 2") == GOLDEN[line], line
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_golden_lines_forked(impl, workers, monkeypatch, capsys, eight_cpus, forks):
+    # The same bytes from children as from one process, on every window:
+    # with each span's minimum inputs per process pinned to 1, every line forks.
+    _bind_backend(monkeypatch, impl)
+    for spec in verify.CHECKERS.values():
+        monkeypatch.setattr(spec.span, "min_inputs", 1)
+    monkeypatch.setattr(sequences._stats_span, "min_inputs", 1)
+    for line in FORKED:
+        forks.clear()
+        assert _recorded(capsys, f"{line} --workers {workers}") == GOLDEN[line], line
+        assert forks, line
+
+
+@pytest.mark.parametrize("workers", ["2", "8"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "covering", "--lo", "1", "--hi", "10"],
+    # perfbench's `tables` size: 5,000 rows are one process's minimum
+    ["stats", "--lo", "8500000", "--hi", "8504999", "--format", "csv"],
+], ids=["covering-10", "stats-5000"])
+def test_small_runs_fork_no_child(argv, workers, monkeypatch, capsys, eight_cpus, forks):
+    monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
+    assert main([*argv, "--workers", workers]) == 0
+    assert forks == []
 
 
 # --- benchmark hooks ------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Inverse affine steps, path composition, and the candidate tree."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from collatz_lab import reverse_tree as rt
+from collatz_lab import kernels, reverse_tree as rt
 from collatz_lab.errors import DomainError
 
 exponents = st.integers(min_value=1, max_value=12)
@@ -143,6 +144,21 @@ def test_steiner_grid():
 
 
 # --- the tree ----------------------------------------------------------------
+
+
+_literal_tree = functools.cache(oracles.tree_by_iteration)
+
+
+@pytest.mark.parametrize("candidates,depth", [
+    (1, 0), (1, 5), (20, 0), (20, 1), (20, 3), (500, 12), (3000, 40),
+])
+def test_tree_matches_literal_oracle(impl, monkeypatch, candidates, depth):
+    # build_tree looks its two kernels up at each call, as `verify` does.
+    monkeypatch.setattr(kernels, "apt_step", impl.apt_step)
+    monkeypatch.setattr(kernels, "odd_part", impl.odd_part)
+    tree = rt.build_tree(candidates, depth)
+    assert tree == _literal_tree(candidates, depth)
+    assert list(tree.depths) == [node.w for node in tree.nodes]
 
 
 def test_tree_shape_first_twenty_candidates():

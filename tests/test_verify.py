@@ -6,7 +6,7 @@ import time
 import pytest
 
 import oracles
-from collatz_lab import parallel, verify
+from collatz_lab import _pure, kernels, parallel, sequences, verify
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
 from collatz_lab.oeis import GENERATORS, check_oeis, parse_bfile
 
@@ -264,6 +264,75 @@ def test_pool_size_bounded_by_cpus_and_spans(monkeypatch, cpus, workers, hi, exp
 def test_pool_size_bounded_by_cpu_affinity(monkeypatch):
     # Two CPUs installed, but this process may run on one: no fork.
     assert _run_recording_forks(monkeypatch, 2, 1, 4, 100) == (1, 1, {os.getpid()})
+
+
+#: perfbench's `sweep` and `frontier` windows: checker, size and first start.
+BENCHMARK_WINDOWS = [
+    ("conjecture-apt", 80_000, 8_500_000),
+    ("conjecture-emapt", 40_000, 8_500_000),
+    ("covering", 8_000, 8_500_000),
+    ("conjecture-apt", 40_000, 2**68),
+]
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("theorem,size,lo", BENCHMARK_WINDOWS)
+def test_benchmark_windows_fork_a_child_per_other_cpu(theorem, size, lo, cpus,
+                                                      monkeypatch, forks):
+    # Each process gets at least its span's minimum inputs, and the minimums
+    # still give these windows one process per CPU, up to four.
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(kernels, verify.CHECKERS[theorem].span.__name__,
+                        lambda a, b, budget: (b - a + 1, [], []))
+    assert verify.run_check(theorem, lo, lo + size - 1, workers=cpus).checked == size
+    assert len(forks) == cpus - 1
+
+
+def _logging_pids(kernel, log, pauses):
+    """kernel, writing each process's pid to log on its first call; the test
+    process first sleeps `pauses` seconds, so that a child claims a span."""
+    seen = set()
+
+    def call(*args):
+        if os.getpid() not in seen:
+            seen.add(os.getpid())
+            with open(log, "a") as sink:
+                sink.write(f"{os.getpid()}\n")
+            if os.getpid() == _TEST_PID:
+                time.sleep(pauses)
+        return kernel(*args)
+
+    return call
+
+
+@pytest.mark.parametrize("run", [
+    lambda: sequences.stopping_stats(8_500_000, 8_519_999, 10_000, workers=2),
+    lambda: verify.run_check("conjecture-apt", 8_500_000, 8_539_999, workers=2),
+    lambda: verify.run_check("conjecture-emapt", 8_500_000, 8_539_999, workers=2),
+], ids=["stats", "conjecture-apt", "conjecture-emapt"])
+def test_forked_children_find_the_stopping_tables_built(run, monkeypatch, tmp_path,
+                                                        eight_cpus):
+    # The parent builds `_pure`'s tables before it forks; a child that built
+    # one would raise here, in the parent.
+    built = []
+
+    def parent_only(build):
+        def call(*args):
+            assert os.getpid() == _TEST_PID, "a forked child built a stopping table"
+            built.append(build.__name__)
+            return build(*args)
+        return call
+
+    monkeypatch.setattr(_pure, "_STOP_TABLES", None)
+    for name in ("_block_table", "_small_tails"):
+        monkeypatch.setattr(_pure, name, parent_only(getattr(_pure, name)))
+    log = tmp_path / "pids"
+    for name in ("orbit_lengths", "span_conjecture_apt", "span_conjecture_emapt"):
+        monkeypatch.setattr(kernels, name, _logging_pids(getattr(_pure, name), log, 0.1))
+    run()
+    assert {"_block_table", "_small_tails"} <= set(built)
+    assert len(set(log.read_text().split())) == 2   # the parent and its child
 
 
 _TEST_PID = os.getpid()
