@@ -49,6 +49,7 @@ def test_w_from_z_is_odd_part():
 @given(st.integers(min_value=1, max_value=10**12))
 def test_candidates_avoid_two_and_three(m):
     w = rt.w_candidate(m)
+    assert w == (6 * m + (-1) ** m - 3) // 2   # the documented formula
     assert w % 2 == 1 and w % 3 != 0
     # consecutive candidates differ by 2 or 4 and stay sorted
     assert rt.w_candidate(m + 1) - w in (2, 4)

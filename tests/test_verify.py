@@ -289,9 +289,9 @@ def test_benchmark_windows_fork_a_child_per_other_cpu(theorem, size, lo, cpus,
     assert len(forks) == cpus - 1
 
 
-def _logging_pids(kernel, log, pauses):
+def _logging_pids(kernel, log, pause):
     """kernel, writing each process's pid to log on its first call; the test
-    process first sleeps `pauses` seconds, so that a child claims a span."""
+    process first sleeps `pause` seconds, so that a child claims a span."""
     seen = set()
 
     def call(*args):
@@ -300,7 +300,7 @@ def _logging_pids(kernel, log, pauses):
             with open(log, "a") as sink:
                 sink.write(f"{os.getpid()}\n")
             if os.getpid() == _TEST_PID:
-                time.sleep(pauses)
+                time.sleep(pause)
         return kernel(*args)
 
     return call
