@@ -27,14 +27,20 @@ def _n(value: int | None) -> str:
     return "null" if value is None else f'"{value}"'
 
 
+def _marks(indent: str) -> tuple[str, str, str]:
+    """What opens, separates and closes a non-empty JSON list that opens on
+    the line break and `indent`: each item on a line two spaces deeper."""
+    inner = indent + "  "
+    return "[" + inner, "," + inner, indent + "]"
+
+
 def _items(pieces, indent: str = "\n  "):
     """A JSON list of written items, opening on the line break and `indent`."""
-    inner = indent + "  "
-    sep = "[" + inner
+    sep, comma, closing = _marks(indent)
     for piece in pieces:
         yield sep + piece
-        sep = "," + inner
-    yield "[]" if sep[0] == "[" else indent + "]"
+        sep = comma
+    yield "[]" if sep[0] == "[" else closing
 
 
 # The JSON writers yield text pieces, one per item of a top-level list, and
@@ -147,13 +153,15 @@ def _tree_json(result: WZTree):
            f'    "z": "{result.root.z}"\n  }},\n'
            f'  "candidate_bound": "{result.candidate_bound}",\n'
            f'  "depth_bound": "{result.depth_bound}",\n  "nodes": ')
-    # Each node's children are joined in place, as `_items` writes a list one
-    # level deeper: one piece per node.
-    first, sep, last = '[\n        "', '",\n        "', '"\n      ]'
+    # Each node's children list is joined into the node's one piece, in the
+    # layout `_items` writes one level deeper.
+    opening, comma, closing = _marks("\n      ")
+    comma = f'"{comma}"'
     yield from _items(
         f'{{\n      "w": "{w}",\n      "z": "{z}",\n'
         f'      "depth": "{depths[w]}",\n      "children": '
-        + (first + sep.join(map(str, kids)) + last if (kids := children.get(w)) else "[]")
+        + (f'{opening}"{comma.join(map(str, kids))}"{closing}'
+           if (kids := children.get(w)) else "[]")
         + "\n    }"
         for w, z in result.nodes)
     yield ',\n  "orphans": '

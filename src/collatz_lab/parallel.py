@@ -2,17 +2,16 @@
 
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
-or how many processes ran.  A run uses at most as many processes as it has
-workers, CPUs to run on, and multiples of its span function's `min_inputs`;
-the rule reads no clock, so one command always forks the same way.  With
-one process, or without `os.fork`, the range is one span, run in-process.
-Otherwise the span function's `prepare`, if any, runs once in the parent,
-so that the children share what it builds, and the range is cut into four
-spans per process, which k - 1 forked children and the parent claim from
-one shared pipe.  A child sends its results, or its exception, as one
-pickle and ends with `os._exit`; each is reaped before `run_chunked`
-returns or raises.  A fork copies only the calling thread, so a library
-caller that runs threads should pass workers=1; the CLI runs none.
+or how many processes ran.  The package's callers ask for no more workers
+than give each process its span's minimum of inputs (`CheckerSpec`), a rule
+that reads no clock, so one command always forks the same way.  With one
+process to run on (one CPU or one worker), or without `os.fork`, the range
+is one span, run in-process.
+Otherwise it is cut into four spans per process, which k - 1 forked children
+and the parent claim from one shared pipe.  A child sends its results, or
+its exception, as one pickle and ends with `os._exit`; each is reaped before
+`run_chunked` returns or raises.  A fork copies only the calling thread, so
+a library caller that runs threads should pass workers=1; the CLI runs none.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ def split_range(lo: int, hi: int, chunk: int) -> list[tuple[int, int]]:
 
 def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     """Apply fn(a, b, *args) over spans of [lo, hi]; return results in order.
-    fn may carry `min_inputs`, the fewest inputs that repay a process (1 if
-    absent), and `prepare`, called in the parent only when it forks.
     A child's exception is raised here; a child that dies, RuntimeError."""
     if hi < lo:
         return []
@@ -36,12 +33,9 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    per_process = getattr(fn, "min_inputs", 1)
-    pool_size = max(1, min(workers, cpus, (hi - lo + 1) // per_process))
+    pool_size = max(1, min(workers, cpus))
     if pool_size == 1 or not hasattr(os, "fork"):
         return [fn(lo, hi, *args)]
-    if prepare := getattr(fn, "prepare", None):
-        prepare()
     import pickle   # loaded here, so that a run in one process does not pay for it
 
     spans = split_range(lo, hi, -(-(hi - lo + 1) // (pool_size * 4)))

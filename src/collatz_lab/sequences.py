@@ -303,6 +303,11 @@ def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTabl
     require_int(workers, "workers", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
+    # As in `verify.run_check`: no more processes than get their minimum of
+    # rows, and the stopping tables built before any fork.
+    workers = max(1, min(workers, (hi - lo + 1) // _STATS_MIN_INPUTS))
+    if workers > 1:
+        _stop_tables()
     parts = run_chunked(_stats_span, lo, hi, workers, args=(budget,))
     lengths = (triple for part in parts for triple in part)
     # `_make` skips the generated keyword `__new__`, and is looked up once:
@@ -321,7 +326,7 @@ def _stats_span(lo: int, hi: int, budget: int) -> list[tuple[int, int, int]]:
     return [kernels.orbit_lengths(n, budget) for n in range(lo, hi + 1)]
 
 
-# For `run_chunked`: about 10 ms of pure work per process at 2.1 us a row,
-# and the stopping tables built before a fork (ROADMAP item 14).
-_stats_span.min_inputs = 5_000
-_stats_span.prepare = _stop_tables
+
+#: The fewest rows that repay a forked process: about 10 ms of pure work at
+#: 2.1 us a row (ROADMAP item 14).
+_STATS_MIN_INPUTS = 5_000

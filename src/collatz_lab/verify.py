@@ -77,12 +77,10 @@ def build_report(
 class _Span:
     """`kernels.<name>(lo, hi[, budget])`, looked up at each call so that a
     test can bind another backend; only a budgeted kernel gets the budget.
-    Named after the kernel, in this module: perfbench attributes it to `verify`.
-    `run_chunked` reads `min_inputs` and `prepare` off it (see `CHECKERS`)."""
+    Named after the kernel, in this module: perfbench attributes it to `verify`."""
 
-    def __init__(self, name: str, budgeted: bool, min_inputs: int, prepare=None):
+    def __init__(self, name: str, budgeted: bool):
         self.__name__, self.budgeted = name, budgeted
-        self.min_inputs, self.prepare = min_inputs, prepare
 
     def __call__(self, lo: int, hi: int, budget: int) -> ScanPart:
         kernel = getattr(kernels, self.__name__)
@@ -93,24 +91,27 @@ class CheckerSpec(NamedTuple):
     span: Callable[[int, int, int], ScanPart]
     min_lo: int
     observational: bool = False
+    min_inputs: int = 1     # the fewest inputs that repay a forked process
+    tables: bool = False    # the span walks `_pure`'s stopping tables
 
 
-#: Each span's minimum inputs per process is about 10 ms of pure kernel work,
-#: the cost of a fork, at its per-input cost in ROADMAP item 14.  The reach
-#: sweeps walk `_pure`'s stopping tables, so a forking run builds them first.
+#: Each `min_inputs` is about 10 ms of pure kernel work, the cost of a fork,
+#: at the span's per-input cost in ROADMAP item 14.
 CHECKERS: dict[str, CheckerSpec] = {
-    "covering": CheckerSpec(_Span("span_covering", True, 1_000), 1),
-    "parity-runs": CheckerSpec(_Span("span_parity_runs", False, 25_000), 1),
-    "u-residues": CheckerSpec(_Span("span_u_residues", True, 5_000), 2),
-    "u-residues-odd-starts": CheckerSpec(_Span("span_u_residues_odd", True, 4_000), 1,
-                                         observational=True),
-    "x-residues": CheckerSpec(_Span("scan_x_residues", False, 20_000), 0),
-    "p3n": CheckerSpec(_Span("scan_p3n", False, 60_000), 0),
-    "dual-forms": CheckerSpec(_Span("span_dual_forms", False, 13_000), 0),
-    "linear-fixed-point": CheckerSpec(_Span("span_linear_fixed_point", False, 60_000), 2),
-    "conjecture-apt": CheckerSpec(_Span("span_conjecture_apt", True, 10_000, _stop_tables), 1),
-    "conjecture-emapt": CheckerSpec(
-        _Span("span_conjecture_emapt", True, 10_000, _stop_tables), 0),
+    "covering": CheckerSpec(_Span("span_covering", True), 1, min_inputs=1_000),
+    "parity-runs": CheckerSpec(_Span("span_parity_runs", False), 1, min_inputs=25_000),
+    "u-residues": CheckerSpec(_Span("span_u_residues", True), 2, min_inputs=5_000),
+    "u-residues-odd-starts": CheckerSpec(_Span("span_u_residues_odd", True), 1,
+                                         observational=True, min_inputs=4_000),
+    "x-residues": CheckerSpec(_Span("scan_x_residues", False), 0, min_inputs=20_000),
+    "p3n": CheckerSpec(_Span("scan_p3n", False), 0, min_inputs=60_000),
+    "dual-forms": CheckerSpec(_Span("span_dual_forms", False), 0, min_inputs=13_000),
+    "linear-fixed-point": CheckerSpec(_Span("span_linear_fixed_point", False), 2,
+                                      min_inputs=60_000),
+    "conjecture-apt": CheckerSpec(_Span("span_conjecture_apt", True), 1,
+                                  min_inputs=10_000, tables=True),
+    "conjecture-emapt": CheckerSpec(_Span("span_conjecture_emapt", True), 0,
+                                    min_inputs=10_000, tables=True),
 }
 
 
@@ -133,6 +134,11 @@ def run_check(
     require_int(cap, "violation cap", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
+    # No more processes than get min_inputs each; a run that may fork builds
+    # the stopping tables here, once, not in each child.
+    workers = max(1, min(workers, (hi - lo + 1) // spec.min_inputs))
+    if workers > 1 and spec.tables:
+        _stop_tables()
     parts = run_chunked(spec.span, lo, hi, workers, args=(budget,))
     return build_report(theorem_id, lo, hi, parts, cap, spec.observational)
 

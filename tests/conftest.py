@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from collatz_lab import _pure, parallel
+from collatz_lab import _pure, parallel, sequences, verify
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
@@ -44,6 +44,15 @@ def eight_cpus(monkeypatch):
     more workers and a second span forks on any machine."""
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
+
+
+@pytest.fixture
+def any_window_forks(monkeypatch, eight_cpus):
+    """`eight_cpus`, with every span's minimum inputs per process pinned to 1:
+    a run with two or more workers forks on any window of two or more inputs."""
+    for name, spec in verify.CHECKERS.items():
+        monkeypatch.setitem(verify.CHECKERS, name, spec._replace(min_inputs=1))
+    monkeypatch.setattr(sequences, "_STATS_MIN_INPUTS", 1)
 
 
 @pytest.fixture

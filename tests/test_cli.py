@@ -604,7 +604,8 @@ def test_unwritable_sink_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
-def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt, eight_cpus):
+def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt, any_window_forks,
+                                                    forks):
     files = []
     for workers in ("1", "8"):
         path = tmp_path / f"report-{workers}.{fmt}"
@@ -613,9 +614,11 @@ def test_verify_bytes_identical_across_worker_counts(tmp_path, fmt, eight_cpus):
         assert main(argv) == 0
         files.append(path)
     assert files[0].read_bytes() == files[1].read_bytes()
+    assert len(forks) == 7
 
 
-def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, eight_cpus):
+def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch,
+                                                   any_window_forks, forks):
     paths = []
     for workers in ("1", "6"):
         monkeypatch.setenv("COLLATZ_LAB_WORKERS", workers)
@@ -624,6 +627,7 @@ def test_stats_bytes_identical_across_worker_counts(tmp_path, monkeypatch, eight
                      "--output", str(path)]) == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert len(forks) == 5
 
 
 #: Command line: the sha256 of its stdout and its exit status, as
@@ -674,13 +678,10 @@ def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
 
 
 @pytest.mark.parametrize("workers", [2, 8])
-def test_golden_lines_forked(impl, workers, monkeypatch, capsys, eight_cpus, forks):
+def test_golden_lines_forked(impl, workers, monkeypatch, capsys, any_window_forks, forks):
     # The same bytes from children as from one process, on every window:
     # with each span's minimum inputs per process pinned to 1, every line forks.
     _bind_backend(monkeypatch, impl)
-    for spec in verify.CHECKERS.values():
-        monkeypatch.setattr(spec.span, "min_inputs", 1)
-    monkeypatch.setattr(sequences._stats_span, "min_inputs", 1)
     for line in FORKED:
         forks.clear()
         assert _recorded(capsys, f"{line} --workers {workers}") == GOLDEN[line], line

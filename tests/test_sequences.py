@@ -262,10 +262,11 @@ def test_stats_budget_exhaustion():
     assert seq.stopping_stats(7, 7, 8).rows[0] == seq.StatsRow(7, None, None, 7, True)
 
 
-def test_stats_parallel_matches_serial(eight_cpus):
+def test_stats_parallel_matches_serial(any_window_forks, forks):
     serial = seq.stopping_stats(1, 200, 10_000, workers=1)
     parallel = seq.stopping_stats(1, 200, 10_000, workers=4)
     assert serial == parallel
+    assert len(forks) == 3
 
 
 def test_stats_validation():

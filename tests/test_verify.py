@@ -132,7 +132,7 @@ def test_seed_finishing_on_the_last_budget_step_is_not_exhausted(theorem):
     assert checked >= 140
 
 
-def test_reports_identical_across_worker_counts(eight_cpus):
+def test_reports_identical_across_worker_counts(any_window_forks, forks):
     reference = None
     for workers in (1, 2, 8):
         report = verify.run_check("covering", 1, 400, budget=10_000, workers=workers)
@@ -140,6 +140,8 @@ def test_reports_identical_across_worker_counts(eight_cpus):
             reference = report
         else:
             assert report == reference
+            assert forks, workers
+            forks.clear()
 
 
 @pytest.mark.parametrize(
@@ -147,10 +149,12 @@ def test_reports_identical_across_worker_counts(eight_cpus):
     [("covering", 1, 300), ("u-residues", 2, 600), ("dual-forms", 0, 500),
      ("linear-fixed-point", 2, 600), ("conjecture-apt", 1, 2000)],
 )
-def test_reports_equal_at_one_and_four_workers(theorem, lo, hi, eight_cpus):
+def test_reports_equal_at_one_and_four_workers(theorem, lo, hi, any_window_forks, forks):
     # reports are plain values: no wall-clock time rides along
     serial = verify.run_check(theorem, lo, hi, budget=10_000, workers=1)
+    assert forks == []
     assert verify.run_check(theorem, lo, hi, budget=10_000, workers=4) == serial
+    assert len(forks) == 3
 
 
 def test_run_check_validation():
