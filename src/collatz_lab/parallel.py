@@ -3,15 +3,15 @@
 Results are merged in span order, and every worker computes a pure function
 of its span, so output is identical no matter how the range was partitioned
 or how many processes ran.  The package's callers ask for no more workers
-than give each process its span's minimum of inputs (`CheckerSpec`), a rule
-that reads no clock, so one command always forks the same way.  With one
-process to run on (one CPU or one worker), or without `os.fork`, the range
-is one span, run in-process.
-Otherwise it is cut into four spans per process, which k - 1 forked children
-and the parent claim from one shared pipe.  A child sends its results, or
-its exception, as one pickle and ends with `os._exit`; each is reaped before
-`run_chunked` returns or raises.  A fork copies only the calling thread, so
-a library caller that runs threads should pass workers=1; the CLI runs none.
+than give each process a minimum of inputs (`CheckerSpec.min_inputs`), a
+rule that reads no clock, so one command always forks the same way.  With
+one process to run on (one CPU or one worker), or without `os.fork`, the
+range is one span, run in-process.  Otherwise it is cut into four spans per
+process, which k - 1 forked children and the parent claim from one shared
+pipe.  A child sends its results, or its exception, as one pickle and ends
+with `os._exit`; each is reaped before `run_chunked` returns or raises.  A
+fork copies only the calling thread, so a library caller that runs threads
+should pass workers=1; the CLI runs none.
 """
 
 from __future__ import annotations
