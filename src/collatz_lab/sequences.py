@@ -326,7 +326,6 @@ def _stats_span(lo: int, hi: int, budget: int) -> list[tuple[int, int, int]]:
     return [kernels.orbit_lengths(n, budget) for n in range(lo, hi + 1)]
 
 
-
 #: The fewest rows that repay a forked process: about 10 ms of pure work at
 #: 2.1 us a row (ROADMAP item 14).
 _STATS_MIN_INPUTS = 5_000
