@@ -15,10 +15,12 @@ than loop or index the tables.  Everything is plain-int arithmetic, so
 arbitrarily large values are handled natively.
 
 The range kernels at the end run a whole `verify` span in one call (all
-but `scan_emapt_forms`, which only a benchmark probe calls).  The scans
-and `span_linear_fixed_point` call a step kernel per input; the residue,
-parity-run and dual-form spans write the formulas out inline, so that no
-element pays a function call.  The two residue spans share one walk to 2,
+but `scan_emapt_forms`, which only a benchmark probe calls).  Of the
+checker spans only `span_linear_fixed_point` calls a step kernel per
+input; the two scans and the residue, parity-run and dual-form spans write
+the formulas out inline, so that no element pays a function call, and
+`scan_x_residues` and `span_dual_forms` read 3^k from a list built once
+per span.  The two residue spans share one walk to 2,
 the two reach spans one block walk that counts parity runs only, and
 `span_covering` runs the lock-step walk per start; all five keep a memo of
 the tails that earlier seeds or starts of the span finished.  The tests
@@ -368,28 +370,48 @@ def emapt_stopping(u, budget):
 # --- range kernels; each returns (checked, violations, exhausted) -----------
 #
 # Violations are (input, detail) pairs in input order, and checked counts the
-# inputs.  The scans and `span_linear_fixed_point` call the standalone
-# kernels per input; the other spans are their `verify` checkers' loops with
-# them written out inline: p is the literal recursion (halve through the odd
-# prefix, then once more), never the closed form (n + 1) >> q(n), and q(n) is
-# ruler(n + 1).  A span whose first element lies outside the checker's domain
+# inputs.  `span_linear_fixed_point` calls `emapt_step_pq` per input (and
+# `scan_emapt_forms` both even steps); the other spans are their `verify`
+# checkers' loops with the standalone kernels written out inline: p is the
+# literal recursion (halve through the odd prefix, then once more), never the
+# closed form (n + 1) >> q(n), and q(n) is ruler(n + 1).  A span whose first element lies outside the checker's domain
 # raises ValueError, where the loop would never end.
 
 
 def scan_p3n(lo, hi):
     """n in [lo, hi]: p(3n) is never 1 mod 3."""
+    if lo < 0:
+        raise ValueError(f"p(3n) needs n >= 0, got lo = {lo}")
     violations = []
     for n in range(lo, hi + 1):
-        if interleave_p(3 * n) % 3 == 1:
+        # interleave_p(3n)
+        p = 3 * n
+        while p & 1:
+            p >>= 1
+        if (p >> 1) % 3 == 1:
             violations.append((n, "p(3n) is 1 mod 3"))
     return len(range(lo, hi + 1)), violations, []
 
 
 def scan_x_residues(lo, hi):
     """x in [lo, hi]: the index-form image x_step(x) is never 2 mod 3."""
+    if lo < 0:
+        raise ValueError(f"the index form starts at x = 0, got lo = {lo}")
+    # q(m) - 1 is at most bit_length(x) + 1; int.bit_length keeps a float hi
+    # a TypeError.
+    pow3 = [3**k for k in range(int.bit_length(hi) + 3)]
     violations = []
     for x in range(lo, hi + 1):
-        if x_step(x) % 3 == 2:
+        # x_step(x): m = p(3x), then ((2 p(m) + 1) 3^(q(m) - 1) - 1) / 2
+        p = 3 * x
+        while p & 1:
+            p >>= 1
+        m = p = p >> 1
+        while p & 1:
+            p >>= 1
+        m += 1
+        image = ((2 * (p >> 1) + 1) * pow3[(m & -m).bit_length() - 1] - 1) >> 1
+        if image % 3 == 2:
             violations.append((x, "image is 2 mod 3"))
     return len(range(lo, hi + 1)), violations, []
 
@@ -540,6 +562,9 @@ def span_dual_forms(lo, hi):
     (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
     if lo < 0:
         raise ValueError(f"index maps start at 0, got lo = {lo}")
+    # Every exponent below is at most bit_length(n) + 1 (q and r, the ruler
+    # of n + 1); int.bit_length keeps a float hi a TypeError.
+    pow3 = [3**k for k in range(int.bit_length(hi) + 3)]
     violations = []
     for n in range(lo, hi + 1):
         if n & 1 == 0 and n >= 2:
@@ -551,11 +576,11 @@ def span_dual_forms(lo, hi):
             while p & 1:
                 p >>= 1
             m += 1
-            via_pq = (2 * (p >> 1) + 1) * 3 ** (m & -m).bit_length() - 1
+            via_pq = (2 * (p >> 1) + 1) * pow3[(m & -m).bit_length()] - 1
             # emapt_step_ruler(n): apt_step of the odd part o, 3^e (o + 1) / 2^e - 1
             m = (n >> ((n & -n).bit_length() - 1)) + 1
             e = (m & -m).bit_length() - 1
-            if via_pq != 3**e * (m >> e) - 1:
+            if via_pq != pow3[e] * (m >> e) - 1:
                 violations.append((n, "pq and ruler forms disagree"))
         p = n
         while p & 1:
@@ -570,7 +595,7 @@ def span_dual_forms(lo, hi):
         r = (even & -even).bit_length() - 1
         if odd != even >> r:
             violations.append((n, "even index map disagrees with accelerated step"))
-        if odd * 3**q - 1 != 3**r * (even >> r) - 1:
+        if odd * pow3[q] - 1 != pow3[r] * (even >> r) - 1:
             violations.append((n, "odd index map disagrees with accelerated step"))
     evens = range(max(lo + (lo & 1), 2), hi + 1, 2)   # the even-step domain starts at 2
     return len(evens) + len(range(lo, hi + 1)), violations, []

@@ -9,6 +9,12 @@ environment variable overrides any --workers flag.
 Exit status: 0 on success, 1 when a verification found violations, 2 on
 usage, configuration or domain errors, including a worker count below one,
 and 3 on an internal error such as a crashed worker process.
+
+The process entry, `entry`, ends the process at its last byte: it flushes
+stdout, then stderr, and calls `os._exit` with the status, so the
+interpreter's teardown is skipped and no `atexit` handler runs in the CLI
+process.  An error at the stdout flush, such as a closed pipe, exits 2.
+`main` returns the status instead, for callers in the same process.
 """
 
 from __future__ import annotations
@@ -218,6 +224,7 @@ def run(ns: argparse.Namespace) -> int:
     try:
         if ns.output is None:
             emit_mod.emit(result, ns.format, sys.stdout)
+            sys.stdout.flush()   # the last buffered bytes fail here, not at exit
         else:
             # newline="" keeps the writers' "\n" line ends untranslated on every platform
             with open(ns.output, "w", encoding="utf-8", newline="") as sink:
@@ -243,5 +250,22 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> None:
+    """Run `main` on sys.argv and end the process with its status, once
+    stdout and stderr are flushed, without the interpreter's teardown."""
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if status != 2:   # a failed write to stdout has already said so
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            status = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -85,15 +85,24 @@ def _trace_text(result: Trace):
         yield f"stopping time: {result.stopping_time}\n"
 
 
-def _report_json(result: TheoremReport):
-    from json.encoder import encode_basestring_ascii as esc
+def _esc(text: str) -> str:
+    """text as a JSON string, as `json.dumps` writes it: in place when it is
+    printable ASCII with no quote or backslash, so that `json` is loaded only
+    for a string that needs escaping."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from json.encoder import encode_basestring_ascii
 
-    yield (f'{{\n  "theorem_id": {esc(result.theorem_id)},\n'
+    return encode_basestring_ascii(text)
+
+
+def _report_json(result: TheoremReport):
+    yield (f'{{\n  "theorem_id": {_esc(result.theorem_id)},\n'
            f'  "lo": "{result.lo}",\n  "hi": "{result.hi}",\n'
            f'  "checked": "{result.checked}",\n'
            f'  "violation_count": "{result.violation_count}",\n  "violations": ')
     yield from _items(
-        f'{{\n      "input": "{v.input}",\n      "detail": {esc(v.detail)}\n    }}'
+        f'{{\n      "input": "{v.input}",\n      "detail": {_esc(v.detail)}\n    }}'
         for v in result.violations)
     yield ',\n  "budget_exhausted": '
     yield from _items(f'"{n}"' for n in result.budget_exhausted)

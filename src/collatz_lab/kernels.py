@@ -10,9 +10,10 @@ stale in-place build lacks.
 
 The two `scan_*` and eight `span_*` kernels that `verify.CHECKERS` names,
 one per checker and looked up here at each call, each run a whole checker
-span in one call and return (checked, violations, exhausted): the scans
-and the linear span call the step kernels, four spans inline their
-formulas, and three walk orbits (`covering` and the two reach sweeps).
+span in one call and return (checked, violations, exhausted): the linear
+span calls a step kernel per input, the two scans and four spans inline
+their formulas, and three walk orbits (`covering` and the two reach
+sweeps).
 The tests compare each, on both backends, with the literal checker loop.
 """
 

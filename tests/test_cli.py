@@ -480,6 +480,98 @@ def test_closed_pipe_exits_two(capsys, argv):
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
 
+# --- the process entry: os._exit once stdout and stderr are flushed -------------
+
+
+def _process(argv, **kwargs):
+    """`python -m collatz_lab.cli argv` with PYTHONUNBUFFERED unset, so that
+    stdout is block-buffered; stderr is captured, and stdout unless kwargs
+    names another."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "COLLATZ_LAB_WORKERS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    env["COLUMNS"] = "80"   # argparse wraps help text to the terminal width
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "collatz_lab.cli", *argv],
+                          stderr=subprocess.PIPE, cwd=ROOT, env=env, timeout=120,
+                          **kwargs)
+
+
+def test_small_output_into_closed_pipe_exits_two():
+    # The whole document fits the stdout buffer, so its one write happens at
+    # the last flush; before `run` flushed, that was the interpreter's own at
+    # teardown, which ended the process with status 120.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _process(["trace", "--kind", "A", "--start", "27", "--format", "json"],
+                        stdout=write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
+def _in_process(argv, monkeypatch) -> tuple[bytes, int]:
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
+    monkeypatch.chdir(ROOT)
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        status = main(argv)
+    return sink.getvalue().encode(), status
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["tree", "--candidates", "20000", "--depth", "40", "--format", "json"], 0),
+        (["trace", "--kind", "U", "--start", "20", "--format", "csv"], 0),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+    ],
+    ids=["tree-2mb-json", "tiny-trace", "help", "verify-help"],
+)
+def test_process_writes_what_main_writes(argv, status, monkeypatch):
+    proc = _process(argv)
+    expected, in_process_status = _in_process(argv, monkeypatch)
+    assert proc.returncode == in_process_status == status, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == hashlib.sha256(expected).hexdigest()
+    if argv[0] == "tree":
+        assert len(proc.stdout) > 2_000_000
+    if "--help" in argv:
+        assert proc.stdout.startswith(b"usage: collatz-lab") and b"--help" in proc.stdout
+
+
+def test_process_writes_output_file(tmp_path):
+    out = tmp_path / "trace.csv"
+    proc = _process(["trace", "--kind", "U", "--start", "20", "--format", "csv",
+                     "--output", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert out.read_bytes() == b"step,value\n0,20\n1,8\n2,2\n"
+
+
+def test_process_exits_one_on_a_divergent_bfile(tmp_path):
+    bad = tmp_path / "b.txt"
+    bad.write_text("1 1\n2 5\n3 1\n")
+    proc = _process(["oeis-check", "--bfile", str(bad), "--generator", "ruler",
+                     "--count", "3", "--format", "csv"])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b'input,detail\n2,"file has 5, generator gives 2"\n'
+    assert proc.stderr.startswith(b"oeis-")
+
+
+def test_process_exits_two_with_usage():
+    proc = _process(["verify", "--theorem", "no-such-theorem", "--lo", "1", "--hi", "9"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage: collatz-lab verify")
+    assert b"invalid choice" in proc.stderr
+
+
 # Integers past 2**64, as orbit elements and bigint windows have.
 _INTS = st.integers(min_value=0, max_value=2**300)
 _LENGTHS = st.none() | _INTS
@@ -573,16 +665,24 @@ def test_writers_match_oracles_at_the_edges(result):
     "text",
     [
         "",
+        "".join(chr(c) for c in range(0x20, 0x7f) if chr(c) not in '"\\'),
+        'a "quoted" word',
+        "back\\slash",
         'quote " backslash \\ slash /',
+        "tab\tstop",
         "".join(map(chr, range(0x20))),
         "\x7f",
         "caf\u00e9 na\u00efve \u00ff\u0100",
         "line \u2028 paragraph \u2029",
         "astral \U0001f600 \U0010ffff",
     ],
-    ids=["empty", "escapes", "controls", "del", "non-ascii", "line-separator", "astral"],
+    ids=["empty", "printable", "quote", "backslash", "escapes", "control", "controls",
+         "del", "non-ascii", "line-separator", "astral"],
 )
 def test_json_writer_escapes_strings(text):
+    # Printable ASCII with no quote or backslash is written in place; every
+    # other string as `json` escapes it.
+    assert emit._esc(text) == json.dumps(text)
     report = verify.TheoremReport(
         text, 1, 2**70, 3, (verify.Violation(2**70, text),), 1, (), False
     )
@@ -772,8 +872,8 @@ def _cli_code(argv: list[str]) -> str:
 #: A fork pool loads pickle for its results; a run in one process loads none of these.
 POOL_MODULES = {"concurrent.futures.process", "multiprocessing", "pickle"}
 #: Loaded by none of these runs: no result type is a dataclass, none of the
-#: runs builds a Fraction, emit writes CSV without `csv`, and none writes a
-#: report as JSON.
+#: runs builds a Fraction, emit writes CSV without `csv`, and JSON without
+#: `json` unless a string needs escaping.
 NEVER = {"dataclasses", "inspect", "fractions", "csv", "json"}
 
 # What each run must not load: a command imports only its own modules, and
@@ -794,6 +894,10 @@ IMPORT_BUDGETS = {
     "stats": (_cli_code(["stats", "--lo", "1", "--hi", "50"]), POOL_MODULES | NEVER),
     "stats-csv": (_cli_code(["stats", "--lo", "1", "--hi", "50", "--format", "csv"]),
                   POOL_MODULES | NEVER),
+    # A report's theorem id and details are printable ASCII: no `json`.
+    "verify-json": (_cli_code(["verify", "--theorem", "u-residues", "--lo", "2", "--hi",
+                               "99", "--budget", "3", "--workers", "1", "--format", "json"]),
+                    POOL_MODULES | NEVER),
     # Its exhausted inputs give the CSV rows to write.
     "verify-csv": (_cli_code(["verify", "--theorem", "conjecture-apt", "--lo", "1", "--hi",
                               "9", "--budget", "1", "--workers", "1", "--format", "csv"]),
@@ -911,6 +1015,19 @@ def test_readme_commands_run_clean(command, monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = shlex.split(command)[1:]
     assert main(argv) == 0
+
+
+def test_console_script_target_is_the_process_entry():
+    # The installed script and `python -m collatz_lab.cli` end the same way;
+    # this holds where the script is not on PATH.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["collatz-lab"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
+    main_block = [node for node in ast.parse((ROOT / "src/collatz_lab/cli.py").read_text())
+                  .body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert [ast.unparse(node) for node in main_block[0].body] == ["entry()"]
 
 
 def test_console_script_entry_point():

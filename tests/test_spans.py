@@ -320,7 +320,8 @@ def test_range_kernels_share_one_contract(impl):
 
 
 BELOW_DOMAIN = [
-    ("scan_x_residues", (-1, 10)),         # p of a negative 3x never ends
+    ("scan_p3n", (-1, 10)),                # p of a negative 3n never ends
+    ("scan_x_residues", (-1, 10)),
     ("span_u_residues", (0, 10, 5)),       # u = 0: p((0 - 2) / 2) halves -1 forever
     ("span_u_residues_odd", (-1, 10, 5)),
     ("span_parity_runs", (0, 10)),         # n = 0: the halving run never ends
