@@ -20,11 +20,11 @@ checker spans only `span_linear_fixed_point` calls a step kernel per
 input; the two scans and the residue, parity-run and dual-form spans write
 the formulas out inline, so that no element pays a function call, and
 `scan_x_residues` and `span_dual_forms` read 3^k from a list built once
-per span.  The two residue spans share one walk to 2,
-the two reach spans one block walk that counts parity runs only, and
-`span_covering` runs the lock-step walk per start; all five keep a memo of
-the tails that earlier seeds or starts of the span finished.  The tests
-compare each range kernel with the literal checker loop (`tests/oracles.py`).
+per span.  The two residue spans share one walk to 2, the two reach spans
+one block walk that counts parity runs only, and `span_covering` runs the
+lock-step walk per start; all five keep a memo of the tails that earlier
+seeds or starts of the span finished.  The tests compare each range kernel
+with the literal checker loop (`tests/oracles.py`).
 """
 
 import operator as _operator
@@ -374,8 +374,9 @@ def emapt_stopping(u, budget):
 # `scan_emapt_forms` both even steps); the other spans are their `verify`
 # checkers' loops with the standalone kernels written out inline: p is the
 # literal recursion (halve through the odd prefix, then once more), never the
-# closed form (n + 1) >> q(n), and q(n) is ruler(n + 1).  A span whose first element lies outside the checker's domain
-# raises ValueError, where the loop would never end.
+# closed form (n + 1) >> q(n), and q(n) is ruler(n + 1).  A span whose first
+# element lies outside the checker's domain raises ValueError, where the loop
+# would never end.
 
 
 def scan_p3n(lo, hi):
