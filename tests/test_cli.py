@@ -1024,9 +1024,8 @@ def test_console_script_target_is_the_process_entry():
         target = tomllib.load(handle)["project"]["scripts"]["collatz-lab"]
     module, _, name = target.partition(":")
     assert getattr(importlib.import_module(module), name) is cli.entry
-    main_block = [node for node in ast.parse((ROOT / "src/collatz_lab/cli.py").read_text())
-                  .body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
-    assert [ast.unparse(node) for node in main_block[0].body] == ["entry()"]
+    source = (ROOT / "src/collatz_lab/cli.py").read_text(encoding="utf-8")
+    assert source.endswith('\n\nif __name__ == "__main__":\n    entry()\n')
 
 
 def test_console_script_entry_point():
