@@ -19,12 +19,13 @@ but `scan_emapt_forms`, which only a benchmark probe calls).  Of the
 checker spans only `span_linear_fixed_point` calls a step kernel per
 input; the two scans and the residue, parity-run and dual-form spans write
 the formulas out inline, so that no element pays a function call, and
-`scan_x_residues` and `span_dual_forms` read 3^k from a list built once
-per span.  The two residue spans share one walk to 2, the two reach spans
-one block walk that counts parity runs only, and `span_covering` runs the
-lock-step walk per start; all five keep a memo of the tails that earlier
-seeds or starts of the span finished.  The tests compare each range kernel
-with the literal checker loop (`tests/oracles.py`).
+`scan_x_residues` and `span_dual_forms` read 3^k from one table built at
+import (past 2^127, from a list built per call).  The two residue spans
+share one walk to 2, the two reach spans one block walk that counts parity
+runs only, and `span_covering` runs the lock-step walk per start; all five
+keep a memo of the tails that earlier seeds or starts of the span finished.
+The tests compare each range kernel with the literal checker loop
+(`tests/oracles.py`).
 """
 
 import operator as _operator
@@ -394,13 +395,17 @@ def scan_p3n(lo, hi):
     return len(range(lo, hi + 1)), violations, []
 
 
+#: 3^0 ... 3^129: every power `scan_x_residues` and `span_dual_forms` read on
+#: a window below 2^127, so that a one-element call, as `_fast` makes, builds none.
+_POW3 = tuple(3**k for k in range(130))
+
+
 def scan_x_residues(lo, hi):
     """x in [lo, hi]: the index-form image x_step(x) is never 2 mod 3."""
     if lo < 0:
         raise ValueError(f"the index form starts at x = 0, got lo = {lo}")
-    # q(m) - 1 is at most bit_length(x) + 1; int.bit_length keeps a float hi
-    # a TypeError.
-    pow3 = [3**k for k in range(int.bit_length(hi) + 3)]
+    # q(m) - 1 is at most bit_length(x) + 1.
+    pow3 = _POW3 if hi < 1 << 127 else [3**k for k in range(int.bit_length(hi) + 3)]
     violations = []
     for x in range(lo, hi + 1):
         # x_step(x): m = p(3x), then ((2 p(m) + 1) 3^(q(m) - 1) - 1) / 2
@@ -563,9 +568,8 @@ def span_dual_forms(lo, hi):
     (2 p + 1) 2^q - 1 runs to (2 p + 1) 3^q - 1."""
     if lo < 0:
         raise ValueError(f"index maps start at 0, got lo = {lo}")
-    # Every exponent below is at most bit_length(n) + 1 (q and r, the ruler
-    # of n + 1); int.bit_length keeps a float hi a TypeError.
-    pow3 = [3**k for k in range(int.bit_length(hi) + 3)]
+    # Every exponent below is at most bit_length(n) + 1 (q and r, the ruler of n + 1).
+    pow3 = _POW3 if hi < 1 << 127 else [3**k for k in range(int.bit_length(hi) + 3)]
     violations = []
     for n in range(lo, hi + 1):
         if n & 1 == 0 and n >= 2:

@@ -8,15 +8,20 @@ rule that reads no clock, so one command always forks the same way.  With
 one process to run on (one CPU or one worker), or without `os.fork`, the
 range is one span, run in-process.  Otherwise it is cut into four spans per
 process, which k - 1 forked children and the parent claim from one shared
-pipe.  A child sends its results, or its exception, as one pickle and ends
-with `os._exit`; each is reaped before `run_chunked` returns or raises.  A
-fork copies only the calling thread, so a library caller that runs threads
-should pass workers=1; the CLI runs none.
+pipe.  Before the first fork, the parent runs the span on the range's last
+input, so that every child inherits what a kernel builds on first use; that
+input's cost is paid twice.  A child sends its results, or its exception, as
+one pickle and ends with `os._exit`; each is reaped before `run_chunked`
+returns or raises.  An `OSError` from `os.pipe` or `os.fork` stops the
+forking: the processes started claim every span, and a stderr line says how
+many ran.  A fork copies only the calling thread, so a library caller that
+runs threads should pass workers=1; the CLI runs none.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 
 def split_range(lo: int, hi: int, chunk: int) -> list[tuple[int, int]]:
@@ -39,23 +44,31 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
     import pickle   # loaded here, so that a run in one process does not pay for it
 
     spans = split_range(lo, hi, -(-(hi - lo + 1) // (pool_size * 4)))
-    # All indices go in before the fork: a 64 KiB pipe holds 4096 processes' spans.
-    claims, queue = os.pipe()
-    os.write(queue, b"".join(i.to_bytes(4, "little") for i in range(len(spans))))
-    os.close(queue)
-    live, pipes = [], []   # unreaped children; the read ends of their pipes
+    fn(hi, hi, *args)   # what it builds on first use, every child inherits
+    # The claims pipe's read end; unreaped children; the read ends of their pipes.
+    claims, live, pipes = None, [], []
     try:
-        for _ in range(min(pool_size, len(spans)) - 1):
-            r, w = os.pipe()
-            pipes.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(fn, spans, args, claims, w)
-            finally:
-                os.close(w)
-            live.append(pid)
-        done = _claim(fn, spans, args, claims)
+        try:
+            # Every index goes in before a fork: 64 KiB holds 4096 processes' spans.
+            claims, queue = os.pipe()
+            os.write(queue, b"".join(i.to_bytes(4, "little") for i in range(len(spans))))
+            os.close(queue)
+            for _ in range(min(pool_size, len(spans)) - 1):
+                r, w = os.pipe()
+                pipes.append(r)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(fn, spans, args, claims, w)
+                finally:
+                    os.close(w)
+                live.append(pid)
+        except OSError as exc:   # no process or fd left: those started claim every span
+            if len(pipes) > len(live):
+                os.close(pipes.pop())
+            print(f"warning: {exc}; processes that ran: {len(live) + 1}", file=sys.stderr)
+        done = (_claim(fn, spans, args, claims) if claims is not None
+                else {i: fn(*span, *args) for i, span in enumerate(spans)})
         for r in pipes:
             with open(r, "rb", closefd=False) as source:
                 data = source.read()
@@ -69,7 +82,7 @@ def run_chunked(fn, lo: int, hi: int, workers: int, args: tuple = ()) -> list:
                 raise part
             done.update(part)
     finally:   # on the way out of an exception, kill and reap what is left
-        for fd in (claims, *pipes):
+        for fd in pipes if claims is None else (claims, *pipes):
             os.close(fd)
         for pid in live:
             os.kill(pid, 9)   # SIGKILL; importing signal would slow every fork path

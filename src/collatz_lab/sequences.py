@@ -25,7 +25,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from collatz_lab import kernels
-from collatz_lab._pure import _stop_tables
 from collatz_lab.errors import ConfigurationError, DomainError, require_int
 
 DEFAULT_MAGNITUDE_CEILING = 2**4096
@@ -303,11 +302,7 @@ def stopping_stats(lo: int, hi: int, budget: int, workers: int = 1) -> StatsTabl
     require_int(workers, "workers", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
-    # As in `verify.run_check`: no more processes than get their minimum of
-    # rows, and the stopping tables built before any fork.
     workers = max(1, min(workers, (hi - lo + 1) // _STATS_MIN_INPUTS))
-    if workers > 1:
-        _stop_tables()
     parts = run_chunked(_stats_span, lo, hi, workers, args=(budget,))
     lengths = (triple for part in parts for triple in part)
     # `_make` skips the generated keyword `__new__`, and is looked up once:

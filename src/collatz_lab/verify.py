@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from collatz_lab import kernels
-from collatz_lab._pure import _stop_tables
 from collatz_lab.errors import ConfigurationError, require_int
 from collatz_lab.kernels import DEFAULT_BUDGET
 
@@ -92,7 +91,6 @@ class CheckerSpec(NamedTuple):
     min_lo: int
     observational: bool = False
     min_inputs: int = 1     # the fewest inputs that repay a forked process
-    tables: bool = False    # the span walks `_pure`'s stopping tables
 
 
 #: Each `min_inputs` is about 10 ms of pure kernel work, the cost of a fork,
@@ -109,9 +107,9 @@ CHECKERS: dict[str, CheckerSpec] = {
     "linear-fixed-point": CheckerSpec(_Span("span_linear_fixed_point", False), 2,
                                       min_inputs=60_000),
     "conjecture-apt": CheckerSpec(_Span("span_conjecture_apt", True), 1,
-                                  min_inputs=10_000, tables=True),
+                                  min_inputs=10_000),
     "conjecture-emapt": CheckerSpec(_Span("span_conjecture_emapt", True), 0,
-                                    min_inputs=10_000, tables=True),
+                                    min_inputs=10_000),
 }
 
 
@@ -134,11 +132,7 @@ def run_check(
     require_int(cap, "violation cap", 1, ConfigurationError)
     from collatz_lab.parallel import run_chunked
 
-    # No more processes than get min_inputs each; a run that may fork builds
-    # the stopping tables here, once, not in each child.
     workers = max(1, min(workers, (hi - lo + 1) // spec.min_inputs))
-    if workers > 1 and spec.tables:
-        _stop_tables()
     parts = run_chunked(spec.span, lo, hi, workers, args=(budget,))
     return build_report(theorem_id, lo, hi, parts, cap, spec.observational)
 

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from collatz_lab import _pure, parallel, sequences, verify
+from collatz_lab import _pure, kernels, parallel, sequences, verify
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
 DATA_DIR = TESTS_DIR / "data"
@@ -114,6 +114,16 @@ def patched_pure(old: str, new: str) -> types.ModuleType:
     module = types.ModuleType("patched_pure")
     exec(compile(source.replace(old, new), _pure.__file__, "exec"), module.__dict__)
     return module
+
+
+def bind_kernels(monkeypatch, impl) -> None:
+    """Bind `impl`'s kernels, and `_pure`'s where it has none, into `kernels`:
+    `verify` and `sequences` look `kernels.<name>` up at each call, so every
+    checker and command then runs on `impl`."""
+    for module in (_pure, impl):
+        for name, value in vars(module).items():
+            if callable(value) and name[0] != "_":
+                monkeypatch.setattr(kernels, name, value)
 
 
 @pytest.fixture(scope="session")

@@ -207,14 +207,6 @@ def is_subsequence(inner: list[int], outer: list[int]) -> bool:
     return all(x in it for x in inner)
 
 
-def odd_elements(seq: list[int]) -> list[int]:
-    return [x for x in seq if x % 2 == 1]
-
-
-def even_elements(seq: list[int]) -> list[int]:
-    return [x for x in seq if x % 2 == 0]
-
-
 def w_candidates_by_sieve(count: int) -> list[int]:
     """First count odd naturals not divisible by three, in order."""
     out = []

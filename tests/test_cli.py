@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib.util
 import io
@@ -22,11 +23,10 @@ from hypothesis import given, strategies as st
 
 import collatz_lab
 import oracles
-from collatz_lab import (
-    _pure, cli, emit, kernels, oeis, parallel, reverse_tree, sequences, verify,
-)
+from collatz_lab import cli, emit, oeis, parallel, reverse_tree, sequences, verify
 from collatz_lab.errors import ConfigurationError, DomainError
 from collatz_lab.cli import main, parse_cli
+from conftest import bind_kernels
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -757,15 +757,10 @@ def test_golden_file_holds_the_generated_lines():
 
 
 def _bind_backend(monkeypatch, impl) -> None:
-    # `verify` looks `kernels.<name>` up at each call, so binding a backend's
-    # kernels here runs every command on it.  The b-file paths are relative
-    # to the repository root.
+    # The b-file paths are relative to the repository root.
     monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
     monkeypatch.chdir(ROOT)
-    for module in (_pure, impl):
-        for name, value in vars(module).items():
-            if callable(value) and name[0] != "_":
-                monkeypatch.setattr(kernels, name, value)
+    bind_kernels(monkeypatch, impl)
 
 
 def test_output_matches_golden(impl, monkeypatch, capsys, eight_cpus):
@@ -785,6 +780,44 @@ def test_golden_lines_forked(impl, workers, monkeypatch, capsys, any_window_fork
         forks.clear()
         assert _recorded(capsys, f"{line} --workers {workers}") == GOLDEN[line], line
         assert forks, line
+
+
+@pytest.mark.parametrize("call,k,ran", [
+    ("fork", 1, 1), ("fork", 3, 3), ("pipe", 1, 1), ("pipe", 3, 2),
+])
+def test_golden_lines_when_forking_fails(impl, call, k, ran, monkeypatch, capsys,
+                                         any_window_forks):
+    # os.fork or os.pipe raises EAGAIN from its k-th call on, as under a
+    # process or fd limit: the processes already started (the parent, and
+    # a child per earlier fork) run every span, with the same bytes.  The
+    # first pipe is the shared claims pipe; each child's pipe precedes its fork.
+    _bind_backend(monkeypatch, impl)
+    real = getattr(os, call)
+    exc = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    failed = 0
+    fds = sorted(os.listdir("/dev/fd"))
+    for line in FORKED:
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) >= k:
+                raise exc
+            return real(*args)
+
+        monkeypatch.setattr(parallel.os, call, failing)
+        status = main(f"{line} --workers 8".split())
+        out, err = capsys.readouterr()
+        assert {"sha256": hashlib.sha256(out.encode()).hexdigest(),
+                "status": status} == GOLDEN[line], line
+        assert sorted(os.listdir("/dev/fd")) == fds, line   # every pipe closed
+        warnings = [text for text in err.splitlines() if text.startswith("warning:")]
+        if len(calls) >= k:   # a window with fewer spans makes fewer calls
+            failed += 1
+            assert warnings == [f"warning: {exc}; processes that ran: {ran}"], line
+        else:
+            assert warnings == [], line
+    assert failed
 
 
 @pytest.mark.parametrize("workers", ["2", "8"])

@@ -102,6 +102,38 @@ def test_span_matches_literal_loop(impl, name, oracle, first):
         assert span(lo, hi) == oracle(lo, hi), (lo, hi)
 
 
+#: Windows of the two kernels that read 3^k, and whether `_pure` reads the
+#: powers from its module table there: below 2^127 it does, past it it
+#: builds a list per call.
+POWER_WINDOWS = [
+    (SAFE3 + 1, SAFE3 + 1, True),   # a one-element call, as `_fast` hands `_pure`
+    (2**127 - 1, 2**127 - 1, True),
+    (2**127 - 64, 2**127 - 1, True),
+    (2**127 - 64, 2**127 + 64, False),
+    (2**127, 2**127, False),
+]
+
+
+@pytest.mark.parametrize("name,oracle", [
+    ("scan_x_residues", oracles.x_residues_span),
+    ("span_dual_forms", oracles.dual_forms_span),
+], ids=["scan_x_residues", "span_dual_forms"])
+def test_powers_come_from_the_module_table_below_2_127(name, oracle, monkeypatch):
+    # Counted, not timed: a call that reads the table builds no power list.
+    reads = []
+
+    class CountedPowers(tuple):
+        def __getitem__(self, k):
+            reads.append(k)
+            return tuple.__getitem__(self, k)
+
+    monkeypatch.setattr(_pure, "_POW3", CountedPowers(_pure._POW3))
+    for lo, hi, from_table in POWER_WINDOWS:
+        reads.clear()
+        assert getattr(_pure, name)(lo, hi) == oracle(lo, hi), (lo, hi)
+        assert bool(reads) == from_table, (lo, hi)
+
+
 EMAPT_LIMIT = (2**64 - 3) // 6   # the compiled span stops where 6n + 2 does not fit
 
 

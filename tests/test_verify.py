@@ -1,5 +1,6 @@
 """Range checkers: clean sweeps, determinism, caps, and the OEIS path."""
 
+import itertools
 import os
 import time
 
@@ -9,6 +10,7 @@ import oracles
 from collatz_lab import _pure, kernels, parallel, sequences, verify
 from collatz_lab.errors import BFileParseError, ConfigurationError, DomainError
 from collatz_lab.oeis import GENERATORS, check_oeis, parse_bfile
+from conftest import bind_kernels
 
 
 CLEAN_SWEEPS = [
@@ -294,31 +296,29 @@ def test_benchmark_windows_fork_a_child_per_other_cpu(theorem, size, lo, cpus,
 
 
 def _logging_pids(kernel, log, pause):
-    """kernel, writing each process's pid to log on its first call; the test
-    process first sleeps `pause` seconds, so that a child claims a span."""
+    """kernel, writing each process's pid to log on its first call.  The test
+    process sleeps `pause` seconds on its second call, its first after the
+    fork (its first runs the range's last input, before the fork), so that a
+    child claims a span."""
     seen = set()
+    parent_calls = itertools.count(1)
 
     def call(*args):
         if os.getpid() not in seen:
             seen.add(os.getpid())
             with open(log, "a") as sink:
                 sink.write(f"{os.getpid()}\n")
-            if os.getpid() == _TEST_PID:
-                time.sleep(pause)
+        if os.getpid() == _TEST_PID and next(parent_calls) == 2:
+            time.sleep(pause)
         return kernel(*args)
 
     return call
 
 
-@pytest.mark.parametrize("run", [
-    lambda: sequences.stopping_stats(8_500_000, 8_519_999, 10_000, workers=2),
-    lambda: verify.run_check("conjecture-apt", 8_500_000, 8_539_999, workers=2),
-    lambda: verify.run_check("conjecture-emapt", 8_500_000, 8_539_999, workers=2),
-], ids=["stats", "conjecture-apt", "conjecture-emapt"])
-def test_forked_children_find_the_stopping_tables_built(run, monkeypatch, tmp_path,
-                                                        eight_cpus):
-    # The parent builds `_pure`'s tables before it forks; a child that built
-    # one would raise here, in the parent.
+def _table_builds(monkeypatch) -> list:
+    """`_pure`'s stopping tables unbuilt, and the list of the builders' names
+    as the test process calls them; a forked child that calls one fails, and
+    `run_chunked` raises that failure in the parent."""
     built = []
 
     def parent_only(build):
@@ -331,12 +331,48 @@ def test_forked_children_find_the_stopping_tables_built(run, monkeypatch, tmp_pa
     monkeypatch.setattr(_pure, "_STOP_TABLES", None)
     for name in ("_block_table", "_small_tails"):
         monkeypatch.setattr(_pure, name, parent_only(getattr(_pure, name)))
+    return built
+
+
+@pytest.mark.parametrize("run", [
+    lambda: sequences.stopping_stats(8_500_000, 8_519_999, 10_000, workers=2),
+    lambda: verify.run_check("conjecture-apt", 8_500_000, 8_539_999, workers=2),
+    lambda: verify.run_check("conjecture-emapt", 8_500_000, 8_539_999, workers=2),
+], ids=["stats", "conjecture-apt", "conjecture-emapt"])
+def test_forked_children_find_the_stopping_tables_built(run, monkeypatch, tmp_path,
+                                                        eight_cpus):
+    # The parent's pure span builds `_pure`'s tables on the range's last
+    # input, before it forks; a child that built one would raise here.
+    built = _table_builds(monkeypatch)
     log = tmp_path / "pids"
     for name in ("orbit_lengths", "span_conjecture_apt", "span_conjecture_emapt"):
         monkeypatch.setattr(kernels, name, _logging_pids(getattr(_pure, name), log, 0.1))
     run()
     assert {"_block_table", "_small_tails"} <= set(built)
     assert len(set(log.read_text().split())) == 2   # the parent and its child
+
+
+def test_compiled_reach_sweep_below_2_64_builds_no_stopping_table(fast, monkeypatch,
+                                                                   eight_cpus, forks):
+    # The compiled spans below 2^64 never read `_pure`'s tables, so no
+    # process builds them: a child that did would raise here.
+    bind_kernels(monkeypatch, fast)
+    built = _table_builds(monkeypatch)
+    report = verify.run_check("conjecture-apt", 8_500_000, 8_539_999, workers=2)
+    assert (report.checked, report.violation_count, len(forks)) == (40_000, 0, 1)
+    assert built == [] and _pure._STOP_TABLES is None
+
+
+def test_compiled_window_across_2_64_builds_the_tables_once_in_the_parent(
+        fast, monkeypatch, any_window_forks, forks):
+    # The range's last input is past 2^64, so the parent's compiled span
+    # hands it to `_pure`, which builds the tables before the fork.
+    bind_kernels(monkeypatch, fast)
+    built = _table_builds(monkeypatch)
+    report = verify.run_check("conjecture-apt", 2**64 - 1_000, 2**64 + 999, workers=2)
+    assert (report.checked, report.violation_count, len(forks)) == (2_000, 0, 1)
+    # `_block_table` composes itself from the tables of halves.
+    assert "_block_table" in built and built.count("_small_tails") == 1
 
 
 _TEST_PID = os.getpid()
@@ -367,6 +403,8 @@ def _raising_span(lo, hi):
 
 def _interrupted_span(lo, hi):
     if os.getpid() == _TEST_PID:
+        if lo == hi:   # the range's last input, run before the fork
+            return _span_pids(lo, hi)
         raise KeyboardInterrupt
     time.sleep(60)   # a child that outlived the parent's span would hold the test
     return _span_pids(lo, hi)
@@ -377,12 +415,13 @@ def test_child_exception_raises_with_its_type(eight_cpus):
         parallel.run_chunked(_raising_span, 1, 100, 2)
 
 
-def test_interrupted_parent_kills_and_reaps_its_children(eight_cpus):
+def test_interrupted_parent_kills_and_reaps_its_children(eight_cpus, forks):
     # The autouse no_child_left fixture then finds no child, running or not.
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         parallel.run_chunked(_interrupted_span, 1, 100, 4)
     assert time.perf_counter() - start < 30
+    assert len(forks) == 3
 
 
 # --- OEIS cross-checks -------------------------------------------------------
